@@ -61,6 +61,7 @@ from .builders import (
     build_single_stage,
     build_sparse,
     build_tree,
+    spec_for,
 )
 from .analysis import ClosedForm, ComparisonRow, closed_form, compare, rows_to_csv, sweep
 from .verify import (

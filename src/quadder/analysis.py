@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import netlist
-from .builders import AdderSpec, build, ceil_log2, floor_log2
+from .builders import AdderSpec, build, ceil_log2, floor_log2, spec_for
 
 __all__ = [
     "ClosedForm",
@@ -214,14 +214,6 @@ def compare(spec: AdderSpec, mask_counting: str = "excluded") -> ComparisonRow:
     )
 
 
-def _spec_for(kind: str, n: int, sparsity: int = 4, block: int | None = None) -> AdderSpec:
-    if kind == "hybrid":
-        return AdderSpec("hybrid", n, block=min(block or 4, n))
-    if kind == "sparse":
-        return AdderSpec("sparse", n, sparsity=sparsity)
-    return AdderSpec(kind, n)
-
-
 def sweep(kinds, widths, mask_counting: str = "excluded") -> list:
     """One ComparisonRow per (kind, n), rows ordered by the given kind
     order then ascending width."""
@@ -229,13 +221,7 @@ def sweep(kinds, widths, mask_counting: str = "excluded") -> list:
     widths = list(widths)
     if not kinds or not widths:
         raise ValueError("kinds and widths must be non-empty")
-    rows = []
-    for kind in kinds:
-        if kind not in ("ripple", "single_stage", "tree", "sparse", "hybrid"):
-            raise ValueError(f"unknown adder kind: {kind!r}")
-        for n in widths:
-            rows.append(compare(_spec_for(kind, n), mask_counting))
-    return rows
+    return [compare(spec_for(kind, n), mask_counting) for kind in kinds for n in widths]
 
 
 CSV_HEADER = (

@@ -26,6 +26,7 @@ KINDS = ("ripple", "single_stage", "tree", "sparse", "hybrid")
 __all__ = [
     "KINDS",
     "AdderSpec",
+    "spec_for",
     "build",
     "build_ripple",
     "build_single_stage",
@@ -70,6 +71,19 @@ class AdderSpec:
                 raise ValueError("hybrid adder needs a block size")
             if not 1 <= self.block <= self.width:
                 raise ValueError("block must satisfy 1 <= block <= width")
+
+
+def spec_for(kind: str, width: int, sparsity: int = 4, block: int | None = None) -> AdderSpec:
+    """The spec for a kind, keeping only the parameters that kind takes.
+
+    A hybrid without an explicit block gets min(4, width); an explicit
+    block is validated as given.
+    """
+    if kind == "hybrid":
+        return AdderSpec(kind, width, block=min(4, width) if block is None else block)
+    if kind == "sparse":
+        return AdderSpec(kind, width, sparsity=sparsity)
+    return AdderSpec(kind, width)
 
 
 def build(spec: AdderSpec, dedupe: bool = True) -> Netlist:

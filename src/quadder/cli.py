@@ -9,6 +9,7 @@ failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import analysis, builders, netlist, verify
@@ -32,12 +33,7 @@ def _canonical_kind(text: str) -> str:
 
 
 def _spec_from_args(args) -> builders.AdderSpec:
-    kind = _canonical_kind(args.kind)
-    if kind == "hybrid":
-        return builders.AdderSpec(kind, args.width, block=args.block)
-    if kind == "sparse":
-        return builders.AdderSpec(kind, args.width, sparsity=args.sparsity)
-    return builders.AdderSpec(kind, args.width)
+    return builders.spec_for(_canonical_kind(args.kind), args.width, args.sparsity, args.block)
 
 
 def _parse_digits(text: str, width: int, flag: str) -> tuple[int, ...]:
@@ -146,6 +142,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadder", description="quaternary adder laboratory"
@@ -157,7 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ripple | single | tree | sparse | hybrid")
         p.add_argument("--width", type=int, required=need_kind)
         p.add_argument("--sparsity", type=int, default=4)
-        p.add_argument("--block", type=int, default=4)
+        p.add_argument("--block", type=int, default=None,
+                       help="hybrid block size (default: min(4, width))")
 
     p = sub.add_parser("build", help="generate a netlist document")
     add_spec_flags(p)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -98,6 +101,10 @@ class Netlist:
     def gate_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind not in LEAF_KINDS]
 
+    @cached_property
+    def _analysis(self) -> _Analysis:
+        return _Analysis(self.nodes)
+
 
 def _check_arity(kind: str, n_inputs: int) -> None:
     if kind in MULTI_KINDS and n_inputs < 2:
@@ -185,21 +192,37 @@ def _validate(nl: Netlist) -> None:
                 )
             if i < 0:
                 raise DocumentError("dangling", f"node {node.id} reads id {i}")
-    ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
+    if not isinstance(nl.width, int):
+        raise DocumentError("malformed", f"width {nl.width!r} is not an integer")
     if len(nl.a_ports) != nl.width or len(nl.b_ports) != nl.width or len(nl.s_ports) != nl.width:
         raise DocumentError("malformed", "port vector width mismatch")
-    for pid in ports:
-        if not 0 <= pid < n:
-            raise DocumentError("dangling", f"input port id {pid} out of range")
-        if nl.nodes[pid].kind != INPUT:
+    # Evaluation binds inputs by name, so each port must name its own node.
+    port_names = [*(f"A[{i}]" for i in range(1, nl.width + 1)),
+                  *(f"B[{i}]" for i in range(1, nl.width + 1)), "cin"]
+    ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
+    _check_ids(ports, n, "input port")
+    for pid, name in zip(ports, port_names):
+        node = nl.nodes[pid]
+        if node.kind != INPUT:
             raise DocumentError("malformed", f"input port id {pid} is not an input node")
-    for pid in [*nl.s_ports, nl.cout_port, *nl.signals.values()]:
+        if node.name != name:
+            raise DocumentError("malformed", f"port {name} is input node {pid} named {node.name!r}")
+    _check_ids([*nl.s_ports, nl.cout_port, *nl.signals.values()], n, "referenced")
+    groups = nl.meta.get("groups", {})
+    if not isinstance(groups, dict):
+        raise DocumentError("malformed", "meta.groups is not an object")
+    for group, ids in groups.items():
+        if not isinstance(ids, (list, tuple)):
+            raise DocumentError("malformed", f"group {group!r} is not a list of ids")
+        _check_ids(ids, n, f"group {group!r}")
+
+
+def _check_ids(ids, n: int, what: str) -> None:
+    for pid in ids:
+        if not isinstance(pid, int):
+            raise DocumentError("malformed", f"{what} id {pid!r} is not an integer")
         if not 0 <= pid < n:
-            raise DocumentError("dangling", f"referenced id {pid} out of range")
-    for group, ids in nl.meta.get("groups", {}).items():
-        for pid in ids:
-            if not 0 <= pid < n:
-                raise DocumentError("dangling", f"group {group!r} id {pid} out of range")
+            raise DocumentError("dangling", f"{what} id {pid} out of range")
 
 
 # --- evaluation ---
@@ -317,15 +340,66 @@ class CostReport:
         }
 
 
-def mask_data_input(nl: Netlist, node: Node) -> int | None:
-    """For a mask gate And(x, Const 1), return x's id; else None."""
-    if node.kind != AND or len(node.inputs) != 2:
-        return None
-    for one, other in (node.inputs, node.inputs[::-1]):
-        n = nl.nodes[one]
-        if n.kind == CONST and n.value == 1:
-            return other
-    return None
+class _Analysis:
+    """Everything measurement needs from one netlist, from one forward pass.
+
+    Per node: the fan-in it contributes to the input count under each mask
+    convention (0 for inputs and constants, and for And(x, Const 1) mask
+    gates when masks are excluded), and its unit-delay depth under each
+    convention (an excluded mask sits at its data input's depth).  Both are
+    (included, excluded) pairs, indexed by ``mask_counting == "excluded"``.
+    Cones are memoized per signal-id set.  Netlists are immutable, so each
+    one computes its analysis on first use and keeps it.
+    """
+
+    __slots__ = ("inputs", "fan_in", "depths", "_cones")
+
+    def __init__(self, nodes: tuple[Node, ...]):
+        n = len(nodes)
+        fan_inc = [0] * n
+        fan_exc = [0] * n
+        inc = [0] * n
+        exc = [0] * n
+        ones = {i for i, node in enumerate(nodes) if node.kind == CONST and node.value == 1}
+        for i, node in enumerate(nodes):
+            ins = node.inputs
+            k = len(ins)
+            if k == 1:
+                inc[i] = inc[ins[0]] + 1
+                exc[i] = exc[ins[0]] + 1
+                fan_inc[i] = fan_exc[i] = 1
+            elif k:
+                fan_inc[i] = k
+                get = itemgetter(*ins)
+                inc[i] = 1 + max(get(inc))
+                if k == 2 and node.kind == AND and (ins[0] in ones or ins[1] in ones):
+                    exc[i] = exc[ins[1] if ins[0] in ones else ins[0]]
+                else:
+                    exc[i] = 1 + max(get(exc))
+                    fan_exc[i] = k
+        self.inputs = [node.inputs for node in nodes]
+        self.fan_in = (fan_inc, fan_exc)
+        self.depths = (inc, exc)
+        self._cones: dict = {}
+
+    def cone(self, node_ids: Iterable[int]) -> frozenset:
+        """Memoized per id set; a level-by-level walk towards the inputs."""
+        key = frozenset(node_ids)
+        hit = self._cones.get(key)
+        if hit is None:
+            seen = set(key)
+            frontier = seen
+            while frontier:
+                frontier = set(chain.from_iterable(map(self.inputs.__getitem__, frontier)))
+                frontier -= seen
+                seen |= frontier
+            hit = self._cones[key] = frozenset(seen)
+        return hit
+
+
+def _counted(fan_in: list, ids: Iterable[int]) -> list:
+    """Fan-ins of the ids that count as gates (repeats count again)."""
+    return [f for f in map(fan_in.__getitem__, ids) if f]
 
 
 def node_depths(nl: Netlist, mask_counting: str = "included") -> list[int]:
@@ -334,18 +408,7 @@ def node_depths(nl: Netlist, mask_counting: str = "included") -> list[int]:
     With mask_counting="excluded", And(x, Const 1) gates are transparent:
     their depth equals x's depth.
     """
-    depths = [0] * len(nl.nodes)
-    excluded = mask_counting == "excluded"
-    for node in nl.nodes:
-        if node.kind in LEAF_KINDS:
-            continue
-        if excluded:
-            data = mask_data_input(nl, node)
-            if data is not None:
-                depths[node.id] = depths[data]
-                continue
-        depths[node.id] = 1 + max(depths[i] for i in node.inputs)
-    return depths
+    return list(nl._analysis.depths[mask_counting == "excluded"])
 
 
 def _resolve_signals(nl: Netlist, signals) -> dict:
@@ -365,15 +428,7 @@ def _resolve_signals(nl: Netlist, signals) -> dict:
 
 def cone(nl: Netlist, node_ids: Iterable[int]) -> set:
     """Set of node ids that can influence any of the given nodes."""
-    seen: set = set()
-    stack = list(node_ids)
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        stack.extend(nl.nodes[nid].inputs)
-    return seen
+    return set(nl._analysis.cone(node_ids))
 
 
 def measure(
@@ -392,29 +447,16 @@ def measure(
     if mask_counting not in ("included", "excluded"):
         raise ValueError(f"bad mask_counting: {mask_counting!r}")
     resolved = _resolve_signals(nl, signals)
-    depths = node_depths(nl, mask_counting)
-    scope = cone(nl, resolved.values())
+    facts = nl._analysis
     excluded = mask_counting == "excluded"
-
-    gate_count = 0
-    input_count = 0
-    max_fan_in = 0
-    for nid in scope:
-        node = nl.nodes[nid]
-        if node.kind in LEAF_KINDS:
-            continue
-        if excluded and mask_data_input(nl, node) is not None:
-            continue
-        gate_count += 1
-        input_count += len(node.inputs)
-        max_fan_in = max(max_fan_in, len(node.inputs))
-
+    depths = facts.depths[excluded]
+    fans = _counted(facts.fan_in[excluded], facts.cone(resolved.values()))
     per_signal = {name: depths[nid] for name, nid in resolved.items()}
     return CostReport(
-        gate_count=gate_count,
-        input_count=input_count,
+        gate_count=len(fans),
+        input_count=sum(fans),
         depth=max(per_signal.values(), default=0),
-        max_fan_in=max_fan_in,
+        max_fan_in=max(fans, default=0),
         per_signal_depth=per_signal,
         mask_counting=mask_counting,
         signal_scope=scope_label or ("full-adder" if signals is None else "carry-network"),
@@ -426,18 +468,8 @@ def count_group(nl: Netlist, group: str, mask_counting: str = "included") -> tup
     ids = nl.meta.get("groups", {}).get(group)
     if ids is None:
         raise ValueError(f"netlist has no group {group!r}")
-    excluded = mask_counting == "excluded"
-    gates = 0
-    inputs = 0
-    for nid in ids:
-        node = nl.nodes[nid]
-        if node.kind in LEAF_KINDS:
-            continue
-        if excluded and mask_data_input(nl, node) is not None:
-            continue
-        gates += 1
-        inputs += len(node.inputs)
-    return gates, inputs
+    fans = _counted(nl._analysis.fan_in[mask_counting == "excluded"], ids)
+    return len(fans), sum(fans)
 
 
 # --- serialization ---
@@ -501,10 +533,10 @@ def from_json(text: str | bytes) -> Netlist:
             raise DocumentError("malformed", f"node ids must be dense, got {nid} at {i}")
         nodes.append(Node(nid, kind, inputs, entry.get("value"), entry.get("name")))
 
-    meta = dict(doc.get("meta", {}))
-    meta["kind"] = doc.get("kind", "custom")
-    meta["params"] = doc.get("params", {})
     try:
+        meta = dict(doc.get("meta", {}))
+        meta["kind"] = doc.get("kind", "custom")
+        meta["params"] = doc.get("params", {})
         nl = Netlist(
             width=width,
             nodes=tuple(nodes),
@@ -518,9 +550,7 @@ def from_json(text: str | bytes) -> Netlist:
         )
     except KeyError as exc:
         raise DocumentError("malformed", f"missing port field {exc}") from exc
-    except ValueError as exc:
-        if isinstance(exc, DocumentError):
-            raise
+    except (TypeError, ValueError) as exc:
         raise DocumentError("malformed", str(exc)) from exc
     _validate(nl)
     return nl

@@ -147,3 +147,54 @@ def test_write_failure_maps_to_exit_1(tmp_path, capsys):
                        "--out", str(target))
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hybrid_block_defaults_to_width_when_narrow(tmp_path, capsys, n):
+    flags = ("--kind", "hybrid", "--width", str(n))
+    code, stdout, _ = run(capsys, "analyze", *flags)
+    assert code == 0 and stdout.splitlines()[1].startswith(f"hybrid,{n},")
+    code, stdout, _ = run(capsys, "verify", *flags, "--exhaustive")
+    assert code == 0 and json.loads(stdout)["passed"] is True
+    out = tmp_path / "h.json"
+    code, stdout, _ = run(capsys, "build", *flags, "--out", str(out))
+    assert code == 0
+    assert netlist.from_json(out.read_text()).meta["params"]["block"] == n
+
+
+def test_hybrid_explicit_block_out_of_range_exits_2(capsys):
+    code, _, err = run(capsys, "analyze", "--kind", "hybrid", "--width", "3", "--block", "4")
+    assert code == 2 and "block" in err
+
+
+def _stored_ripple(tmp_path, capsys):
+    path = tmp_path / "r2.json"
+    run(capsys, "build", "--kind", "ripple", "--width", "2", "--out", str(path))
+    return path, json.loads(path.read_text())
+
+
+def _expect_malformed(capsys, path, doc):
+    path.write_text(json.dumps(doc))
+    for argv in (["eval", "--netlist", str(path), "--a", "01", "--b", "02"],
+                 ["verify", "--netlist", str(path), "--exhaustive"]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: malformed:") and "Traceback" not in err
+
+
+def test_document_with_renamed_input_port_is_rejected(tmp_path, capsys):
+    path, doc = _stored_ripple(tmp_path, capsys)
+    doc["nodes"][doc["ports"]["A"][0]]["name"] = "B[1]"
+    _expect_malformed(capsys, path, doc)
+
+
+def test_document_with_non_int_signal_id_is_rejected(tmp_path, capsys):
+    path, doc = _stored_ripple(tmp_path, capsys)
+    doc["signals"]["x"] = "7"
+    _expect_malformed(capsys, path, doc)
+
+
+def test_document_with_list_valued_groups_is_rejected(tmp_path, capsys):
+    path, doc = _stored_ripple(tmp_path, capsys)
+    doc["meta"]["groups"] = [[1, 2]]
+    _expect_malformed(capsys, path, doc)
