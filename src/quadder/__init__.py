@@ -44,7 +44,6 @@ from .netlist import (
     add_batch,
     count_group,
     evaluate,
-    evaluate_batch,
     evaluate_words,
     from_json,
     lower_fanin2,

@@ -9,6 +9,7 @@ timing uses a unit-delay model (every gate costs 1, wires cost 0).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -33,7 +34,8 @@ INPUT = "input"
 MULTI_KINDS = frozenset({AND, OR, XOR})
 UNARY_KINDS = frozenset({NOT, INWARD, OUTWARD, BITSWAP})
 LEAF_KINDS = frozenset({CONST, INPUT})
-ALL_KINDS = MULTI_KINDS | UNARY_KINDS | LEAF_KINDS
+_FAN_IN = {**dict.fromkeys(MULTI_KINDS, (2, sys.maxsize)), **dict.fromkeys(UNARY_KINDS, (1, 1)),
+           **dict.fromkeys(LEAF_KINDS, (0, 0))}   # (least, most) inputs per kind
 
 DOC_VERSION = 1
 
@@ -47,13 +49,9 @@ _SCALAR_OP = {
     BITSWAP: qudit.bitswap,
 }
 
-_BATCH_REDUCE = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
-_BATCH_LUT = {
-    NOT: np.array([3, 2, 1, 0], dtype=np.uint8),
-    INWARD: np.array([2, 2, 1, 1], dtype=np.uint8),
-    OUTWARD: np.array([3, 3, 0, 0], dtype=np.uint8),
-    BITSWAP: np.array([0, 2, 1, 3], dtype=np.uint8),
-}
+_PLANE_GATE = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
+_ONES = np.uint64(2**64 - 1)
+_TRANSPOSE_CHUNK = 512   # cases per block of the (cases, width) -> (width, cases) copy
 
 
 class DocumentError(ValueError):
@@ -87,9 +85,6 @@ class Netlist:
     signals: dict = field(default_factory=dict)   # name -> node id
     meta: dict = field(default_factory=dict)      # kind, params, groups, ...
 
-    def input_names(self) -> list[str]:
-        return [n.name for n in self.nodes if n.kind == INPUT]
-
     def output_map(self) -> dict:
         out = {f"S[{i + 1}]": nid for i, nid in enumerate(self.s_ports)}
         out["cout"] = self.cout_port
@@ -104,6 +99,10 @@ class Netlist:
     @cached_property
     def _analysis(self) -> _Analysis:
         return _Analysis(self.nodes)
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        return _Plan.compile(self)
 
 
 def _check_arity(kind: str, n_inputs: int) -> None:
@@ -180,23 +179,31 @@ class NetlistBuilder:
 
 
 def _validate(nl: Netlist) -> None:
+    """One pass over the nodes plus the port, signal and group references.
+
+    Ids are exact ints (a bool is not an id), const values are qudits, and
+    the input nodes are exactly the A, B and cin ports, which the batch
+    evaluator binds by id.
+    """
+    if type(nl.width) is not int or nl.width < 1:
+        raise DocumentError("malformed", f"width {nl.width!r} is not a positive integer")
     n = len(nl.nodes)
-    for node in nl.nodes:
-        if node.kind not in ALL_KINDS:
-            raise DocumentError("malformed", f"unknown kind {node.kind!r}")
-        _check_arity(node.kind, len(node.inputs))
-        for i in node.inputs:
-            if i >= node.id:
-                raise DocumentError(
-                    "acyclicity", f"node {node.id} reads id {i} >= its own id"
-                )
-            if i < 0:
-                raise DocumentError("dangling", f"node {node.id} reads id {i}")
-    if not isinstance(nl.width, int):
-        raise DocumentError("malformed", f"width {nl.width!r} is not an integer")
+    n_inputs = 0
+    for nid, kind, ins, value, _ in nl.nodes:
+        fan_in = _FAN_IN.get(kind) if type(kind) is str else None
+        if fan_in is None:
+            raise DocumentError("malformed", f"unknown kind {kind!r}")
+        if not fan_in[0] <= len(ins) <= fan_in[1]:
+            _check_arity(kind, len(ins))
+        for i in ins:
+            if type(i) is not int or not 0 <= i < nid:
+                _reject_input(nid, i)
+        if kind == INPUT:
+            n_inputs += 1
+        elif kind == CONST and (type(value) is not int or not 0 <= value <= 3):
+            raise DocumentError("malformed", f"const node {nid} has value {value!r}")
     if len(nl.a_ports) != nl.width or len(nl.b_ports) != nl.width or len(nl.s_ports) != nl.width:
         raise DocumentError("malformed", "port vector width mismatch")
-    # Evaluation binds inputs by name, so each port must name its own node.
     port_names = [*(f"A[{i}]" for i in range(1, nl.width + 1)),
                   *(f"B[{i}]" for i in range(1, nl.width + 1)), "cin"]
     ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
@@ -207,6 +214,10 @@ def _validate(nl: Netlist) -> None:
             raise DocumentError("malformed", f"input port id {pid} is not an input node")
         if node.name != name:
             raise DocumentError("malformed", f"port {name} is input node {pid} named {node.name!r}")
+    # The port names are distinct, so the ports are distinct input nodes.
+    if n_inputs != len(ports):
+        extra = sorted({node.id for node in nl.nodes if node.kind == INPUT} - set(ports))
+        raise DocumentError("malformed", f"input nodes {extra} are not ports")
     _check_ids([*nl.s_ports, nl.cout_port, *nl.signals.values()], n, "referenced")
     groups = nl.meta.get("groups", {})
     if not isinstance(groups, dict):
@@ -217,9 +228,17 @@ def _validate(nl: Netlist) -> None:
         _check_ids(ids, n, f"group {group!r}")
 
 
+def _reject_input(nid: int, i) -> None:
+    if type(i) is not int:
+        raise DocumentError("malformed", f"node {nid} reads non-integer id {i!r}")
+    if i >= nid:
+        raise DocumentError("acyclicity", f"node {nid} reads id {i} >= its own id")
+    raise DocumentError("dangling", f"node {nid} reads id {i}")
+
+
 def _check_ids(ids, n: int, what: str) -> None:
     for pid in ids:
-        if not isinstance(pid, int):
+        if type(pid) is not int:
             raise DocumentError("malformed", f"{what} id {pid!r} is not an integer")
         if not 0 <= pid < n:
             raise DocumentError("dangling", f"{what} id {pid} out of range")
@@ -263,56 +282,150 @@ def evaluate_words(nl: Netlist, a, b, cin: int = 0) -> tuple[tuple[int, ...], in
     return tuple(out[f"S[{i + 1}]"] for i in range(nl.width)), out["cout"]
 
 
-def evaluate_batch(nl: Netlist, assignment: Mapping[str, np.ndarray]) -> dict:
-    """Vectorized forward pass over a batch axis (uint8 arrays)."""
-    shape = None
-    arrays = {}
-    for name, arr in assignment.items():
-        arr = np.asarray(arr, dtype=np.uint8)
-        if (arr > 3).any():
-            raise ValueError(f"assignment for {name!r} holds non-qudit values")
-        if shape is None:
-            shape = arr.shape
-        elif arr.shape != shape:
-            raise ValueError("assignment arrays must share one shape")
-        arrays[name] = arr
-    if shape is None:
-        raise ValueError("empty assignment")
+# Batch evaluation works on bit planes.  A batch of qudits is two packed bit
+# vectors, hi and lo (value = 2 * hi + lo), one bit per case; a node's value
+# over the batch is one row of uint64 words, its hi plane followed by its lo
+# plane.  AND, OR and XOR act on both planes at once; NOT inverts both;
+# bitswap swaps them; inward is (not hi, hi) and outward (not hi, not hi).
 
-    values: list[np.ndarray | None] = [None] * len(nl.nodes)
-    for node in nl.nodes:
-        if node.kind == INPUT:
-            if node.name not in arrays:
-                raise ValueError(f"missing assignment for port {node.name!r}")
-            values[node.id] = arrays[node.name]
-        elif node.kind == CONST:
-            values[node.id] = np.full(shape, node.value, dtype=np.uint8)
-        elif node.kind in UNARY_KINDS:
-            values[node.id] = _BATCH_LUT[node.kind][values[node.inputs[0]]]
-        else:
-            op = _BATCH_REDUCE[node.kind]
-            acc = op(values[node.inputs[0]], values[node.inputs[1]])
-            for i in node.inputs[2:]:
-                acc = op(acc, values[i])
-            values[node.id] = acc
-    return {name: values[nid] for name, nid in nl.output_map().items()}
+
+class _Plan(NamedTuple):
+    """A netlist compiled for the bit-plane kernel.
+
+    Rows (slots) 0..2n of the plane buffer hold the ports A[1..n], B[1..n]
+    and cin, bound by port id.  Each step computes one live node into its
+    own slot: (kind, out slot, input slots, const value).  A slot is reused
+    once the last step reading it has run; nodes outside the cone of S and
+    cout get no step, and the output slots are never reused.
+    """
+
+    steps: tuple
+    slots: int
+    s_slots: tuple
+    cout_slot: int
+
+    @classmethod
+    def compile(cls, nl: Netlist) -> _Plan:
+        n = len(nl.nodes)
+        last = [-1] * n          # id of the last live node reading each node
+        for nid in (*nl.s_ports, nl.cout_port):
+            last[nid] = n
+        for node in reversed(nl.nodes):
+            if last[node.id] >= 0:
+                for i in node.inputs:
+                    if last[i] < 0:
+                        last[i] = node.id
+        ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
+        slot = [0] * n
+        for k, pid in enumerate(ports):
+            slot[pid] = k
+        free = [slot[pid] for pid in reversed(ports) if last[pid] < 0]
+        size = len(ports)
+        steps = []
+        for nid, kind, ins, value, _ in nl.nodes:
+            if kind == INPUT or last[nid] < 0:
+                continue
+            if free:
+                out = free.pop()
+            else:
+                out = size
+                size += 1
+            slot[nid] = out
+            steps.append((kind, out, tuple(map(slot.__getitem__, ins)), value))
+            for i in ins:
+                if last[i] == nid:
+                    last[i] = n   # freed once, also when this node reads it twice
+                    free.append(slot[i])
+        return cls(tuple(steps), size, tuple(slot[i] for i in nl.s_ports), slot[nl.cout_port])
+
+
+def digit_major(digits: np.ndarray) -> np.ndarray:
+    """A (cases, width) matrix as a C-contiguous (width, cases) one.
+
+    A column-major input (such as ``m.T`` of a digit-major ``m``) is returned
+    as a view; otherwise the copy goes in blocks of cases that stay in cache.
+    """
+    t = digits.T
+    if t.flags.c_contiguous:
+        return t
+    out = np.empty(t.shape, dtype=digits.dtype)
+    for lo in range(0, digits.shape[0], _TRANSPOSE_CHUNK):
+        out[:, lo:lo + _TRANSPOSE_CHUNK] = digits[lo:lo + _TRANSPOSE_CHUNK].T
+    return out
+
+
+def _qudits(values, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.uint8)
+    if values.size and values.max() > 3:
+        raise ValueError(f"{what} holds non-qudit values")
+    return values
+
+
+def _pack(planes: np.ndarray, digits: np.ndarray) -> None:
+    """Digit-major qudits (rows, cases) into the hi and lo planes of rows."""
+    count = digits.shape[-1]
+    planes[..., 0, : (count + 7) // 8] = np.packbits(digits >> 1, axis=-1, bitorder="little")
+    planes[..., 1, : (count + 7) // 8] = np.packbits(digits & 1, axis=-1, bitorder="little")
+
+
+def _unpack(planes: np.ndarray, count: int) -> np.ndarray:
+    bits = np.unpackbits(planes, axis=-1, count=count, bitorder="little")
+    return (bits[..., 0, :] << 1) | bits[..., 1, :]
+
+
+def _run(plan: _Plan, buf: np.ndarray) -> None:
+    rows = list(buf.reshape(plan.slots, -1))
+    his = list(buf[:, 0])
+    los = list(buf[:, 1])
+    for kind, out, ins, value in plan.steps:
+        gate = _PLANE_GATE.get(kind)
+        if gate is not None:
+            if len(ins) == 2:
+                gate(rows[ins[0]], rows[ins[1]], out=rows[out])
+            else:
+                gate.reduce(buf[list(ins)], axis=0, out=buf[out])
+        elif kind == NOT:
+            np.invert(rows[ins[0]], out=rows[out])
+        elif kind == BITSWAP:
+            np.copyto(his[out], los[ins[0]])
+            np.copyto(los[out], his[ins[0]])
+        elif kind == INWARD:
+            np.invert(his[ins[0]], out=his[out])
+            np.copyto(los[out], his[ins[0]])
+        elif kind == OUTWARD:
+            np.invert(his[ins[0]], out=his[out])
+            np.copyto(los[out], his[out])
+        else:  # CONST
+            his[out].fill(_ONES if value >> 1 else 0)
+            los[out].fill(_ONES if value & 1 else 0)
 
 
 def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray):
     """Batch addition: digit matrices of shape (cases, width), cin (cases,).
 
-    Returns (sum digit matrix, carry-out vector).
+    Returns (sum digit matrix, carry-out vector).  The sum matrix is a
+    column-major view of shape (cases, width); a column-major input (a
+    transposed digit-major array) is read without a copy.
     """
-    a_digits = np.asarray(a_digits, dtype=np.uint8)
-    b_digits = np.asarray(b_digits, dtype=np.uint8)
-    cin = np.asarray(cin, dtype=np.uint8)
-    assignment = {"cin": cin}
-    for i in range(nl.width):
-        assignment[f"A[{i + 1}]"] = a_digits[:, i]
-        assignment[f"B[{i + 1}]"] = b_digits[:, i]
-    out = evaluate_batch(nl, assignment)
-    s = np.stack([out[f"S[{i + 1}]"] for i in range(nl.width)], axis=1)
-    return s, out["cout"]
+    n = nl.width
+    a_digits = _qudits(a_digits, "a_digits")
+    b_digits = _qudits(b_digits, "b_digits")
+    cin = _qudits(cin, "cin")
+    cases = len(cin) if cin.ndim == 1 else -1
+    if a_digits.shape != (cases, n) or b_digits.shape != (cases, n):
+        raise ValueError(f"expected digit matrices of shape (cases, {n}) and cin of shape "
+                         f"(cases,), got {a_digits.shape}, {b_digits.shape}, {cin.shape}")
+    plan = nl._plan
+    words = (cases + 63) // 64
+    buf = np.empty((plan.slots, 2, words), dtype=np.uint64)
+    as_bytes = buf.view(np.uint8)
+    _pack(as_bytes[:n], digit_major(a_digits))
+    _pack(as_bytes[n:2 * n], digit_major(b_digits))
+    _pack(as_bytes[2 * n], cin)
+    _run(plan, buf)
+    s = _unpack(buf[list(plan.s_slots)].view(np.uint8), cases)
+    cout = _unpack(buf[plan.cout_slot].view(np.uint8), cases)
+    return s.T, cout
 
 
 # --- timing and cost ---
@@ -521,6 +634,8 @@ def from_json(text: str | bytes) -> Netlist:
     except KeyError as exc:
         raise DocumentError("malformed", f"missing field {exc}") from exc
 
+    if not isinstance(raw_nodes, list):
+        raise DocumentError("malformed", "nodes is not a list")
     nodes = []
     for i, entry in enumerate(raw_nodes):
         try:
@@ -529,7 +644,7 @@ def from_json(text: str | bytes) -> Netlist:
             inputs = tuple(entry.get("inputs", ()))
         except (KeyError, TypeError) as exc:
             raise DocumentError("malformed", f"bad node record at position {i}") from exc
-        if nid != i:
+        if type(nid) is not int or nid != i:
             raise DocumentError("malformed", f"node ids must be dense, got {nid} at {i}")
         nodes.append(Node(nid, kind, inputs, entry.get("value"), entry.get("name")))
 

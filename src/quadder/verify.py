@@ -105,53 +105,68 @@ def oracle_add(a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
     return digits, total >> (2 * n)
 
 
-def _oracle_batch(a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray):
-    """Vectorized oracle: schoolbook digit addition with integer carries."""
-    cases, n = a_digits.shape
-    s = np.empty((cases, n), dtype=np.uint8)
-    carry = cin.astype(np.int64)
-    for i in range(n):
-        tot = a_digits[:, i].astype(np.int64) + b_digits[:, i] + carry
-        s[:, i] = tot & 3
-        carry = tot >> 2
-    return s, carry.astype(np.uint8)
+def _oracle_batch(a_t: np.ndarray, b_t: np.ndarray, cin: np.ndarray):
+    """Vectorized oracle on digit-major (width, cases) uint8 digits:
+    schoolbook digit addition with integer carries (a digit sum is at most
+    3 + 3 + 1, so uint8 holds it)."""
+    s = np.empty_like(a_t)
+    carry = cin.astype(np.uint8)
+    tot = np.empty_like(carry)
+    for i in range(a_t.shape[0]):
+        np.add(a_t[i], b_t[i], out=tot)
+        tot += carry
+        np.bitwise_and(tot, 3, out=s[i])
+        np.right_shift(tot, 2, out=carry)
+    return s, carry
 
 
-def _collect_mismatches(a_digits, b_digits, cin, want_s, want_c, got_s, got_c, limit=None):
-    """Per-signal mismatch records, canonically ordered by input tuple."""
-    bad = np.nonzero((want_s != got_s).any(axis=1) | (want_c != got_c))[0]
+def _collect_mismatches(a_t, b_t, cin, want_s, want_c, got_s, got_c, limit=None):
+    """Per-signal mismatch records, canonically ordered by input tuple.
+
+    Digits are digit-major: (width, cases).
+    """
+    bad = np.nonzero((want_s != got_s).any(axis=0) | (want_c != got_c))[0]
     records = []
-    for idx in bad:
-        a = [int(x) for x in a_digits[idx]]
-        b = [int(x) for x in b_digits[idx]]
-        c = int(cin[idx])
-        for j in range(a_digits.shape[1]):
-            if want_s[idx, j] != got_s[idx, j]:
+    for a, b, c, ws, gs, wc, gc in zip(
+        a_t[:, bad].T.tolist(), b_t[:, bad].T.tolist(), cin[bad].tolist(),
+        want_s[:, bad].T.tolist(), got_s[:, bad].T.tolist(),
+        want_c[bad].tolist(), got_c[bad].tolist(),
+    ):
+        for j, (want, got) in enumerate(zip(ws, gs)):
+            if want != got:
                 records.append(
                     {
                         "a": a,
                         "b": b,
                         "cin": c,
                         "signal": f"S[{j + 1}]",
-                        "expected": int(want_s[idx, j]),
-                        "actual": int(got_s[idx, j]),
+                        "expected": want,
+                        "actual": got,
                     }
                 )
-        if want_c[idx] != got_c[idx]:
+        if wc != gc:
             records.append(
                 {
                     "a": a,
                     "b": b,
                     "cin": c,
                     "signal": "cout",
-                    "expected": int(want_c[idx]),
-                    "actual": int(got_c[idx]),
+                    "expected": wc,
+                    "actual": gc,
                 }
             )
     records.sort(key=lambda r: (r["a"], r["b"], r["cin"], r["signal"]))
     if limit is not None:
         records = records[:limit]
     return records
+
+
+def _mismatches(nl: Netlist, a_t: np.ndarray, b_t: np.ndarray, cin: np.ndarray) -> list:
+    """Digit-major inputs through the netlist and the oracle; the netlist reads
+    them as column-major (cases, width) views, so nothing is transposed again."""
+    got_s, got_c = netlist.add_batch(nl, a_t.T, b_t.T, cin)
+    want_s, want_c = _oracle_batch(a_t, b_t, cin)
+    return _collect_mismatches(a_t, b_t, cin, want_s, want_c, got_s.T, got_c)
 
 
 def _report_for(nl: Netlist, mode: str, **kw) -> VerifyReport:
@@ -172,15 +187,12 @@ def check_exhaustive(nl: Netlist, width_bound: int = EXHAUSTIVE_WIDTH_BOUND) -> 
     a_val = np.repeat(pair // words, 2)
     b_val = np.repeat(pair % words, 2)
     cin = np.tile(np.array([0, 1], dtype=np.uint8), words * words)
-    a_digits = np.empty((a_val.size, n), dtype=np.uint8)
-    b_digits = np.empty((a_val.size, n), dtype=np.uint8)
+    a_t = np.empty((n, a_val.size), dtype=np.uint8)
+    b_t = np.empty((n, a_val.size), dtype=np.uint8)
     for i in range(n):
-        a_digits[:, i] = (a_val >> (2 * i)) & 3
-        b_digits[:, i] = (b_val >> (2 * i)) & 3
-
-    got_s, got_c = netlist.add_batch(nl, a_digits, b_digits, cin)
-    want_s, want_c = _oracle_batch(a_digits, b_digits, cin)
-    mismatches = _collect_mismatches(a_digits, b_digits, cin, want_s, want_c, got_s, got_c)
+        a_t[i] = (a_val >> (2 * i)) & 3
+        b_t[i] = (b_val >> (2 * i)) & 3
+    mismatches = _mismatches(nl, a_t, b_t, cin)
     return _report_for(nl, "exhaustive", cases_run=a_val.size, mismatches=mismatches)
 
 
@@ -228,18 +240,14 @@ def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
     ra = rng.integers(0, 4, size=(trials, n), dtype=np.uint8)
     rb = rng.integers(0, 4, size=(trials, n), dtype=np.uint8)
     rc = rng.integers(0, 2, size=trials, dtype=np.uint8)
-    a_digits = np.concatenate([ca, ra])
-    b_digits = np.concatenate([cb, rb])
     cin = np.concatenate([cc, rc])
-
-    got_s, got_c = netlist.add_batch(nl, a_digits, b_digits, cin)
-    want_s, want_c = _oracle_batch(a_digits, b_digits, cin)
-    mismatches = _collect_mismatches(a_digits, b_digits, cin, want_s, want_c, got_s, got_c)
+    mismatches = _mismatches(nl, netlist.digit_major(np.concatenate([ca, ra])),
+                             netlist.digit_major(np.concatenate([cb, rb])), cin)
     return VerifyReport(
         mode="random",
         kind=nl.meta.get("kind"),
         width=n,
-        cases_run=int(a_digits.shape[0]),
+        cases_run=int(cin.shape[0]),
         mismatches=mismatches,
         seed=seed,
     )

@@ -1,0 +1,106 @@
+"""Write the golden verify reports that test_verify_golden.py checks.
+
+Run from the repository root against the checkout whose output is the
+reference:
+
+    PYTHONPATH=src python tests/data/make_verify_golden.py > tests/data/verify_golden.json
+
+The reports cover five kinds exhaustively at widths 1-4, ``--random 500``
+at widths 5, 16 and 64 with fixed seeds, and two faulty documents per kind
+(the S[j] XOR turned into an OR, the carry-out mask And(x, 1) turned into
+Or(x, 1)), exhaustively at width 2 and with random trials at width 8.
+Each report is stored as its exit code, byte count and SHA-256; the faulty
+reports run to 34-142 kB each, too much to keep as text.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from quadder import builders, netlist
+from quadder.cli import main
+
+KINDS = ("ripple", "single_stage", "tree", "sparse", "hybrid")
+EXHAUSTIVE_WIDTHS = (1, 2, 3, 4)
+RANDOM_WIDTHS = (5, 16, 64)
+RANDOM_TRIALS = 500
+FAULTY_WIDTHS = (2, 8)   # exhaustive, random
+FAULTS = ("S", "cout")
+
+
+def run(argv):
+    """The CLI's stdout and exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def seed_for(kind: str, n: int) -> int:
+    return 1000 * (1 + KINDS.index(kind)) + n
+
+
+def faulty_doc(kind: str, n: int, fault: str) -> dict:
+    """The built document with one gate's kind changed: S[j]'s XOR (j = n//2 + 1)
+    or the carry-out mask's AND becomes an OR."""
+    doc = json.loads(netlist.to_json(builders.build(builders.spec_for(kind, n, 4, None))))
+    nid = doc["ports"]["S"][n // 2] if fault == "S" else doc["ports"]["cout"]
+    want = "xor" if fault == "S" else "and"
+    if doc["nodes"][nid]["kind"] != want:
+        raise SystemExit(f"{kind} {n}: {fault} port is not a {want} gate")
+    doc["nodes"][nid]["kind"] = "or"
+    return doc
+
+
+def faulty_argv(path: str, n: int, seed: int) -> list:
+    if n == FAULTY_WIDTHS[0]:
+        return ["verify", "--netlist", path, "--exhaustive"]
+    return ["verify", "--netlist", path, "--random", str(RANDOM_TRIALS), "--seed", str(seed)]
+
+
+def cases():
+    """(key, argv, document or None) for every report in the reference."""
+    for kind in KINDS:
+        for n in EXHAUSTIVE_WIDTHS:
+            yield f"{kind} {n} exhaustive", ["verify", "--kind", kind, "--width", str(n),
+                                             "--exhaustive"], None
+        for n in RANDOM_WIDTHS:
+            yield f"{kind} {n} random", ["verify", "--kind", kind, "--width", str(n),
+                                         "--random", str(RANDOM_TRIALS),
+                                         "--seed", str(seed_for(kind, n))], None
+        for fault in FAULTS:
+            for n in FAULTY_WIDTHS:
+                yield f"{kind} {n} {fault}-fault", None, faulty_doc(kind, n, fault)
+
+
+def report(argv, doc, workdir: Path, key: str):
+    """(exit code, stdout) for one case; a document is written to workdir first."""
+    if doc is not None:
+        path = workdir / (key.replace(" ", "-") + ".json")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        kind, n, _ = key.split()
+        argv = faulty_argv(str(path), int(n), seed_for(kind, int(n)))
+    return run(argv)
+
+
+def fingerprint(code: int, text: str) -> dict:
+    data = text.encode("utf-8")
+    return {"code": code, "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def write_reference() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {}
+        for key, argv, nl_doc in cases():
+            code, text = report(argv, nl_doc, Path(tmp), key)
+            doc[key] = fingerprint(code, text)
+    json.dump(doc, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    write_reference()

@@ -7,37 +7,12 @@ times, in a drawn order, and must equal what the definitions give.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import netlists
 
 from quadder import netlist
-from quadder.netlist import AND, CONST, INPUT, MULTI_KINDS, UNARY_KINDS, NetlistBuilder
+from quadder.netlist import AND, CONST, INPUT
 
 MODES = ("included", "excluded")
-
-
-@st.composite
-def netlists(draw):
-    nb = NetlistBuilder(1, dedupe=False)
-    ids = [nb.add_input("cin"), nb.add_input("A[1]"), nb.add_input("B[1]")]
-    ids += [nb.add_const(v) for v in draw(st.lists(st.sampled_from([0, 1, 1, 2, 3]),
-                                                   min_size=1, max_size=3))]
-    ones = [i for i in ids if nb.nodes[i].value == 1] or [nb.add_const(1)]
-    for _ in range(draw(st.integers(1, 25))):
-        pick = st.integers(0, nb.size - 1)
-        shape = draw(st.sampled_from(["mask", "mask", "multi", "unary"]))
-        if shape == "mask":
-            x, one = draw(pick), draw(st.sampled_from(ones))
-            nb.add(AND, *((one, x) if draw(st.booleans()) else (x, one)))
-        elif shape == "multi":
-            kind = draw(st.sampled_from(sorted(MULTI_KINDS)))
-            nb.add(kind, *draw(st.lists(pick, min_size=2, max_size=6)))
-        else:
-            nb.add(draw(st.sampled_from(sorted(UNARY_KINDS))), draw(pick))
-    top = nb.size - 1
-    node = st.integers(0, top)
-    signals = {f"x{k}": nid for k, nid in enumerate(draw(st.lists(node, max_size=5)))}
-    groups = {"g": draw(st.lists(node, max_size=12)), "h": []}
-    return nb.finish([ids[1]], [ids[2]], ids[0], [draw(node)], top,
-                     signals=signals, meta={"groups": groups})
 
 
 def _is_mask(nl, node):

@@ -198,3 +198,54 @@ def test_document_with_list_valued_groups_is_rejected(tmp_path, capsys):
     path, doc = _stored_ripple(tmp_path, capsys)
     doc["meta"]["groups"] = [[1, 2]]
     _expect_malformed(capsys, path, doc)
+
+
+def _first(doc, kind):
+    return next(node for node in doc["nodes"] if node["kind"] == kind)
+
+
+def _set_input_id(value):
+    def mutate(doc):
+        _first(doc, "xor")["inputs"][0] = value
+    return mutate
+
+
+def _set_const_value(value):
+    def mutate(doc):
+        node = _first(doc, "const")
+        node.pop("value")
+        if value is not None:
+            node["value"] = value
+    return mutate
+
+
+def _extra_input(doc):
+    doc["nodes"].append({"id": len(doc["nodes"]), "kind": "input", "inputs": [], "name": "X"})
+
+
+def _width_zero(doc):
+    doc["width"] = 0
+    doc["ports"].update(A=[], B=[], S=[])
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_input_id("1"),
+    _set_input_id(1.0),
+    _set_input_id(True),
+    lambda doc: _first(doc, "xor").update(kind=["xor"]),
+    lambda doc: doc.update(nodes=5),
+    lambda doc: doc["ports"].update(cout=True),
+    lambda doc: doc["signals"].update(x=True),
+    _set_const_value(None),
+    _set_const_value(5),
+    _set_const_value(-1),
+    _set_const_value(True),
+    _extra_input,
+    _width_zero,
+], ids=["str-input-id", "float-input-id", "bool-input-id", "unhashable-kind", "nodes-not-list",
+        "bool-cout-port", "bool-signal-id", "const-without-value", "const-value-5",
+        "const-value-negative", "const-value-bool", "input-node-not-a-port", "width-zero"])
+def test_document_type_holes_are_rejected(tmp_path, capsys, mutate):
+    path, doc = _stored_ripple(tmp_path, capsys)
+    mutate(doc)
+    _expect_malformed(capsys, path, doc)
