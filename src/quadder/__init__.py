@@ -43,7 +43,6 @@ from .netlist import (
     Node,
     add_batch,
     count_group,
-    evaluate,
     evaluate_words,
     from_json,
     lower_fanin2,

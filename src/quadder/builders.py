@@ -86,16 +86,16 @@ def spec_for(kind: str, width: int, sparsity: int = 4, block: int | None = None)
     return AdderSpec(kind, width)
 
 
-def build(spec: AdderSpec, dedupe: bool = True) -> Netlist:
+def build(spec: AdderSpec) -> Netlist:
     if spec.kind == "ripple":
-        return build_ripple(spec.width, dedupe=dedupe)
+        return build_ripple(spec.width)
     if spec.kind == "single_stage":
-        return build_single_stage(spec.width, dedupe=dedupe)
+        return build_single_stage(spec.width)
     if spec.kind == "tree":
-        return build_tree(spec.width, dedupe=dedupe)
+        return build_tree(spec.width)
     if spec.kind == "sparse":
-        return build_sparse(spec.width, spec.sparsity, dedupe=dedupe)
-    return build_hybrid(spec.width, spec.block, dedupe=dedupe)
+        return build_sparse(spec.width, spec.sparsity)
+    return build_hybrid(spec.width, spec.block)
 
 
 # --- shared construction machinery ---
@@ -104,9 +104,11 @@ def build(spec: AdderSpec, dedupe: bool = True) -> Netlist:
 class _Scaffold:
     """Builder plus input ports, group tracking and common sub-stages."""
 
-    def __init__(self, n: int, dedupe: bool):
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("width must be >= 1")
         self.n = n
-        self.nb = NetlistBuilder(n, dedupe=dedupe)
+        self.nb = NetlistBuilder(n)
         self.cin = self.nb.add_input("cin")
         self.a = [None] + [self.nb.add_input(f"A[{i}]") for i in range(1, n + 1)]
         self.b = [None] + [self.nb.add_input(f"B[{i}]") for i in range(1, n + 1)]
@@ -287,9 +289,9 @@ def _tree_nodes(sc: _Scaffold):
 # --- architectures ---
 
 
-def build_ripple(n: int, dedupe: bool = True) -> Netlist:
+def build_ripple(n: int) -> Netlist:
     """Chain of full-adder cells; carry out of cell i feeds cell i+1."""
-    sc = _Scaffold(n, dedupe)
+    sc = _Scaffold(n)
     s_ids = []
     carry = sc.cin
     for i in range(1, n + 1):
@@ -302,10 +304,10 @@ def build_ripple(n: int, dedupe: bool = True) -> Netlist:
     return sc.finish(s_ids, carry, "ripple", {"width": n}, scope)
 
 
-def build_single_stage(n: int, dedupe: bool = True) -> Netlist:
+def build_single_stage(n: int) -> Netlist:
     """Flat carry-lookahead: every carry is one Or over generate terms and
     propagate products, all available two gate levels after the pg stage."""
-    sc = _Scaffold(n, dedupe)
+    sc = _Scaffold(n)
     sc.build_pg(range(1, n + 1))
     carries = sc.lookahead_carries(1, n, sc.cin, range(1, n + 1), "carry_network")
     for i in range(1, n + 1):
@@ -325,10 +327,10 @@ def build_single_stage(n: int, dedupe: bool = True) -> Netlist:
     return sc.finish(s_ids, cout, "single_stage", {"width": n}, scope)
 
 
-def build_tree(n: int, dedupe: bool = True) -> Netlist:
+def build_tree(n: int) -> Netlist:
     """Logarithmic carry tree (Kogge-Stone style recursion) with a product
     tree evaluated in parallel; the carry into qudit i is q(i, 1)."""
-    sc = _Scaffold(n, dedupe)
+    sc = _Scaffold(n)
     sc.build_pg(range(1, n + 1))
     pnode, qnode, q_keys = _tree_nodes(sc)
     for i in range(2, n + 2):
@@ -352,13 +354,13 @@ def build_tree(n: int, dedupe: bool = True) -> Netlist:
     )
 
 
-def build_sparse(n: int, sparsity: int = 4, dedupe: bool = True) -> Netlist:
+def build_sparse(n: int, sparsity: int = 4) -> Netlist:
     """Sparse carry tree: the tree materializes only every ``sparsity``-th
     carry (the block boundaries); a flat lookahead network fills each block,
     seeded by the masked boundary carry."""
     if sparsity < 2:
         raise ValueError("sparsity must be >= 2")
-    sc = _Scaffold(n, dedupe)
+    sc = _Scaffold(n)
     sc.build_pg(range(1, n + 1))
     pnode, qnode, q_keys = _tree_nodes(sc)
     boundaries = list(range(1 + sparsity, n + 2, sparsity))
@@ -401,13 +403,13 @@ def build_sparse(n: int, sparsity: int = 4, dedupe: bool = True) -> Netlist:
     )
 
 
-def build_hybrid(n: int, block: int, dedupe: bool = True) -> Netlist:
+def build_hybrid(n: int, block: int) -> Netlist:
     """Serial/parallel hybrid: ripple cells inside each block, lookahead
     steps across blocks (block propagate = And of the block's P terms,
     block generate = flat lookahead with no carry-in term)."""
     if not 1 <= block <= n:
         raise ValueError("block must satisfy 1 <= block <= width")
-    sc = _Scaffold(n, dedupe)
+    sc = _Scaffold(n)
     starts = list(range(1, n + 1, block))
     blocks = [(lo, min(lo + block - 1, n)) for lo in starts]
     for lo, hi in blocks[:-1]:

@@ -105,21 +105,14 @@ class Netlist:
         return _Plan.compile(self)
 
 
-def _check_arity(kind: str, n_inputs: int) -> None:
-    if kind in MULTI_KINDS and n_inputs < 2:
-        raise ValueError(f"{kind} gate needs fan-in >= 2, got {n_inputs}")
-    if kind in UNARY_KINDS and n_inputs != 1:
-        raise ValueError(f"{kind} gate needs fan-in 1, got {n_inputs}")
-    if kind in LEAF_KINDS and n_inputs != 0:
-        raise ValueError(f"{kind} node takes no inputs")
-
-
 class NetlistBuilder:
-    """Append-only constructor with optional structural deduplication."""
+    """Append-only constructor with optional structural deduplication.
+
+    The builder only interns nodes; ``finish`` checks the result with the
+    same rules as document import, so misuse is a DocumentError there.
+    """
 
     def __init__(self, width: int, dedupe: bool = True):
-        if width < 1:
-            raise ValueError("width must be >= 1")
         self.width = width
         self.nodes: list[Node] = []
         self._memo: dict | None = {} if dedupe else None
@@ -142,16 +135,10 @@ class NetlistBuilder:
         return self._intern(Node(len(self.nodes), INPUT, (), None, name))
 
     def add_const(self, value: int) -> int:
-        return self._intern(Node(len(self.nodes), CONST, (), qudit.check_qudit(value), None))
+        return self._intern(Node(len(self.nodes), CONST, (), value, None))
 
     def add(self, kind: str, *inputs: int) -> int:
-        if kind not in MULTI_KINDS and kind not in UNARY_KINDS:
-            raise ValueError(f"unknown gate kind: {kind}")
-        _check_arity(kind, len(inputs))
-        for i in inputs:
-            if not 0 <= i < len(self.nodes):
-                raise ValueError(f"dangling input id {i}")
-        return self._intern(Node(len(self.nodes), kind, tuple(inputs), None, None))
+        return self._intern(Node(len(self.nodes), kind, inputs, None, None))
 
     def finish(
         self,
@@ -181,9 +168,10 @@ class NetlistBuilder:
 def _validate(nl: Netlist) -> None:
     """One pass over the nodes plus the port, signal and group references.
 
-    Ids are exact ints (a bool is not an id), const values are qudits, and
-    the input nodes are exactly the A, B and cin ports, which the batch
-    evaluator binds by id.
+    The only structural check, for built and imported netlists alike.  Each
+    kind's fan-in is within its ``_FAN_IN`` range, ids are exact ints (a bool
+    is not an id), const values are qudits, and the input nodes are exactly
+    the A, B and cin ports, which both evaluators bind by id.
     """
     if type(nl.width) is not int or nl.width < 1:
         raise DocumentError("malformed", f"width {nl.width!r} is not a positive integer")
@@ -194,7 +182,7 @@ def _validate(nl: Netlist) -> None:
         if fan_in is None:
             raise DocumentError("malformed", f"unknown kind {kind!r}")
         if not fan_in[0] <= len(ins) <= fan_in[1]:
-            _check_arity(kind, len(ins))
+            _reject_fan_in(nid, kind, len(ins))
         for i in ins:
             if type(i) is not int or not 0 <= i < nid:
                 _reject_input(nid, i)
@@ -228,6 +216,12 @@ def _validate(nl: Netlist) -> None:
         _check_ids(ids, n, f"group {group!r}")
 
 
+def _reject_fan_in(nid: int, kind: str, got: int) -> None:
+    least, most = _FAN_IN[kind]
+    want = str(least) if least == most else f">= {least}"
+    raise DocumentError("malformed", f"{kind} node {nid} needs fan-in {want}, got {got}")
+
+
 def _reject_input(nid: int, i) -> None:
     if type(i) is not int:
         raise DocumentError("malformed", f"node {nid} reads non-integer id {i!r}")
@@ -247,39 +241,30 @@ def _check_ids(ids, n: int, what: str) -> None:
 # --- evaluation ---
 
 
-def evaluate_nodes(nl: Netlist, assignment: Mapping[str, int]) -> list:
-    """Single forward pass; returns the value of every node by id."""
-    values: list[int] = [0] * len(nl.nodes)
-    for node in nl.nodes:
-        if node.kind == INPUT:
-            if node.name not in assignment:
-                raise ValueError(f"missing assignment for port {node.name!r}")
-            values[node.id] = qudit.check_qudit(assignment[node.name])
-        elif node.kind == CONST:
-            values[node.id] = node.value
-        elif node.kind in UNARY_KINDS:
-            values[node.id] = _SCALAR_OP[node.kind](values[node.inputs[0]])
-        else:
-            values[node.id] = _SCALAR_OP[node.kind](*[values[i] for i in node.inputs])
+def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
+    """Single forward pass; returns the value of every node by id.
+
+    The digit words a and b (index 0 = least significant) and cin bind to
+    the A, B and cin ports by port id.
+    """
+    n = nl.width
+    values: list = [0] * len(nl.nodes)
+    ports = (*nl.a_ports, *nl.b_ports, nl.cin_port)
+    digits = (*qudit.check_word(a, width=n), *qudit.check_word(b, width=n), qudit.check_qudit(cin))
+    for pid, digit in zip(ports, digits):
+        values[pid] = digit
+    for nid, kind, ins, value, _ in nl.nodes:
+        if kind == CONST:
+            values[nid] = value
+        elif kind != INPUT:
+            values[nid] = _SCALAR_OP[kind](*[values[i] for i in ins])
     return values
-
-
-def evaluate(nl: Netlist, assignment: Mapping[str, int]) -> dict:
-    """Single forward pass; returns the values of all output ports."""
-    values = evaluate_nodes(nl, assignment)
-    return {name: values[nid] for name, nid in nl.output_map().items()}
 
 
 def evaluate_words(nl: Netlist, a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
     """Evaluate with digit words (index 0 = least significant)."""
-    a = qudit.check_word(a, width=nl.width)
-    b = qudit.check_word(b, width=nl.width)
-    assignment = {"cin": qudit.check_qudit(cin)}
-    for i in range(nl.width):
-        assignment[f"A[{i + 1}]"] = a[i]
-        assignment[f"B[{i + 1}]"] = b[i]
-    out = evaluate(nl, assignment)
-    return tuple(out[f"S[{i + 1}]"] for i in range(nl.width)), out["cout"]
+    values = evaluate_nodes(nl, a, b, cin)
+    return tuple(values[i] for i in nl.s_ports), values[nl.cout_port]
 
 
 # Batch evaluation works on bit planes.  A batch of qudits is two packed bit
@@ -588,7 +573,7 @@ def count_group(nl: Netlist, group: str, mask_counting: str = "included") -> tup
 # --- serialization ---
 
 
-def to_json(nl: Netlist, indent: int | None = 2) -> str:
+def to_json(nl: Netlist) -> str:
     nodes = []
     for node in nl.nodes:
         entry: dict = {"id": node.id, "kind": node.kind, "inputs": list(node.inputs)}
@@ -614,7 +599,7 @@ def to_json(nl: Netlist, indent: int | None = 2) -> str:
         "signals": dict(nl.signals),
         "meta": meta,
     }
-    return json.dumps(doc, indent=indent) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def from_json(text: str | bytes) -> Netlist:
@@ -701,7 +686,7 @@ def lower_fanin2(nl: Netlist) -> Netlist:
     Evaluation-equivalent; ports, signals and groups are carried over
     (grouped wide gates map to all gates of their replacement tree).
     """
-    nb = NetlistBuilder(nl.width, dedupe=True)
+    nb = NetlistBuilder(nl.width)
     remap: dict = {}
     produced: dict = {}  # old id -> list of new ids created for it
 

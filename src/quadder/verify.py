@@ -77,7 +77,7 @@ class VerifyReport:
     def passed(self) -> bool:
         return not self.mismatches
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         doc = {
             "mode": self.mode,
             "kind": self.kind,
@@ -88,7 +88,7 @@ class VerifyReport:
             "mismatches": self.mismatches,
             "divergences": self.divergences,
         }
-        return json.dumps(doc, indent=indent) + "\n"
+        return json.dumps(doc, indent=2) + "\n"
 
 
 def oracle_add(a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
@@ -120,44 +120,24 @@ def _oracle_batch(a_t: np.ndarray, b_t: np.ndarray, cin: np.ndarray):
     return s, carry
 
 
-def _collect_mismatches(a_t, b_t, cin, want_s, want_c, got_s, got_c, limit=None):
+def _collect_mismatches(a_t, b_t, cin, want_s, want_c, got_s, got_c):
     """Per-signal mismatch records, canonically ordered by input tuple.
 
     Digits are digit-major: (width, cases).
     """
     bad = np.nonzero((want_s != got_s).any(axis=0) | (want_c != got_c))[0]
+    names = [*(f"S[{j + 1}]" for j in range(a_t.shape[0])), "cout"]
     records = []
     for a, b, c, ws, gs, wc, gc in zip(
         a_t[:, bad].T.tolist(), b_t[:, bad].T.tolist(), cin[bad].tolist(),
         want_s[:, bad].T.tolist(), got_s[:, bad].T.tolist(),
         want_c[bad].tolist(), got_c[bad].tolist(),
     ):
-        for j, (want, got) in enumerate(zip(ws, gs)):
+        for signal, want, got in zip(names, (*ws, wc), (*gs, gc)):
             if want != got:
-                records.append(
-                    {
-                        "a": a,
-                        "b": b,
-                        "cin": c,
-                        "signal": f"S[{j + 1}]",
-                        "expected": want,
-                        "actual": got,
-                    }
-                )
-        if wc != gc:
-            records.append(
-                {
-                    "a": a,
-                    "b": b,
-                    "cin": c,
-                    "signal": "cout",
-                    "expected": wc,
-                    "actual": gc,
-                }
-            )
+                records.append({"a": a, "b": b, "cin": c, "signal": signal,
+                                "expected": want, "actual": got})
     records.sort(key=lambda r: (r["a"], r["b"], r["cin"], r["signal"]))
-    if limit is not None:
-        records = records[:limit]
     return records
 
 
@@ -243,14 +223,8 @@ def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
     cin = np.concatenate([cc, rc])
     mismatches = _mismatches(nl, netlist.digit_major(np.concatenate([ca, ra])),
                              netlist.digit_major(np.concatenate([cb, rb])), cin)
-    return VerifyReport(
-        mode="random",
-        kind=nl.meta.get("kind"),
-        width=n,
-        cases_run=int(cin.shape[0]),
-        mismatches=mismatches,
-        seed=seed,
-    )
+    return _report_for(nl, "random", cases_run=int(cin.shape[0]), mismatches=mismatches,
+                       seed=seed)
 
 
 def check_truth_tables() -> VerifyReport:

@@ -65,11 +65,7 @@ def test_batch_matches_scalar_on_random_netlists(nl, cases, seed):
     s, cout = netlist.add_batch(nl, a, b, cin)
     assert s.shape == (cases, n) and cout.shape == (cases,)
     for k in range(cases):
-        assignment = {"cin": int(cin[k])}
-        for i in range(n):
-            assignment[f"A[{i + 1}]"] = int(a[k, i])
-            assignment[f"B[{i + 1}]"] = int(b[k, i])
-        values = netlist.evaluate_nodes(nl, assignment)
+        values = netlist.evaluate_nodes(nl, a[k], b[k], cin[k])
         assert [int(x) for x in s[k]] == [values[p] for p in nl.s_ports]
         assert int(cout[k]) == values[nl.cout_port]
 

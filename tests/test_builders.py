@@ -123,11 +123,7 @@ def test_tree_q31_expands_to_three_terms():
         for bv in range(0, 4**n, 7):  # sampled b lanes keep this quick
             b = qudit.int_to_word(bv, n)
             for cin in (0, 1):
-                assign = {"cin": cin}
-                for i in range(n):
-                    assign[f"A[{i + 1}]"] = a[i]
-                    assign[f"B[{i + 1}]"] = b[i]
-                values = netlist.evaluate_nodes(nl, assign)
+                values = netlist.evaluate_nodes(nl, a, b, cin)
                 p1, g1 = cells.pg(a[0], b[0])
                 p2, g2 = cells.pg(a[1], b[1])
                 want = qudit.qor(g2, qudit.qand(g1, p2), qudit.qand(cin, p1, p2))
@@ -198,11 +194,7 @@ def test_tree_matches_nonmemoized_expansion(n):
         a = [int(x) for x in rng.integers(0, 4, n)]
         b = [int(x) for x in rng.integers(0, 4, n)]
         cin = int(rng.integers(0, 2))
-        assign = {"cin": cin}
-        for i in range(n):
-            assign[f"A[{i + 1}]"] = a[i]
-            assign[f"B[{i + 1}]"] = b[i]
-        values = netlist.evaluate_nodes(nl, assign)
+        values = netlist.evaluate_nodes(nl, a, b, cin)
         p = {i + 1: cells.pg(a[i], b[i]).propagate for i in range(n)}
         g = {i + 1: cells.pg(a[i], b[i]).generate for i in range(n)}
         for i in range(2, n + 2):
@@ -221,11 +213,7 @@ def test_unmasked_carry_low_bit_soundness():
             for bv in range(0, 4**n, 5):
                 b = qudit.int_to_word(bv, n)
                 for cin in (0, 1):
-                    assign = {"cin": cin}
-                    for i in range(n):
-                        assign[f"A[{i + 1}]"] = a[i]
-                        assign[f"B[{i + 1}]"] = b[i]
-                    values = netlist.evaluate_nodes(nl, assign)
+                    values = netlist.evaluate_nodes(nl, a, b, cin)
                     chain = cin
                     for i in range(1, n + 1):
                         chain = cells.full_add(a[i - 1], b[i - 1], chain).carry

@@ -223,6 +223,12 @@ def _extra_input(doc):
     doc["nodes"].append({"id": len(doc["nodes"]), "kind": "input", "inputs": [], "name": "X"})
 
 
+def _add_input_to(kind):
+    def mutate(doc):
+        _first(doc, kind)["inputs"].append(0)
+    return mutate
+
+
 def _width_zero(doc):
     doc["width"] = 0
     doc["ports"].update(A=[], B=[], S=[])
@@ -242,9 +248,14 @@ def _width_zero(doc):
     _set_const_value(True),
     _extra_input,
     _width_zero,
+    lambda doc: _first(doc, "and")["inputs"].pop(),
+    _add_input_to("bitswap"),
+    _add_input_to("const"),
+    _add_input_to("input"),
 ], ids=["str-input-id", "float-input-id", "bool-input-id", "unhashable-kind", "nodes-not-list",
         "bool-cout-port", "bool-signal-id", "const-without-value", "const-value-5",
-        "const-value-negative", "const-value-bool", "input-node-not-a-port", "width-zero"])
+        "const-value-negative", "const-value-bool", "input-node-not-a-port", "width-zero",
+        "and-fan-in-1", "bitswap-fan-in-2", "const-with-input", "input-with-input"])
 def test_document_type_holes_are_rejected(tmp_path, capsys, mutate):
     path, doc = _stored_ripple(tmp_path, capsys)
     mutate(doc)
