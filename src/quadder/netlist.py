@@ -123,11 +123,13 @@ class NetlistBuilder:
 
     def _intern(self, node: Node) -> int:
         if self._memo is not None:
-            key = (node.kind, node.inputs, node.value, node.name)
-            hit = self._memo.get(key)
-            if hit is not None:
+            try:
+                hit = self._memo.setdefault((node.kind, node.inputs, node.value, node.name),
+                                            node.id)
+            except TypeError:   # an unhashable field: not interned, and finish rejects it
+                hit = node.id
+            if hit != node.id:
                 return hit
-            self._memo[key] = node.id
         self.nodes.append(node)
         return node.id
 
@@ -185,7 +187,7 @@ def _validate(nl: Netlist) -> None:
             _reject_fan_in(nid, kind, len(ins))
         for i in ins:
             if type(i) is not int or not 0 <= i < nid:
-                _reject_input(nid, i)
+                _reject_input(nid, i, n)
         if kind == INPUT:
             n_inputs += 1
         elif kind == CONST and (type(value) is not int or not 0 <= value <= 3):
@@ -222,10 +224,10 @@ def _reject_fan_in(nid: int, kind: str, got: int) -> None:
     raise DocumentError("malformed", f"{kind} node {nid} needs fan-in {want}, got {got}")
 
 
-def _reject_input(nid: int, i) -> None:
+def _reject_input(nid: int, i, n: int) -> None:
     if type(i) is not int:
         raise DocumentError("malformed", f"node {nid} reads non-integer id {i!r}")
-    if i >= nid:
+    if nid <= i < n:
         raise DocumentError("acyclicity", f"node {nid} reads id {i} >= its own id")
     raise DocumentError("dangling", f"node {nid} reads id {i}")
 
@@ -610,8 +612,8 @@ def from_json(text: str | bytes) -> Netlist:
     if not isinstance(doc, dict):
         raise DocumentError("malformed", "document is not an object")
     version = doc.get("version")
-    if version != DOC_VERSION:
-        raise DocumentError("version", f"expected version {DOC_VERSION}, got {version}")
+    if type(version) is not int or version != DOC_VERSION:
+        raise DocumentError("version", f"expected version {DOC_VERSION}, got {version!r}")
     try:
         width = doc["width"]
         raw_nodes = doc["nodes"]

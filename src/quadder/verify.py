@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,73 @@ TABLE_II = (
 TABLE_II_DIVERGENT_ROW = (0, 3, 1)
 
 
+@dataclass(frozen=True)
+class MismatchTable:
+    """Mismatch records as arrays, one row per record, in canonical order:
+    by the a digits, then the b digits, then cin, then the signal name as a
+    string (so ``S[10]`` < ``S[1]`` < ``S[2]`` < ``cout``)."""
+
+    a: np.ndarray          # (records, width) digits, index 0 least significant
+    b: np.ndarray
+    cin: np.ndarray        # (records,)
+    signal: np.ndarray     # (records,): j for S[j + 1], width for cout
+    expected: np.ndarray   # (records,)
+    actual: np.ndarray     # (records,)
+
+    def __len__(self) -> int:
+        return self.cin.size
+
+    def as_dicts(self) -> list[dict]:
+        names = _signal_names(self.a.shape[1])
+        return [{"a": a, "b": b, "cin": c, "signal": names[s], "expected": e, "actual": g}
+                for a, b, c, s, e, g in zip(self.a.tolist(), self.b.tolist(), self.cin.tolist(),
+                                            self.signal.tolist(), self.expected.tolist(),
+                                            self.actual.tolist())]
+
+    def to_json(self) -> str:
+        """The records as the ``mismatches`` value of a report: the text
+        ``json.dumps`` writes with indent 2 for the list one level deep.
+
+        Every value is one decimal digit, so the head of a record (its a and
+        b digit lines and cin) has a fixed layout per width: one template
+        row per record is filled and decoded at once.  The tail (signal,
+        expected, actual) takes one of a few texts, each formatted once.
+        """
+        count, n = self.a.shape
+        if not count:
+            return "[]"
+        digits = ",\n".join(["        #"] * n)
+        template = np.frombuffer(
+            f',\n    {{\n      "a": [\n{digits}\n      ],\n      "b": [\n{digits}\n'
+            f'      ],\n      "cin": #,\n'.encode(), dtype=np.uint8)
+        rows = np.tile(template, (count, 1))
+        rows[:, template == ord("#")] = np.hstack([self.a, self.b, self.cin[:, None]]) + ord("0")
+        heads = rows.tobytes().decode()
+        size = template.size
+        names = _signal_names(n)
+        tails = {}
+        parts = []
+        for i, key in enumerate(zip(self.signal.tolist(), self.expected.tolist(),
+                                    self.actual.tolist())):
+            tail = tails.get(key)
+            if tail is None:
+                s, e, g = key
+                tail = tails[key] = (f'      "signal": "{names[s]}",\n      "expected": {e},\n'
+                                     f'      "actual": {g}\n    }}')
+            parts += (heads[i * size:(i + 1) * size], tail)
+        parts[0] = parts[0][1:]   # the first record has no separating comma
+        return "[" + "".join(parts) + "\n  ]"
+
+
 @dataclass
 class VerifyReport:
+    """A check's outcome.  ``records`` is a MismatchTable for the batch
+    checks and a list of dicts for the truth tables; ``mismatches`` reads
+    either as a list of dicts."""
+
     mode: str                 # "exhaustive" | "random" | "truth-tables"
     cases_run: int
-    mismatches: list = field(default_factory=list)
+    records: MismatchTable | list = field(default_factory=list)
     seed: int | None = None
     kind: str | None = None
     width: int | None = None
@@ -75,20 +138,32 @@ class VerifyReport:
 
     @property
     def passed(self) -> bool:
-        return not self.mismatches
+        return len(self.records) == 0
+
+    @cached_property
+    def mismatches(self) -> list:
+        if isinstance(self.records, MismatchTable):
+            return self.records.as_dicts()
+        return self.records
 
     def to_json(self) -> str:
-        doc = {
+        """The report as JSON with indent 2, byte for byte what ``json.dumps``
+        writes for the same document.  Only the mismatch records are written
+        without it."""
+        head = json.dumps({
             "mode": self.mode,
             "kind": self.kind,
             "width": self.width,
             "cases_run": self.cases_run,
             "seed": self.seed,
             "passed": self.passed,
-            "mismatches": self.mismatches,
-            "divergences": self.divergences,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        }, indent=2)
+        if isinstance(self.records, MismatchTable):
+            body = self.records.to_json()
+        else:
+            body = json.dumps(self.records, indent=2).replace("\n", "\n  ")
+        tail = json.dumps({"divergences": self.divergences}, indent=2)
+        return f'{head[:-2]},\n  "mismatches": {body},{tail[1:]}\n'
 
 
 def oracle_add(a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
@@ -120,28 +195,36 @@ def _oracle_batch(a_t: np.ndarray, b_t: np.ndarray, cin: np.ndarray):
     return s, carry
 
 
-def _collect_mismatches(a_t, b_t, cin, want_s, want_c, got_s, got_c):
-    """Per-signal mismatch records, canonically ordered by input tuple.
+def _signal_names(n: int) -> list[str]:
+    return [*(f"S[{j + 1}]" for j in range(n)), "cout"]
 
-    Digits are digit-major: (width, cases).
+
+def _collect_mismatches(a_t, b_t, cin, want_s, want_c, got_s, got_c) -> MismatchTable:
+    """The per-signal mismatch records, canonically ordered.
+
+    Digits are digit-major: (width, cases).  Only the cases with a wrong
+    output are expanded, into one record per wrong signal.
     """
     bad = np.nonzero((want_s != got_s).any(axis=0) | (want_c != got_c))[0]
-    names = [*(f"S[{j + 1}]" for j in range(a_t.shape[0])), "cout"]
-    records = []
-    for a, b, c, ws, gs, wc, gc in zip(
-        a_t[:, bad].T.tolist(), b_t[:, bad].T.tolist(), cin[bad].tolist(),
-        want_s[:, bad].T.tolist(), got_s[:, bad].T.tolist(),
-        want_c[bad].tolist(), got_c[bad].tolist(),
-    ):
-        for signal, want, got in zip(names, (*ws, wc), (*gs, gc)):
-            if want != got:
-                records.append({"a": a, "b": b, "cin": c, "signal": signal,
-                                "expected": want, "actual": got})
-    records.sort(key=lambda r: (r["a"], r["b"], r["cin"], r["signal"]))
-    return records
+    n = a_t.shape[0]
+    if not bad.size:
+        digits, values = np.empty((0, n), dtype=np.uint8), np.empty(0, dtype=np.uint8)
+        return MismatchTable(digits, digits, values, values, values, values)
+    want = np.vstack([want_s[:, bad], want_c[bad]])   # (signals, bad cases)
+    got = np.vstack([got_s[:, bad], got_c[bad]])
+    signal, case = np.nonzero(want != got)
+    col = bad[case]
+    rank = np.empty(n + 1, dtype=np.uint8)   # each signal's place in name order
+    names = _signal_names(n)
+    rank[sorted(range(n + 1), key=names.__getitem__)] = np.arange(n + 1)
+    # lexsort's last key is the primary one: a[0], ..., a[n-1], b[0], ..., cin, name.
+    order = np.lexsort(np.vstack([rank[signal], cin[col], b_t[::-1, col], a_t[::-1, col]]))
+    signal, case, col = signal[order], case[order], col[order]
+    return MismatchTable(a=a_t[:, col].T, b=b_t[:, col].T, cin=cin[col], signal=signal,
+                         expected=want[signal, case], actual=got[signal, case])
 
 
-def _mismatches(nl: Netlist, a_t: np.ndarray, b_t: np.ndarray, cin: np.ndarray) -> list:
+def _mismatches(nl: Netlist, a_t: np.ndarray, b_t: np.ndarray, cin: np.ndarray) -> MismatchTable:
     """Digit-major inputs through the netlist and the oracle; the netlist reads
     them as column-major (cases, width) views, so nothing is transposed again."""
     got_s, got_c = netlist.add_batch(nl, a_t.T, b_t.T, cin)
@@ -172,8 +255,8 @@ def check_exhaustive(nl: Netlist, width_bound: int = EXHAUSTIVE_WIDTH_BOUND) -> 
     for i in range(n):
         a_t[i] = (a_val >> (2 * i)) & 3
         b_t[i] = (b_val >> (2 * i)) & 3
-    mismatches = _mismatches(nl, a_t, b_t, cin)
-    return _report_for(nl, "exhaustive", cases_run=a_val.size, mismatches=mismatches)
+    records = _mismatches(nl, a_t, b_t, cin)
+    return _report_for(nl, "exhaustive", cases_run=a_val.size, records=records)
 
 
 def _corner_vectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,10 +304,9 @@ def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
     rb = rng.integers(0, 4, size=(trials, n), dtype=np.uint8)
     rc = rng.integers(0, 2, size=trials, dtype=np.uint8)
     cin = np.concatenate([cc, rc])
-    mismatches = _mismatches(nl, netlist.digit_major(np.concatenate([ca, ra])),
-                             netlist.digit_major(np.concatenate([cb, rb])), cin)
-    return _report_for(nl, "random", cases_run=int(cin.shape[0]), mismatches=mismatches,
-                       seed=seed)
+    records = _mismatches(nl, netlist.digit_major(np.concatenate([ca, ra])),
+                          netlist.digit_major(np.concatenate([cb, rb])), cin)
+    return _report_for(nl, "random", cases_run=int(cin.shape[0]), records=records, seed=seed)
 
 
 def check_truth_tables() -> VerifyReport:
@@ -291,6 +373,6 @@ def check_truth_tables() -> VerifyReport:
     return VerifyReport(
         mode="truth-tables",
         cases_run=cases,
-        mismatches=mismatches,
+        records=mismatches,
         divergences=divergences,
     )

@@ -9,6 +9,11 @@ The reports cover five kinds exhaustively at widths 1-4, ``--random 500``
 at widths 5, 16 and 64 with fixed seeds, and two faulty documents per kind
 (the S[j] XOR turned into an OR, the carry-out mask And(x, 1) turned into
 Or(x, 1)), exhaustively at width 2 and with random trials at width 8.
+Two more width-12 documents, with random trials, each turn one OR of the
+carry tree into an AND: ``carry[1]`` of the tree adder and ``carry[8]`` of
+the sparse one.  A wrong carry there reaches several sum digits at once, so
+one case mismatches at several signals, and the report's signal order
+(``S[10]`` before ``S[2]`` and ``S[9]``) is checked.
 Each report is stored as its exit code, byte count and SHA-256; the faulty
 reports run to 34-142 kB each, too much to keep as text.
 """
@@ -30,6 +35,8 @@ RANDOM_WIDTHS = (5, 16, 64)
 RANDOM_TRIALS = 500
 FAULTY_WIDTHS = (2, 8)   # exhaustive, random
 FAULTS = ("S", "cout")
+CARRY_FAULT_WIDTH = 12   # random
+CARRY_FAULTS = (("tree", "carry[1]"), ("sparse", "carry[8]"))
 
 
 def run(argv):
@@ -46,13 +53,18 @@ def seed_for(kind: str, n: int) -> int:
 
 def faulty_doc(kind: str, n: int, fault: str) -> dict:
     """The built document with one gate's kind changed: S[j]'s XOR (j = n//2 + 1)
-    or the carry-out mask's AND becomes an OR."""
+    or the carry-out mask's AND becomes an OR; a named carry signal's OR
+    becomes an AND."""
     doc = json.loads(netlist.to_json(builders.build(builders.spec_for(kind, n, 4, None))))
-    nid = doc["ports"]["S"][n // 2] if fault == "S" else doc["ports"]["cout"]
-    want = "xor" if fault == "S" else "and"
+    if fault == "S":
+        nid, want, new = doc["ports"]["S"][n // 2], "xor", "or"
+    elif fault == "cout":
+        nid, want, new = doc["ports"]["cout"], "and", "or"
+    else:
+        nid, want, new = doc["signals"][fault], "or", "and"
     if doc["nodes"][nid]["kind"] != want:
-        raise SystemExit(f"{kind} {n}: {fault} port is not a {want} gate")
-    doc["nodes"][nid]["kind"] = "or"
+        raise SystemExit(f"{kind} {n}: {fault} is not a {want} gate")
+    doc["nodes"][nid]["kind"] = new
     return doc
 
 
@@ -75,6 +87,9 @@ def cases():
         for fault in FAULTS:
             for n in FAULTY_WIDTHS:
                 yield f"{kind} {n} {fault}-fault", None, faulty_doc(kind, n, fault)
+    for kind, signal in CARRY_FAULTS:
+        n = CARRY_FAULT_WIDTH
+        yield f"{kind} {n} {signal}-fault", None, faulty_doc(kind, n, signal)
 
 
 def report(argv, doc, workdir: Path, key: str):

@@ -173,31 +173,31 @@ def _stored_ripple(tmp_path, capsys):
     return path, json.loads(path.read_text())
 
 
-def _expect_malformed(capsys, path, doc):
+def _expect_rejected(capsys, path, doc, error="malformed:"):
     path.write_text(json.dumps(doc))
     for argv in (["eval", "--netlist", str(path), "--a", "01", "--b", "02"],
                  ["verify", "--netlist", str(path), "--exhaustive"]):
         code, stdout, err = run(capsys, *argv)
         assert code == 2 and stdout == ""
-        assert err.startswith("error: malformed:") and "Traceback" not in err
+        assert err.startswith(f"error: {error}") and "Traceback" not in err
 
 
 def test_document_with_renamed_input_port_is_rejected(tmp_path, capsys):
     path, doc = _stored_ripple(tmp_path, capsys)
     doc["nodes"][doc["ports"]["A"][0]]["name"] = "B[1]"
-    _expect_malformed(capsys, path, doc)
+    _expect_rejected(capsys, path, doc)
 
 
 def test_document_with_non_int_signal_id_is_rejected(tmp_path, capsys):
     path, doc = _stored_ripple(tmp_path, capsys)
     doc["signals"]["x"] = "7"
-    _expect_malformed(capsys, path, doc)
+    _expect_rejected(capsys, path, doc)
 
 
 def test_document_with_list_valued_groups_is_rejected(tmp_path, capsys):
     path, doc = _stored_ripple(tmp_path, capsys)
     doc["meta"]["groups"] = [[1, 2]]
-    _expect_malformed(capsys, path, doc)
+    _expect_rejected(capsys, path, doc)
 
 
 def _first(doc, kind):
@@ -234,29 +234,37 @@ def _width_zero(doc):
     doc["ports"].update(A=[], B=[], S=[])
 
 
-@pytest.mark.parametrize("mutate", [
-    _set_input_id("1"),
-    _set_input_id(1.0),
-    _set_input_id(True),
-    lambda doc: _first(doc, "xor").update(kind=["xor"]),
-    lambda doc: doc.update(nodes=5),
-    lambda doc: doc["ports"].update(cout=True),
-    lambda doc: doc["signals"].update(x=True),
-    _set_const_value(None),
-    _set_const_value(5),
-    _set_const_value(-1),
-    _set_const_value(True),
-    _extra_input,
-    _width_zero,
-    lambda doc: _first(doc, "and")["inputs"].pop(),
-    _add_input_to("bitswap"),
-    _add_input_to("const"),
-    _add_input_to("input"),
+_MALFORMED = "malformed:"
+_VERSION = "version: expected version 1, got "
+
+
+@pytest.mark.parametrize("mutate, error", [
+    (_set_input_id("1"), _MALFORMED),
+    (_set_input_id(1.0), _MALFORMED),
+    (_set_input_id(True), _MALFORMED),
+    (lambda doc: _first(doc, "xor").update(kind=["xor"]), _MALFORMED),
+    (lambda doc: doc.update(nodes=5), _MALFORMED),
+    (lambda doc: doc["ports"].update(cout=True), _MALFORMED),
+    (lambda doc: doc["signals"].update(x=True), _MALFORMED),
+    (_set_const_value(None), _MALFORMED),
+    (_set_const_value(5), _MALFORMED),
+    (_set_const_value(-1), _MALFORMED),
+    (_set_const_value(True), _MALFORMED),
+    (_extra_input, _MALFORMED),
+    (_width_zero, _MALFORMED),
+    (lambda doc: _first(doc, "and")["inputs"].pop(), _MALFORMED),
+    (_add_input_to("bitswap"), _MALFORMED),
+    (_add_input_to("const"), _MALFORMED),
+    (_add_input_to("input"), _MALFORMED),
+    (lambda doc: doc.update(version=True), _VERSION + "True"),
+    (lambda doc: doc.update(version=1.0), _VERSION + "1.0"),
+    (lambda doc: doc.update(version="1"), _VERSION + "'1'"),
 ], ids=["str-input-id", "float-input-id", "bool-input-id", "unhashable-kind", "nodes-not-list",
         "bool-cout-port", "bool-signal-id", "const-without-value", "const-value-5",
         "const-value-negative", "const-value-bool", "input-node-not-a-port", "width-zero",
-        "and-fan-in-1", "bitswap-fan-in-2", "const-with-input", "input-with-input"])
-def test_document_type_holes_are_rejected(tmp_path, capsys, mutate):
+        "and-fan-in-1", "bitswap-fan-in-2", "const-with-input", "input-with-input",
+        "bool-version", "float-version", "str-version"])
+def test_document_type_holes_are_rejected(tmp_path, capsys, mutate, error):
     path, doc = _stored_ripple(tmp_path, capsys)
     mutate(doc)
-    _expect_malformed(capsys, path, doc)
+    _expect_rejected(capsys, path, doc, error)

@@ -42,7 +42,12 @@ def test_arity_rules():
         (lambda nb, cin, a, b: nb.add(NOT, a, b), "malformed", "not node 3 needs fan-in 1"),
         (lambda nb, cin, a, b: nb.add(CONST, a), "malformed", "const node 3 needs fan-in 0"),
         (lambda nb, cin, a, b: nb.add("nandish", a, b), "malformed", "unknown kind"),
-        (lambda nb, cin, a, b: nb.add(AND, a, 999), "acyclicity", "reads id 999"),
+        (lambda nb, cin, a, b: nb.add(["and"], a, b), "malformed", r"unknown kind \['and'\]"),
+        (lambda nb, cin, a, b: nb.add(AND, a, 999), "dangling", "node 3 reads id 999$"),
+        (lambda nb, cin, a, b: nb.add(AND, a, 4), "dangling", "node 3 reads id 4$"),
+        (lambda nb, cin, a, b: nb.add(AND, a, 3), "acyclicity", "node 3 reads id 3 >= its own"),
+        (lambda nb, cin, a, b: (nb.add(AND, a, 4), nb.add(NOT, a))[0], "acyclicity",
+         "node 3 reads id 4 >= its own"),
         (lambda nb, cin, a, b: nb.add(AND, a, -1), "dangling", "reads id -1"),
         (lambda nb, cin, a, b: nb.add(AND, a, True), "malformed", "non-integer id True"),
         (lambda nb, cin, a, b: nb.add_const(4), "malformed", "has value 4"),
