@@ -10,7 +10,7 @@ corner vectors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +64,7 @@ TABLE_II = (
 TABLE_II_DIVERGENT_ROW = (0, 3, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MismatchTable:
     """Mismatch records as arrays, one row per record, in canonical order:
     by the a digits, then the b digits, then cin, then the signal name as a
@@ -79,6 +79,12 @@ class MismatchTable:
 
     def __len__(self) -> int:
         return self.cin.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MismatchTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     def as_dicts(self) -> list[dict]:
         names = _signal_names(self.a.shape[1])
@@ -214,7 +220,7 @@ def _collect_mismatches(a_t, b_t, cin, want_s, want_c, got_s, got_c) -> Mismatch
     got = np.vstack([got_s[:, bad], got_c[bad]])
     signal, case = np.nonzero(want != got)
     col = bad[case]
-    rank = np.empty(n + 1, dtype=np.uint8)   # each signal's place in name order
+    rank = np.empty(n + 1, dtype=np.intp)   # each signal's place in name order
     names = _signal_names(n)
     rank[sorted(range(n + 1), key=names.__getitem__)] = np.arange(n + 1)
     # lexsort's last key is the primary one: a[0], ..., a[n-1], b[0], ..., cin, name.

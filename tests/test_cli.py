@@ -173,7 +173,7 @@ def _stored_ripple(tmp_path, capsys):
     return path, json.loads(path.read_text())
 
 
-def _expect_rejected(capsys, path, doc, error="malformed:"):
+def _expect_malformed(capsys, path, doc, error="malformed:"):
     path.write_text(json.dumps(doc))
     for argv in (["eval", "--netlist", str(path), "--a", "01", "--b", "02"],
                  ["verify", "--netlist", str(path), "--exhaustive"]):
@@ -185,19 +185,19 @@ def _expect_rejected(capsys, path, doc, error="malformed:"):
 def test_document_with_renamed_input_port_is_rejected(tmp_path, capsys):
     path, doc = _stored_ripple(tmp_path, capsys)
     doc["nodes"][doc["ports"]["A"][0]]["name"] = "B[1]"
-    _expect_rejected(capsys, path, doc)
+    _expect_malformed(capsys, path, doc)
 
 
 def test_document_with_non_int_signal_id_is_rejected(tmp_path, capsys):
     path, doc = _stored_ripple(tmp_path, capsys)
     doc["signals"]["x"] = "7"
-    _expect_rejected(capsys, path, doc)
+    _expect_malformed(capsys, path, doc)
 
 
 def test_document_with_list_valued_groups_is_rejected(tmp_path, capsys):
     path, doc = _stored_ripple(tmp_path, capsys)
     doc["meta"]["groups"] = [[1, 2]]
-    _expect_rejected(capsys, path, doc)
+    _expect_malformed(capsys, path, doc)
 
 
 def _first(doc, kind):
@@ -267,4 +267,4 @@ _VERSION = "version: expected version 1, got "
 def test_document_type_holes_are_rejected(tmp_path, capsys, mutate, error):
     path, doc = _stored_ripple(tmp_path, capsys)
     mutate(doc)
-    _expect_rejected(capsys, path, doc, error)
+    _expect_malformed(capsys, path, doc, error)

@@ -111,3 +111,25 @@ def test_duplicate_cases_keep_their_records():
     records = check_against_reference(faulted(nl, nl.meta["groups"]["cells"][:1]), "random", 60, 3)
     keys = [(tuple(r["a"]), tuple(r["b"]), r["cin"], r["signal"]) for r in records]
     assert len(set(keys)) < len(keys)
+
+
+def test_signal_order_past_255_signals():
+    """At width 256 there are 257 signal names, more ranks than a byte holds;
+    the corner case 33..3 + 00..0 still lists S[100] first and cout last."""
+    nl = builders.build(builders.spec_for("ripple", 256))
+    a1, b1 = nl.a_ports[0], nl.b_ports[0]
+    ab = next(node.id for node in nl.nodes if node.kind == "and" and node.inputs == (a1, b1))
+    records = check_against_reference(faulted(nl, [ab]), "random", 2, 5)
+    corner = [r["signal"] for r in records if r["a"] == [3] * 256 and r["b"] == [0] * 256
+              and r["cin"] == 0]
+    assert len(corner) == 257
+    assert corner[0] == "S[100]" and corner[-1] == "cout"
+
+
+def test_equal_checks_give_equal_reports():
+    nl = builders.build(builders.spec_for("ripple", 4))
+    bad = faulted(nl, nl.meta["groups"]["cells"][:1])
+    assert verify.check_random(bad, 30, 4) == verify.check_random(bad, 30, 4)
+    assert verify.check_exhaustive(bad) == verify.check_exhaustive(bad)
+    assert verify.check_random(bad, 30, 4) != verify.check_random(bad, 30, 5)
+    assert verify.check_random(nl, 30, 4) == verify.check_random(nl, 30, 4)
