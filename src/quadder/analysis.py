@@ -137,12 +137,11 @@ def _measure_counts(nl: netlist.Netlist, mask_counting: str):
         pg_, pi_ = netlist.count_group(nl, "product_tree", mask_counting)
         cg_, ci_ = netlist.count_group(nl, "carry_tree", mask_counting)
         rep = netlist.measure(
-            nl, [name for name in nl.signals if name.startswith("carry[")],
-            mask_counting, scope_label="carry-network",
+            nl, [name for name in nl.signals if name.startswith("carry[")], mask_counting
         )
         return pg_ + cg_, pi_ + ci_, rep.max_fan_in
     scope = [name for name in nl.signals if name.startswith("carry[")]
-    rep = netlist.measure(nl, scope, mask_counting, scope_label="carry-network")
+    rep = netlist.measure(nl, scope, mask_counting)
     return rep.gate_count, rep.input_count, rep.max_fan_in
 
 
@@ -150,8 +149,8 @@ def _notes(nl: netlist.Netlist, mask_counting: str) -> list:
     kind = nl.meta["kind"]
     notes = []
     scope = [name for name in nl.signals if name.startswith("carry[")]
-    inc = netlist.measure(nl, scope, "included", scope_label="carry-network")
-    exc = netlist.measure(nl, scope, "excluded", scope_label="carry-network")
+    inc = netlist.measure(nl, scope, "included")
+    exc = netlist.measure(nl, scope, "excluded")
     notes.append(
         f"carry-cone counts: mask included {inc.gate_count} gates/{inc.input_count} inputs, "
         f"excluded {exc.gate_count} gates/{exc.input_count} inputs "
@@ -165,8 +164,7 @@ def _notes(nl: netlist.Netlist, mask_counting: str) -> list:
         )
     if kind == "single_stage":
         masked = netlist.measure(
-            nl, [f"cin[{i}]" for i in range(2, nl.width + 1)] + ["cout"],
-            "included", scope_label="carry-network",
+            nl, [f"cin[{i}]" for i in range(2, nl.width + 1)] + ["cout"], "included"
         )
         notes.append(
             f"delay convention: raw network carries answer at depth {inc.depth}; "
@@ -194,9 +192,7 @@ def compare(spec: AdderSpec, mask_counting: str = "excluded") -> ComparisonRow:
     reconciled."""
     nl = build(spec)
     cf = closed_form(spec.kind, spec.width)
-    delay = netlist.measure(
-        nl, nl.meta["delay_scope"], "included", scope_label="carry-network"
-    ).depth
+    delay = netlist.measure(nl, nl.meta["delay_scope"], "included").depth
     gates, inputs, max_fan_in = _measure_counts(nl, mask_counting)
     return ComparisonRow(
         kind=spec.kind,

@@ -122,9 +122,9 @@ class _Scaffold:
     def emit(self, group: str, kind: str, *inputs: int) -> int:
         """Add a gate; attribute it to ``group`` only if it is new (shared
         subexpressions stay with the group that first built them)."""
-        before = self.nb.size
+        new = len(self.nb.nodes)
         nid = self.nb.add(kind, *inputs)
-        if self.nb.size > before:
+        if nid == new:
             self.groups.setdefault(group, []).append(nid)
         return nid
 

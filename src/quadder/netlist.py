@@ -66,7 +66,8 @@ class DocumentError(ValueError):
 
 
 class Node(NamedTuple):
-    id: int
+    """One node; its id is its position in ``Netlist.nodes``."""
+
     kind: str
     inputs: tuple[int, ...] = ()
     value: int | None = None  # const nodes
@@ -90,9 +91,6 @@ class Netlist:
         out["cout"] = self.cout_port
         return out
 
-    def node_count(self) -> int:
-        return len(self.nodes)
-
     def gate_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind not in LEAF_KINDS]
 
@@ -106,41 +104,36 @@ class Netlist:
 
 
 class NetlistBuilder:
-    """Append-only constructor with optional structural deduplication.
+    """Append-only constructor with structural hashing: a node equal to an
+    earlier one (kind, inputs, value and name) gets the earlier node's id.
 
     The builder only interns nodes; ``finish`` checks the result with the
     same rules as document import, so misuse is a DocumentError there.
     """
 
-    def __init__(self, width: int, dedupe: bool = True):
+    def __init__(self, width: int):
         self.width = width
         self.nodes: list[Node] = []
-        self._memo: dict | None = {} if dedupe else None
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
+        self._memo: dict = {}   # node -> id
 
     def _intern(self, node: Node) -> int:
-        if self._memo is not None:
-            try:
-                hit = self._memo.setdefault((node.kind, node.inputs, node.value, node.name),
-                                            node.id)
-            except TypeError:   # an unhashable field: not interned, and finish rejects it
-                hit = node.id
-            if hit != node.id:
-                return hit
-        self.nodes.append(node)
-        return node.id
+        new = len(self.nodes)
+        try:
+            nid = self._memo.setdefault(node, new)
+        except TypeError:   # an unhashable field: not interned, and finish rejects it
+            nid = new
+        if nid == new:
+            self.nodes.append(node)
+        return nid
 
     def add_input(self, name: str) -> int:
-        return self._intern(Node(len(self.nodes), INPUT, (), None, name))
+        return self._intern(Node(INPUT, (), None, name))
 
     def add_const(self, value: int) -> int:
-        return self._intern(Node(len(self.nodes), CONST, (), value, None))
+        return self._intern(Node(CONST, (), value, None))
 
     def add(self, kind: str, *inputs: int) -> int:
-        return self._intern(Node(len(self.nodes), kind, inputs, None, None))
+        return self._intern(Node(kind, inputs, None, None))
 
     def finish(
         self,
@@ -179,7 +172,7 @@ def _validate(nl: Netlist) -> None:
         raise DocumentError("malformed", f"width {nl.width!r} is not a positive integer")
     n = len(nl.nodes)
     n_inputs = 0
-    for nid, kind, ins, value, _ in nl.nodes:
+    for nid, (kind, ins, value, _) in enumerate(nl.nodes):
         fan_in = _FAN_IN.get(kind) if type(kind) is str else None
         if fan_in is None:
             raise DocumentError("malformed", f"unknown kind {kind!r}")
@@ -206,7 +199,7 @@ def _validate(nl: Netlist) -> None:
             raise DocumentError("malformed", f"port {name} is input node {pid} named {node.name!r}")
     # The port names are distinct, so the ports are distinct input nodes.
     if n_inputs != len(ports):
-        extra = sorted({node.id for node in nl.nodes if node.kind == INPUT} - set(ports))
+        extra = sorted({i for i, node in enumerate(nl.nodes) if node.kind == INPUT} - set(ports))
         raise DocumentError("malformed", f"input nodes {extra} are not ports")
     _check_ids([*nl.s_ports, nl.cout_port, *nl.signals.values()], n, "referenced")
     groups = nl.meta.get("groups", {})
@@ -255,7 +248,7 @@ def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
     digits = (*qudit.check_word(a, width=n), *qudit.check_word(b, width=n), qudit.check_qudit(cin))
     for pid, digit in zip(ports, digits):
         values[pid] = digit
-    for nid, kind, ins, value, _ in nl.nodes:
+    for nid, (kind, ins, value, _) in enumerate(nl.nodes):
         if kind == CONST:
             values[nid] = value
         elif kind != INPUT:
@@ -297,11 +290,11 @@ class _Plan(NamedTuple):
         last = [-1] * n          # id of the last live node reading each node
         for nid in (*nl.s_ports, nl.cout_port):
             last[nid] = n
-        for node in reversed(nl.nodes):
-            if last[node.id] >= 0:
-                for i in node.inputs:
+        for nid in range(n - 1, -1, -1):
+            if last[nid] >= 0:
+                for i in nl.nodes[nid].inputs:
                     if last[i] < 0:
-                        last[i] = node.id
+                        last[i] = nid
         ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
         slot = [0] * n
         for k, pid in enumerate(ports):
@@ -309,7 +302,7 @@ class _Plan(NamedTuple):
         free = [slot[pid] for pid in reversed(ports) if last[pid] < 0]
         size = len(ports)
         steps = []
-        for nid, kind, ins, value, _ in nl.nodes:
+        for nid, (kind, ins, value, _) in enumerate(nl.nodes):
             if kind == INPUT or last[nid] < 0:
                 continue
             if free:
@@ -428,17 +421,6 @@ class CostReport:
     mask_counting: str   # "included" | "excluded"
     signal_scope: str    # "carry-network" | "full-adder"
 
-    def to_dict(self) -> dict:
-        return {
-            "gate_count": self.gate_count,
-            "input_count": self.input_count,
-            "depth": self.depth,
-            "max_fan_in": self.max_fan_in,
-            "per_signal_depth": dict(self.per_signal_depth),
-            "mask_counting": self.mask_counting,
-            "signal_scope": self.signal_scope,
-        }
-
 
 class _Analysis:
     """Everything measurement needs from one netlist, from one forward pass.
@@ -497,6 +479,13 @@ class _Analysis:
         return hit
 
 
+def _excluded(mask_counting: str) -> bool:
+    """Whether a mask convention leaves the masks out; rejects an unknown one."""
+    if mask_counting not in ("included", "excluded"):
+        raise ValueError(f"bad mask_counting: {mask_counting!r}")
+    return mask_counting == "excluded"
+
+
 def _counted(fan_in: list, ids: Iterable[int]) -> list:
     """Fan-ins of the ids that count as gates (repeats count again)."""
     return [f for f in map(fan_in.__getitem__, ids) if f]
@@ -508,7 +497,7 @@ def node_depths(nl: Netlist, mask_counting: str = "included") -> list[int]:
     With mask_counting="excluded", And(x, Const 1) gates are transparent:
     their depth equals x's depth.
     """
-    return list(nl._analysis.depths[mask_counting == "excluded"])
+    return list(nl._analysis.depths[_excluded(mask_counting)])
 
 
 def _resolve_signals(nl: Netlist, signals) -> dict:
@@ -535,7 +524,6 @@ def measure(
     nl: Netlist,
     signals=None,
     mask_counting: str = "included",
-    scope_label: str | None = None,
 ) -> CostReport:
     """Unit-delay cost report over the cone of influence of the signals.
 
@@ -544,11 +532,9 @@ def measure(
     And(x, Const 1) gates are skipped in the gate and input counts and are
     transparent for depth.
     """
-    if mask_counting not in ("included", "excluded"):
-        raise ValueError(f"bad mask_counting: {mask_counting!r}")
+    excluded = _excluded(mask_counting)
     resolved = _resolve_signals(nl, signals)
     facts = nl._analysis
-    excluded = mask_counting == "excluded"
     depths = facts.depths[excluded]
     fans = _counted(facts.fan_in[excluded], facts.cone(resolved.values()))
     per_signal = {name: depths[nid] for name, nid in resolved.items()}
@@ -559,7 +545,7 @@ def measure(
         max_fan_in=max(fans, default=0),
         per_signal_depth=per_signal,
         mask_counting=mask_counting,
-        signal_scope=scope_label or ("full-adder" if signals is None else "carry-network"),
+        signal_scope="full-adder" if signals is None else "carry-network",
     )
 
 
@@ -568,7 +554,7 @@ def count_group(nl: Netlist, group: str, mask_counting: str = "included") -> tup
     ids = nl.meta.get("groups", {}).get(group)
     if ids is None:
         raise ValueError(f"netlist has no group {group!r}")
-    fans = _counted(nl._analysis.fan_in[mask_counting == "excluded"], ids)
+    fans = _counted(nl._analysis.fan_in[_excluded(mask_counting)], ids)
     return len(fans), sum(fans)
 
 
@@ -577,8 +563,8 @@ def count_group(nl: Netlist, group: str, mask_counting: str = "included") -> tup
 
 def to_json(nl: Netlist) -> str:
     nodes = []
-    for node in nl.nodes:
-        entry: dict = {"id": node.id, "kind": node.kind, "inputs": list(node.inputs)}
+    for nid, node in enumerate(nl.nodes):
+        entry: dict = {"id": nid, "kind": node.kind, "inputs": list(node.inputs)}
         if node.value is not None:
             entry["value"] = node.value
         if node.name is not None:
@@ -607,7 +593,7 @@ def to_json(nl: Netlist) -> str:
 def from_json(text: str | bytes) -> Netlist:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deeply
         raise DocumentError("malformed", f"invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DocumentError("malformed", "document is not an object")
@@ -633,7 +619,7 @@ def from_json(text: str | bytes) -> Netlist:
             raise DocumentError("malformed", f"bad node record at position {i}") from exc
         if type(nid) is not int or nid != i:
             raise DocumentError("malformed", f"node ids must be dense, got {nid} at {i}")
-        nodes.append(Node(nid, kind, inputs, entry.get("value"), entry.get("name")))
+        nodes.append(Node(kind, inputs, entry.get("value"), entry.get("name")))
 
     try:
         meta = dict(doc.get("meta", {}))
@@ -661,16 +647,16 @@ def from_json(text: str | bytes) -> Netlist:
 def to_dot(nl: Netlist, name: str = "netlist") -> str:
     """Graphviz digraph: one node per gate, one edge per fan-in."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for node in nl.nodes:
+    for nid, node in enumerate(nl.nodes):
         if node.kind == INPUT:
-            lines.append(f'  n{node.id} [label="{node.name}" shape=box];')
+            lines.append(f'  n{nid} [label="{node.name}" shape=box];')
         elif node.kind == CONST:
-            lines.append(f'  n{node.id} [label="{node.value}" shape=diamond];')
+            lines.append(f'  n{nid} [label="{node.value}" shape=diamond];')
         else:
-            lines.append(f'  n{node.id} [label="{node.kind}"];')
-    for node in nl.nodes:
+            lines.append(f'  n{nid} [label="{node.kind}"];')
+    for nid, node in enumerate(nl.nodes):
         for src in node.inputs:
-            lines.append(f"  n{src} -> n{node.id};")
+            lines.append(f"  n{src} -> n{nid};")
     for name_, nid in nl.output_map().items():
         lines.append(f'  out_{name_.replace("[", "_").replace("]", "")} '
                      f'[label="{name_}" shape=box]; '
@@ -689,34 +675,26 @@ def lower_fanin2(nl: Netlist) -> Netlist:
     (grouped wide gates map to all gates of their replacement tree).
     """
     nb = NetlistBuilder(nl.width)
-    remap: dict = {}
-    produced: dict = {}  # old id -> list of new ids created for it
+    remap: list = []     # old id -> new id
+    produced: list = []  # old id -> list of new ids created for it
 
-    def reduce_tree(kind: str, ids: list, created: list) -> int:
+    def split(kind: str, ids: list, created: list) -> int:
         if len(ids) == 1:
             return ids[0]
-        if len(ids) == 2:
-            nid = nb.add(kind, ids[0], ids[1])
-            created.append(nid)
-            return nid
         mid = len(ids) // 2
-        lo = reduce_tree(kind, ids[:mid], created)
-        hi = reduce_tree(kind, ids[mid:], created)
-        return reduce_tree(kind, [lo, hi], created)
+        nid = nb.add(kind, split(kind, ids[:mid], created), split(kind, ids[mid:], created))
+        created.append(nid)
+        return nid
 
     for node in nl.nodes:
-        created: list = []
-        if node.kind == INPUT:
-            new = nb.add_input(node.name)
-        elif node.kind == CONST:
-            new = nb.add_const(node.value)
-        elif node.kind in UNARY_KINDS:
-            new = nb.add(node.kind, remap[node.inputs[0]])
-            created.append(new)
+        if node.kind in MULTI_KINDS:
+            created: list = []
+            new = split(node.kind, [remap[i] for i in node.inputs], created)
         else:
-            new = reduce_tree(node.kind, [remap[i] for i in node.inputs], created)
-        remap[node.id] = new
-        produced[node.id] = created or [new]
+            new = nb._intern(node._replace(inputs=tuple(remap[i] for i in node.inputs)))
+            created = [new]
+        remap.append(new)
+        produced.append(created)
 
     signals = {name: remap[nid] for name, nid in nl.signals.items()}
     meta = dict(nl.meta)

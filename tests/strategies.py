@@ -5,13 +5,21 @@ from hypothesis import strategies as st
 from quadder.netlist import AND, MULTI_KINDS, UNARY_KINDS, NetlistBuilder
 
 
+class RepeatingBuilder(NetlistBuilder):
+    """A builder that keeps repeated gates: every add appends a new node."""
+
+    def _intern(self, node):
+        self.nodes.append(node)
+        return len(self.nodes) - 1
+
+
 @st.composite
 def netlists(draw, width=1):
     """Small random netlists: And(x, Const 1) masks (the constant on either
     side), wide gates, unary chains and constants 0..3.  The port inputs are
     made in the order cin, A[1], B[1], A[2], B[2], ..., so port slots and
     node ids disagree; S and cout are drawn from every node."""
-    nb = NetlistBuilder(width, dedupe=False)
+    nb = RepeatingBuilder(width)
     cin = nb.add_input("cin")
     a_ports, b_ports = [], []
     for i in range(1, width + 1):
@@ -22,7 +30,7 @@ def netlists(draw, width=1):
                                                    min_size=1, max_size=3))]
     ones = [i for i in ids if nb.nodes[i].value == 1] or [nb.add_const(1)]
     for _ in range(draw(st.integers(1, 25))):
-        pick = st.integers(0, nb.size - 1)
+        pick = st.integers(0, len(nb.nodes) - 1)
         shape = draw(st.sampled_from(["mask", "mask", "multi", "unary"]))
         if shape == "mask":
             x, one = draw(pick), draw(st.sampled_from(ones))
@@ -32,7 +40,7 @@ def netlists(draw, width=1):
             nb.add(kind, *draw(st.lists(pick, min_size=2, max_size=6)))
         else:
             nb.add(draw(st.sampled_from(sorted(UNARY_KINDS))), draw(pick))
-    top = nb.size - 1
+    top = len(nb.nodes) - 1
     node = st.integers(0, top)
     signals = {f"x{k}": nid for k, nid in enumerate(draw(st.lists(node, max_size=5)))}
     groups = {"g": draw(st.lists(node, max_size=12)), "h": []}

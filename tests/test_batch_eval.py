@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import netlists
+from strategies import RepeatingBuilder, netlists
 
 from quadder import netlist, qudit
 from quadder.builders import build_tree
@@ -71,7 +71,7 @@ def test_batch_matches_scalar_on_random_netlists(nl, cases, seed):
 
 
 def test_gate_reading_one_node_twice_frees_its_slot_once():
-    nb = NetlistBuilder(1, dedupe=False)
+    nb = RepeatingBuilder(1)
     a, b, cin = nb.add_input("A[1]"), nb.add_input("B[1]"), nb.add_input("cin")
     x = nb.add(XOR, a, b)
     y = nb.add(AND, x, x)              # the last read of x, twice

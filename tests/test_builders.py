@@ -161,7 +161,7 @@ def test_tree_internal_gates_are_two_input():
 def test_tree_memoization_subquadratic():
     counts = {}
     for n in (4, 8, 16, 32, 64, 128):
-        counts[n] = build_tree(n).node_count()
+        counts[n] = len(build_tree(n).nodes)
         assert counts[n] <= 12 * n * (floor_log2(n) + 1), n
     for n in (16, 32, 64):
         assert counts[2 * n] <= 3 * counts[n]  # quadratic growth would be ~4x

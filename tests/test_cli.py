@@ -174,7 +174,7 @@ def _stored_ripple(tmp_path, capsys):
 
 
 def _expect_malformed(capsys, path, doc, error="malformed:"):
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     for argv in (["eval", "--netlist", str(path), "--a", "01", "--b", "02"],
                  ["verify", "--netlist", str(path), "--exhaustive"]):
         code, stdout, err = run(capsys, *argv)
@@ -259,12 +259,13 @@ _VERSION = "version: expected version 1, got "
     (lambda doc: doc.update(version=True), _VERSION + "True"),
     (lambda doc: doc.update(version=1.0), _VERSION + "1.0"),
     (lambda doc: doc.update(version="1"), _VERSION + "'1'"),
+    (lambda doc: "[" * 100000 + "]" * 100000, _MALFORMED),
 ], ids=["str-input-id", "float-input-id", "bool-input-id", "unhashable-kind", "nodes-not-list",
         "bool-cout-port", "bool-signal-id", "const-without-value", "const-value-5",
         "const-value-negative", "const-value-bool", "input-node-not-a-port", "width-zero",
         "and-fan-in-1", "bitswap-fan-in-2", "const-with-input", "input-with-input",
-        "bool-version", "float-version", "str-version"])
+        "bool-version", "float-version", "str-version", "nested-100000-deep"])
 def test_document_type_holes_are_rejected(tmp_path, capsys, mutate, error):
     path, doc = _stored_ripple(tmp_path, capsys)
-    mutate(doc)
-    _expect_malformed(capsys, path, doc, error)
+    text = mutate(doc)   # a mutation that returns text replaces the whole document
+    _expect_malformed(capsys, path, doc if text is None else text, error)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from strategies import RepeatingBuilder
 
 from quadder import netlist, qudit
 from quadder.builders import build_ripple, build_tree
@@ -74,7 +75,7 @@ def test_deduplication_returns_same_id():
     g2 = nb.add(AND, a, b)
     assert g1 == g2
     assert nb.add(AND, b, a) != g1  # structural, not commutative, hashing
-    nodup = NetlistBuilder(1, dedupe=False)
+    nodup = RepeatingBuilder(1)
     x = nodup.add_input("cin")
     a2 = nodup.add_input("A[1]")
     b2 = nodup.add_input("B[1]")
@@ -190,6 +191,16 @@ def test_ripple_carry_cone_measurements():
         netlist.measure(nl, ["nonesuch"])
 
 
+@pytest.mark.parametrize("query", [
+    lambda nl: netlist.measure(nl, ["cout"], "bogus"),
+    lambda nl: netlist.node_depths(nl, "bogus"),
+    lambda nl: netlist.count_group(nl, "pg", "exclude"),
+], ids=["measure", "node_depths", "count_group"])
+def test_unknown_mask_convention_is_rejected(query):
+    with pytest.raises(ValueError, match="bad mask_counting"):
+        query(build_tree(4))
+
+
 def test_depth_monotone_under_construction():
     nb, cin, a, b = _two_input_fixture()
     g1 = nb.add(AND, a, b)
@@ -261,4 +272,4 @@ def test_lower_fanin2_equivalence_and_bound():
     assert (s1 == s2).all() and (c1 == c2).all()
     # groups survive the rewrite and still reference valid ids
     for ids in low.meta["groups"].values():
-        assert all(0 <= i < low.node_count() for i in ids)
+        assert all(0 <= i < len(low.nodes) for i in ids)

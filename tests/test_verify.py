@@ -99,7 +99,7 @@ _KIND_SWAP = {
 def mutation_catalogue(nl: Netlist, count: int = 20, seed: int = 2024):
     """Deterministic single-gate kind swaps on a verified netlist."""
     rng = np.random.default_rng(seed)
-    candidates = [n.id for n in nl.gate_nodes() if n.kind in _KIND_SWAP]
+    candidates = [nid for nid, n in enumerate(nl.nodes) if n.kind in _KIND_SWAP]
     order = list(rng.permutation(len(candidates)))
     picks = [candidates[i] for i in order[:count]]
     return [(nid, _KIND_SWAP[nl.nodes[nid].kind]) for nid in picks]
@@ -107,7 +107,7 @@ def mutation_catalogue(nl: Netlist, count: int = 20, seed: int = 2024):
 
 def test_corrupted_netlist_is_reported_with_replay_inputs():
     nl = build_ripple(2)
-    and_id = next(n.id for n in nl.gate_nodes() if n.kind == "and")
+    and_id = next(nid for nid, n in enumerate(nl.nodes) if n.kind == "and")
     bad = _mutate(nl, and_id, "or")
     report = verify.check_exhaustive(bad)
     assert not report.passed
