@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii
+from operator import and_, itemgetter, or_, xor
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -39,15 +40,9 @@ _FAN_IN = {**dict.fromkeys(MULTI_KINDS, (2, sys.maxsize)), **dict.fromkeys(UNARY
 
 DOC_VERSION = 1
 
-_SCALAR_OP = {
-    AND: qudit.qand,
-    OR: qudit.qor,
-    XOR: qudit.qxor,
-    NOT: qudit.qnot,
-    INWARD: qudit.inward,
-    OUTWARD: qudit.outward,
-    BITSWAP: qudit.bitswap,
-}
+_SCALAR_WIDE = {AND: and_, OR: or_, XOR: xor}
+_SCALAR_UNARY = {kind: tuple(map(fn, range(4))) for kind, fn in (   # value -> value tables
+    (NOT, qudit.qnot), (INWARD, qudit.inward), (OUTWARD, qudit.outward), (BITSWAP, qudit.bitswap))}
 
 _PLANE_GATE = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
 _ONES = np.uint64(2**64 - 1)
@@ -166,13 +161,14 @@ def _validate(nl: Netlist) -> None:
     The only structural check, for built and imported netlists alike.  Each
     kind's fan-in is within its ``_FAN_IN`` range, ids are exact ints (a bool
     is not an id), const values are qudits, and the input nodes are exactly
-    the A, B and cin ports, which both evaluators bind by id.
+    the A, B and cin ports, which both evaluators bind by id.  Only const
+    nodes carry a ``value`` and only input nodes a ``name``.
     """
     if type(nl.width) is not int or nl.width < 1:
         raise DocumentError("malformed", f"width {nl.width!r} is not a positive integer")
     n = len(nl.nodes)
     n_inputs = 0
-    for nid, (kind, ins, value, _) in enumerate(nl.nodes):
+    for nid, (kind, ins, value, name) in enumerate(nl.nodes):
         fan_in = _FAN_IN.get(kind) if type(kind) is str else None
         if fan_in is None:
             raise DocumentError("malformed", f"unknown kind {kind!r}")
@@ -181,10 +177,15 @@ def _validate(nl: Netlist) -> None:
         for i in ins:
             if type(i) is not int or not 0 <= i < nid:
                 _reject_input(nid, i, n)
+        if kind == CONST:
+            if type(value) is not int or not 0 <= value <= 3:
+                raise DocumentError("malformed", f"const node {nid} has value {value!r}")
+        elif value is not None:
+            raise DocumentError("malformed", f"{kind} node {nid} has a value")
         if kind == INPUT:
             n_inputs += 1
-        elif kind == CONST and (type(value) is not int or not 0 <= value <= 3):
-            raise DocumentError("malformed", f"const node {nid} has value {value!r}")
+        elif name is not None:
+            raise DocumentError("malformed", f"{kind} node {nid} has a name")
     if len(nl.a_ports) != nl.width or len(nl.b_ports) != nl.width or len(nl.s_ports) != nl.width:
         raise DocumentError("malformed", "port vector width mismatch")
     port_names = [*(f"A[{i}]" for i in range(1, nl.width + 1)),
@@ -240,7 +241,8 @@ def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
     """Single forward pass; returns the value of every node by id.
 
     The digit words a and b (index 0 = least significant) and cin bind to
-    the A, B and cin ports by port id.
+    the A, B and cin ports by port id.  They are the only values checked:
+    import checks the const values, and every gate maps qudits to qudits.
     """
     n = nl.width
     values: list = [0] * len(nl.nodes)
@@ -249,10 +251,15 @@ def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
     for pid, digit in zip(ports, digits):
         values[pid] = digit
     for nid, (kind, ins, value, _) in enumerate(nl.nodes):
-        if kind == CONST:
+        fan_in = len(ins)
+        if fan_in == 2:
+            values[nid] = _SCALAR_WIDE[kind](values[ins[0]], values[ins[1]])
+        elif fan_in == 1:
+            values[nid] = _SCALAR_UNARY[kind][values[ins[0]]]
+        elif fan_in:
+            values[nid] = reduce(_SCALAR_WIDE[kind], map(values.__getitem__, ins))
+        elif kind == CONST:
             values[nid] = value
-        elif kind != INPUT:
-            values[nid] = _SCALAR_OP[kind](*[values[i] for i in ins])
     return values
 
 
@@ -561,33 +568,59 @@ def count_group(nl: Netlist, group: str, mask_counting: str = "included") -> tup
 # --- serialization ---
 
 
+def _dump(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at indent ``pad``.
+
+    Strings, ints, lists and string-keyed objects are written here, the rest
+    by ``json.dumps``: its nested lines only need ``pad`` in front.
+    """
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    inner = pad + "  "
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items, brackets = (f"{encode_basestring_ascii(k)}: {_dump(v, inner)}"
+                           for k, v in value.items()), "{}"
+    elif type(value) in (list, tuple) and value:
+        ints = all(type(x) is int for x in value)
+        items, brackets = map(str, value) if ints else (_dump(x, inner) for x in value), "[]"
+    else:
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
 def to_json(nl: Netlist) -> str:
-    nodes = []
-    for nid, node in enumerate(nl.nodes):
-        entry: dict = {"id": nid, "kind": node.kind, "inputs": list(node.inputs)}
-        if node.value is not None:
-            entry["value"] = node.value
-        if node.name is not None:
-            entry["name"] = node.name
-        nodes.append(entry)
+    """The netlist as a version-1 document, laid out as ``json.dumps(doc, indent=2)``.
+
+    ``nl`` is a valid netlist, as ``finish``, ``from_json`` and ``lower_fanin2``
+    return it: a const node has its ``value`` and an input node its ``name``.
+    """
+    records = []
+    sep = ",\n        "   # between the input ids of a node record
+    for nid, (kind, ins, value, name) in enumerate(nl.nodes):
+        if kind == INPUT:
+            tail = f'[],\n      "name": {encode_basestring_ascii(name)}'
+        elif kind == CONST:
+            tail = f'[],\n      "value": {value}'
+        else:
+            tail = f"[\n        {sep.join(map(str, ins))}\n      ]"
+        records.append(f'    {{\n      "id": {nid},\n      "kind": "{kind}",\n'
+                       f'      "inputs": {tail}\n    }}')
     meta = {k: v for k, v in nl.meta.items() if k not in ("kind", "params")}
-    doc = {
-        "version": DOC_VERSION,
-        "kind": nl.meta.get("kind", "custom"),
-        "width": nl.width,
-        "params": nl.meta.get("params", {}),
-        "nodes": nodes,
-        "ports": {
-            "A": list(nl.a_ports),
-            "B": list(nl.b_ports),
-            "cin": nl.cin_port,
-            "S": list(nl.s_ports),
-            "cout": nl.cout_port,
-        },
-        "signals": dict(nl.signals),
-        "meta": meta,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    ports = {"A": nl.a_ports, "B": nl.b_ports, "cin": nl.cin_port, "S": nl.s_ports,
+             "cout": nl.cout_port}
+    fields = (
+        f'"version": {DOC_VERSION}',
+        f'"kind": {_dump(nl.meta.get("kind", "custom"), "  ")}',
+        f'"width": {nl.width}',
+        f'"params": {_dump(nl.meta.get("params", {}), "  ")}',
+        '"nodes": [\n' + ",\n".join(records) + "\n  ]",
+        f'"ports": {_dump(ports, "  ")}',
+        f'"signals": {_dump(nl.signals, "  ")}',
+        f'"meta": {_dump(meta, "  ")}',
+    )
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def from_json(text: str | bytes) -> Netlist:
@@ -613,13 +646,13 @@ def from_json(text: str | bytes) -> Netlist:
     for i, entry in enumerate(raw_nodes):
         try:
             nid = entry["id"]
-            kind = entry["kind"]
-            inputs = tuple(entry.get("inputs", ()))
+            # tuple.__new__ skips the NamedTuple constructor's Python-level call
+            nodes.append(tuple.__new__(Node, (entry["kind"], tuple(entry.get("inputs", ())),
+                                              entry.get("value"), entry.get("name"))))
         except (KeyError, TypeError) as exc:
             raise DocumentError("malformed", f"bad node record at position {i}") from exc
         if type(nid) is not int or nid != i:
             raise DocumentError("malformed", f"node ids must be dense, got {nid} at {i}")
-        nodes.append(Node(kind, inputs, entry.get("value"), entry.get("name")))
 
     try:
         meta = dict(doc.get("meta", {}))
@@ -676,25 +709,32 @@ def lower_fanin2(nl: Netlist) -> Netlist:
     """
     nb = NetlistBuilder(nl.width)
     remap: list = []     # old id -> new id
-    produced: list = []  # old id -> list of new ids created for it
+    produced: list = []  # old id -> new ids of the gates made for it
+    memo: dict = {}      # (kind, new input ids) -> (new id, new ids of its gates)
 
-    def split(kind: str, ids: list, created: list) -> int:
+    def split(kind: str, ids: tuple) -> tuple:
         if len(ids) == 1:
-            return ids[0]
-        mid = len(ids) // 2
-        nid = nb.add(kind, split(kind, ids[:mid], created), split(kind, ids[mid:], created))
-        created.append(nid)
-        return nid
+            return ids[0], ()
+        if len(ids) == 2:
+            nid = nb.add(kind, *ids)
+            return nid, (nid,)
+        hit = memo.get((kind, ids))
+        if hit is None:
+            mid = len(ids) // 2
+            (left, made_left), (right, made_right) = split(kind, ids[:mid]), split(kind, ids[mid:])
+            nid = nb.add(kind, left, right)
+            hit = memo[kind, ids] = nid, (*made_left, *made_right, nid)
+        return hit
 
     for node in nl.nodes:
+        ins = tuple(map(remap.__getitem__, node.inputs))
         if node.kind in MULTI_KINDS:
-            created: list = []
-            new = split(node.kind, [remap[i] for i in node.inputs], created)
+            new, made = split(node.kind, ins)
         else:
-            new = nb._intern(node._replace(inputs=tuple(remap[i] for i in node.inputs)))
-            created = [new]
+            new = nb._intern(node._replace(inputs=ins))
+            made = (new,)
         remap.append(new)
-        produced.append(created)
+        produced.append(made)
 
     signals = {name: remap[nid] for name, nid in nl.signals.items()}
     meta = dict(nl.meta)

@@ -260,11 +260,14 @@ _VERSION = "version: expected version 1, got "
     (lambda doc: doc.update(version=1.0), _VERSION + "1.0"),
     (lambda doc: doc.update(version="1"), _VERSION + "'1'"),
     (lambda doc: "[" * 100000 + "]" * 100000, _MALFORMED),
+    (lambda doc: _first(doc, "xor").update(value=3), _MALFORMED + " xor node"),
+    (lambda doc: _first(doc, "xor").update(name="A[1]"), _MALFORMED + " xor node"),
 ], ids=["str-input-id", "float-input-id", "bool-input-id", "unhashable-kind", "nodes-not-list",
         "bool-cout-port", "bool-signal-id", "const-without-value", "const-value-5",
         "const-value-negative", "const-value-bool", "input-node-not-a-port", "width-zero",
         "and-fan-in-1", "bitswap-fan-in-2", "const-with-input", "input-with-input",
-        "bool-version", "float-version", "str-version", "nested-100000-deep"])
+        "bool-version", "float-version", "str-version", "nested-100000-deep", "gate-with-value",
+        "gate-with-name"])
 def test_document_type_holes_are_rejected(tmp_path, capsys, mutate, error):
     path, doc = _stored_ripple(tmp_path, capsys)
     text = mutate(doc)   # a mutation that returns text replaces the whole document

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import reference
 from strategies import RepeatingBuilder
 
 from quadder import netlist, qudit
@@ -62,7 +63,7 @@ def test_arity_rules():
         assert built.value.reason == reason
         raw = netlist.Netlist(1, tuple(nb.nodes), (a,), (b,), cin, (out,), out)
         with pytest.raises(DocumentError) as imported:
-            netlist.from_json(netlist.to_json(raw))
+            netlist.from_json(reference.to_json(raw))   # to_json writes only valid netlists
         assert str(imported.value) == str(built.value)
     nb, cin, a, b = _two_input_fixture()
     wide = nb.add(AND, a, b, cin)  # unbounded fan-in above 2
@@ -84,12 +85,19 @@ def test_deduplication_returns_same_id():
 
 @pytest.mark.parametrize("kind", sorted(netlist.MULTI_KINDS))
 def test_multi_gate_semantics(kind):
+    """Fan-ins 2 to 4 over every qudit combination; the operands are the
+    ports A[1], B[1], A[2] and B[2], in that order."""
     fn = {"and": qudit.qand, "or": qudit.qor, "xor": qudit.qxor}[kind]
-    nb, cin, a, b = _two_input_fixture()
-    out = nb.add(kind, a, b)
-    nl = _finish_single_output(nb, cin, a, b, out)
-    for x, y in itertools.product(range(4), range(4)):
-        assert netlist.evaluate_words(nl, (x,), (y,)) == ((fn(x, y),), fn(x, y))
+    for fan_in in (2, 3, 4):
+        nb = NetlistBuilder(2)
+        cin = nb.add_input("cin")
+        a1, b1, a2, b2 = (nb.add_input(name) for name in ("A[1]", "B[1]", "A[2]", "B[2]"))
+        out = nb.add(kind, *(a1, b1, a2, b2)[:fan_in])
+        nl = nb.finish([a1, a2], [b1, b2], cin, [out, out], out)
+        for digits in itertools.product(range(4), repeat=fan_in):
+            x1, y1, x2, y2 = (*digits, 0, 0)[:4]
+            want = fn(*digits)
+            assert netlist.evaluate_words(nl, (x1, x2), (y1, y2)) == ((want, want), want)
 
 
 @pytest.mark.parametrize("kind", sorted(netlist.UNARY_KINDS))
