@@ -569,11 +569,8 @@ def count_group(nl: Netlist, group: str, mask_counting: str = "included") -> tup
 
 
 def _dump(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` for a value nested at indent ``pad``.
-
-    Strings, ints, lists and string-keyed objects are written here, the rest
-    by ``json.dumps``: its nested lines only need ``pad`` in front.
-    """
+    """``json.dumps(value, indent=2)`` for a value nested at indent ``pad``: strings, ints,
+    lists and string-keyed objects here, the rest by ``json.dumps`` with ``pad`` added."""
     if type(value) is str:
         return encode_basestring_ascii(value)
     if type(value) is int:
@@ -593,23 +590,24 @@ def _dump(value, pad: str) -> str:
 def to_json(nl: Netlist) -> str:
     """The netlist as a version-1 document, laid out as ``json.dumps(doc, indent=2)``.
 
-    ``nl`` is a valid netlist, as ``finish``, ``from_json`` and ``lower_fanin2``
-    return it: a const node has its ``value`` and an input node its ``name``.
+    Each record holds the node's fields as they are, ``value`` and ``name`` when
+    not None, also for a netlist that breaks a rule: only all-int ids skip ``_dump``.
     """
     records = []
-    sep = ",\n        "   # between the input ids of a node record
+    pad, sep = "      ", ",\n        "   # a record's field indent; between its input ids
+    int_ids = {int}.issuperset(map(type, chain.from_iterable(map(itemgetter(1), nl.nodes))))
     for nid, (kind, ins, value, name) in enumerate(nl.nodes):
-        if kind == INPUT:
-            tail = f'[],\n      "name": {encode_basestring_ascii(name)}'
-        elif kind == CONST:
-            tail = f'[],\n      "value": {value}'
-        else:
-            tail = f"[\n        {sep.join(map(str, ins))}\n      ]"
-        records.append(f'    {{\n      "id": {nid},\n      "kind": "{kind}",\n'
-                       f'      "inputs": {tail}\n    }}')
+        kind = encode_basestring_ascii(kind) if type(kind) is str else _dump(kind, pad)
+        ins = (f"[\n        {sep.join(map(str, ins))}\n      ]" if ins and int_ids
+               else _dump(ins, pad) if ins else "[]")
+        record = f'    {{\n      "id": {nid},\n      "kind": {kind},\n      "inputs": {ins}'
+        if value is not None:
+            record += f',\n      "value": {_dump(value, pad)}'
+        if name is not None:
+            record += f',\n      "name": {_dump(name, pad)}'
+        records.append(record + "\n    }")
     meta = {k: v for k, v in nl.meta.items() if k not in ("kind", "params")}
-    ports = {"A": nl.a_ports, "B": nl.b_ports, "cin": nl.cin_port, "S": nl.s_ports,
-             "cout": nl.cout_port}
+    ports = dict(A=nl.a_ports, B=nl.b_ports, cin=nl.cin_port, S=nl.s_ports, cout=nl.cout_port)
     fields = (
         f'"version": {DOC_VERSION}',
         f'"kind": {_dump(nl.meta.get("kind", "custom"), "  ")}',
@@ -646,13 +644,13 @@ def from_json(text: str | bytes) -> Netlist:
     for i, entry in enumerate(raw_nodes):
         try:
             nid = entry["id"]
-            # tuple.__new__ skips the NamedTuple constructor's Python-level call
-            nodes.append(tuple.__new__(Node, (entry["kind"], tuple(entry.get("inputs", ())),
-                                              entry.get("value"), entry.get("name"))))
+            kind = entry["kind"]
+            inputs = tuple(entry.get("inputs", ()))
         except (KeyError, TypeError) as exc:
             raise DocumentError("malformed", f"bad node record at position {i}") from exc
         if type(nid) is not int or nid != i:
             raise DocumentError("malformed", f"node ids must be dense, got {nid} at {i}")
+        nodes.append(Node(kind, inputs, entry.get("value"), entry.get("name")))
 
     try:
         meta = dict(doc.get("meta", {}))

@@ -2,8 +2,7 @@
 
 ``netlist.to_json`` writes its text from templates and ``netlist.lower_fanin2``
 splits each distinct wide gate once; these are the direct forms they must
-match byte for byte.  ``to_json`` here also writes netlists that never went
-through ``_validate``, so tests can hand import a document that breaks a rule.
+match byte for byte.
 """
 
 import json

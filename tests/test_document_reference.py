@@ -61,3 +61,18 @@ def test_memoized_lowering_matches_recursive_split(kind):
         nl = _built(kind, n)
         assert netlist.to_json(netlist.lower_fanin2(nl)) == \
             netlist.to_json(reference.lower_fanin2(nl)), (kind, n)
+
+
+def test_writer_matches_json_dumps_on_nodes_that_break_rules():
+    """A record holds every field of its node as it is: list kinds, bool ids,
+    stray or missing values and names, inputs on a const."""
+    nl = builders.build_ripple(1)
+    odd = [
+        netlist.Node(["and"], (0, 1), None, None),
+        netlist.Node("and", (0, True), 3, "é"),
+        netlist.Node("const", (2,), None, None),
+        netlist.Node("input", (), 1.5, None),
+        netlist.Node("not", ("x", None), False, ["A[1]"]),
+    ]
+    raw = dataclasses.replace(nl, nodes=(*nl.nodes, *odd))
+    assert netlist.to_json(raw) == reference.to_json(raw)
