@@ -103,11 +103,10 @@ def cmd_verify(args) -> int:
     else:
         nl = builders.build(_spec_from_args(args))
     if args.exhaustive:
-        if nl.width > args.bound:
-            raise ValueError(
-                f"width {nl.width} exceeds the exhaustive bound {args.bound}; use --random"
-            )
-        report = verify.check_exhaustive(nl, width_bound=args.bound)
+        if nl.width > verify.EXHAUSTIVE_WIDTH_BOUND:
+            raise ValueError(f"width {nl.width} exceeds the exhaustive bound "
+                             f"{verify.EXHAUSTIVE_WIDTH_BOUND}; use --random")
+        report = verify.check_exhaustive(nl)
     else:
         report = verify.check_random(nl, args.random, args.seed)
     text = report.to_json()
@@ -175,8 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--random", type=int, metavar="TRIALS")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=verify.EXHAUSTIVE_WIDTH_BOUND,
-                   help="maximum width for exhaustive mode")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

@@ -39,6 +39,9 @@ _FAN_IN = {**dict.fromkeys(MULTI_KINDS, (2, sys.maxsize)), **dict.fromkeys(UNARY
            **dict.fromkeys(LEAF_KINDS, (0, 0))}   # (least, most) inputs per kind
 
 DOC_VERSION = 1
+_DOC_FIELDS = frozenset({"version", "kind", "width", "params", "nodes", "ports", "signals", "meta"})
+_PORT_FIELDS = frozenset({"A", "B", "cin", "S", "cout"})
+_RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
 _SCALAR_WIDE = {AND: and_, OR: or_, XOR: xor}
 _SCALAR_UNARY = {kind: tuple(map(fn, range(4))) for kind, fn in (   # value -> value tables
@@ -81,6 +84,9 @@ class Netlist:
     signals: dict = field(default_factory=dict)   # name -> node id
     meta: dict = field(default_factory=dict)      # kind, params, groups, ...
 
+    def __post_init__(self):
+        _validate(self)
+
     def output_map(self) -> dict:
         out = {f"S[{i + 1}]": nid for i, nid in enumerate(self.s_ports)}
         out["cout"] = self.cout_port
@@ -102,8 +108,8 @@ class NetlistBuilder:
     """Append-only constructor with structural hashing: a node equal to an
     earlier one (kind, inputs, value and name) gets the earlier node's id.
 
-    The builder only interns nodes; ``finish`` checks the result with the
-    same rules as document import, so misuse is a DocumentError there.
+    The builder only interns nodes; every netlist checks itself when it is
+    made, so misuse is a DocumentError at ``finish``, as at document import.
     """
 
     def __init__(self, width: int):
@@ -140,7 +146,7 @@ class NetlistBuilder:
         signals: Mapping[str, int] | None = None,
         meta: Mapping | None = None,
     ) -> Netlist:
-        nl = Netlist(
+        return Netlist(
             width=self.width,
             nodes=tuple(self.nodes),
             a_ports=tuple(a_ports),
@@ -151,14 +157,13 @@ class NetlistBuilder:
             signals=dict(signals or {}),
             meta=dict(meta or {}),
         )
-        _validate(nl)
-        return nl
 
 
 def _validate(nl: Netlist) -> None:
     """One pass over the nodes plus the port, signal and group references.
 
-    The only structural check, for built and imported netlists alike.  Each
+    The only structural check, run once for every netlist, when it is made
+    (by ``finish``, import, ``dataclasses.replace`` or directly).  Each
     kind's fan-in is within its ``_FAN_IN`` range, ids are exact ints (a bool
     is not an id), const values are qudits, and the input nodes are exactly
     the A, B and cin ports, which both evaluators bind by id.  Only const
@@ -242,7 +247,8 @@ def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
 
     The digit words a and b (index 0 = least significant) and cin bind to
     the A, B and cin ports by port id.  They are the only values checked:
-    import checks the const values, and every gate maps qudits to qudits.
+    every netlist's const values are checked when it is made, and every gate
+    maps qudits to qudits.
     """
     n = nl.width
     values: list = [0] * len(nl.nodes)
@@ -590,21 +596,18 @@ def _dump(value, pad: str) -> str:
 def to_json(nl: Netlist) -> str:
     """The netlist as a version-1 document, laid out as ``json.dumps(doc, indent=2)``.
 
-    Each record holds the node's fields as they are, ``value`` and ``name`` when
-    not None, also for a netlist that breaks a rule: only all-int ids skip ``_dump``.
+    A valid node needs no escaping: its kind is an ASCII tag, its ids and
+    value are ints, and its name is a port name.
     """
     records = []
-    pad, sep = "      ", ",\n        "   # a record's field indent; between its input ids
-    int_ids = {int}.issuperset(map(type, chain.from_iterable(map(itemgetter(1), nl.nodes))))
+    sep = ",\n        "   # between a record's input ids
     for nid, (kind, ins, value, name) in enumerate(nl.nodes):
-        kind = encode_basestring_ascii(kind) if type(kind) is str else _dump(kind, pad)
-        ins = (f"[\n        {sep.join(map(str, ins))}\n      ]" if ins and int_ids
-               else _dump(ins, pad) if ins else "[]")
-        record = f'    {{\n      "id": {nid},\n      "kind": {kind},\n      "inputs": {ins}'
+        ins = f"[\n        {sep.join(map(str, ins))}\n      ]" if ins else "[]"
+        record = f'    {{\n      "id": {nid},\n      "kind": "{kind}",\n      "inputs": {ins}'
         if value is not None:
-            record += f',\n      "value": {_dump(value, pad)}'
+            record += f',\n      "value": {value}'
         if name is not None:
-            record += f',\n      "name": {_dump(name, pad)}'
+            record += f',\n      "name": "{name}"'
         records.append(record + "\n    }")
     meta = {k: v for k, v in nl.meta.items() if k not in ("kind", "params")}
     ports = dict(A=nl.a_ports, B=nl.b_ports, cin=nl.cin_port, S=nl.s_ports, cout=nl.cout_port)
@@ -621,6 +624,12 @@ def to_json(nl: Netlist) -> str:
     return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
+def _reject_unknown(obj: dict, known: frozenset, where: str) -> None:
+    unknown = obj.keys() - known
+    if unknown:
+        raise DocumentError("malformed", f"unknown field {min(unknown)!r} in {where}")
+
+
 def from_json(text: str | bytes) -> Netlist:
     try:
         doc = json.loads(text)
@@ -631,12 +640,21 @@ def from_json(text: str | bytes) -> Netlist:
     version = doc.get("version")
     if type(version) is not int or version != DOC_VERSION:
         raise DocumentError("version", f"expected version {DOC_VERSION}, got {version!r}")
+    _reject_unknown(doc, _DOC_FIELDS, "the document")
     try:
         width = doc["width"]
         raw_nodes = doc["nodes"]
         ports = doc["ports"]
     except KeyError as exc:
         raise DocumentError("malformed", f"missing field {exc}") from exc
+    signals = doc.get("signals", {})
+    meta = doc.get("meta", {})
+    for field_name, value in (("ports", ports), ("signals", signals), ("meta", meta)):
+        if type(value) is not dict:
+            raise DocumentError("malformed", f"{field_name} is not an object")
+    _reject_unknown(ports, _PORT_FIELDS, "ports")
+    if "kind" in meta or "params" in meta:
+        raise DocumentError("malformed", "meta holds kind or params, which are top-level fields")
 
     if not isinstance(raw_nodes, list):
         raise DocumentError("malformed", "nodes is not a list")
@@ -650,34 +668,24 @@ def from_json(text: str | bytes) -> Netlist:
             raise DocumentError("malformed", f"bad node record at position {i}") from exc
         if type(nid) is not int or nid != i:
             raise DocumentError("malformed", f"node ids must be dense, got {nid} at {i}")
+        if len(entry) > 3:   # id, kind and a stray field: no inputs, value or name, so invalid
+            _reject_unknown(entry, _RECORD_FIELDS, f"node {i}")
         nodes.append(Node(kind, inputs, entry.get("value"), entry.get("name")))
 
     try:
-        meta = dict(doc.get("meta", {}))
-        meta["kind"] = doc.get("kind", "custom")
-        meta["params"] = doc.get("params", {})
-        nl = Netlist(
-            width=width,
-            nodes=tuple(nodes),
-            a_ports=tuple(ports["A"]),
-            b_ports=tuple(ports["B"]),
-            cin_port=ports["cin"],
-            s_ports=tuple(ports["S"]),
-            cout_port=ports["cout"],
-            signals=dict(doc.get("signals", {})),
-            meta=meta,
-        )
+        a_ports, b_ports, s_ports = tuple(ports["A"]), tuple(ports["B"]), tuple(ports["S"])
+        cin_port, cout_port = ports["cin"], ports["cout"]
     except KeyError as exc:
         raise DocumentError("malformed", f"missing port field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise DocumentError("malformed", str(exc)) from exc
-    _validate(nl)
-    return nl
+    return Netlist(width, tuple(nodes), a_ports, b_ports, cin_port, s_ports, cout_port, signals,
+                   {**meta, "kind": doc.get("kind", "custom"), "params": doc.get("params", {})})
 
 
-def to_dot(nl: Netlist, name: str = "netlist") -> str:
+def to_dot(nl: Netlist) -> str:
     """Graphviz digraph: one node per gate, one edge per fan-in."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph netlist {", "  rankdir=LR;"]
     for nid, node in enumerate(nl.nodes):
         if node.kind == INPUT:
             lines.append(f'  n{nid} [label="{node.name}" shape=box];')
@@ -688,10 +696,9 @@ def to_dot(nl: Netlist, name: str = "netlist") -> str:
     for nid, node in enumerate(nl.nodes):
         for src in node.inputs:
             lines.append(f"  n{src} -> n{nid};")
-    for name_, nid in nl.output_map().items():
-        lines.append(f'  out_{name_.replace("[", "_").replace("]", "")} '
-                     f'[label="{name_}" shape=box]; '
-                     f'n{nid} -> out_{name_.replace("[", "_").replace("]", "")};')
+    for name, nid in nl.output_map().items():
+        out = "out_" + name.replace("[", "_").replace("]", "")
+        lines.append(f'  {out} [label="{name}" shape=box]; n{nid} -> {out};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -244,12 +244,12 @@ def _report_for(nl: Netlist, mode: str, **kw) -> VerifyReport:
     )
 
 
-def check_exhaustive(nl: Netlist, width_bound: int = EXHAUSTIVE_WIDTH_BOUND) -> VerifyReport:
+def check_exhaustive(nl: Netlist) -> VerifyReport:
     """Run all 4^n * 4^n * 2 assignments against the oracle."""
     n = nl.width
-    if n > width_bound:
+    if n > EXHAUSTIVE_WIDTH_BOUND:
         raise ValueError(
-            f"width {n} exceeds the exhaustive bound {width_bound}; use check_random"
+            f"width {n} exceeds the exhaustive bound {EXHAUSTIVE_WIDTH_BOUND}; use check_random"
         )
     words = 4**n
     pair = np.arange(words * words, dtype=np.int64)

@@ -139,6 +139,9 @@ def test_unknown_flags_rejected(capsys):
     code, _, _ = run(capsys, "build", "--kind", "tree", "--width", "4",
                      "--out", "x.json", "--frobnicate")
     assert code == 2
+    code, _, _ = run(capsys, "verify", "--kind", "tree", "--width", "4", "--exhaustive",
+                     "--bound", "4")
+    assert code == 2
 
 
 def test_write_failure_maps_to_exit_1(tmp_path, capsys):
@@ -262,12 +265,20 @@ _VERSION = "version: expected version 1, got "
     (lambda doc: "[" * 100000 + "]" * 100000, _MALFORMED),
     (lambda doc: _first(doc, "xor").update(value=3), _MALFORMED + " xor node"),
     (lambda doc: _first(doc, "xor").update(name="A[1]"), _MALFORMED + " xor node"),
+    (lambda doc: _first(doc, "and").update(valeu=3), _MALFORMED + " unknown field 'valeu'"),
+    (lambda doc: doc["ports"].update(Z=0), _MALFORMED + " unknown field 'Z' in ports"),
+    (lambda doc: doc.update(extra=1), _MALFORMED + " unknown field 'extra'"),
+    (lambda doc: doc.update(signals=[["x", 0]]), _MALFORMED + " signals is not an object"),
+    (lambda doc: doc.update(signals=["ab"]), _MALFORMED + " signals is not an object"),
+    (lambda doc: doc.update(meta=[["note", 1]]), _MALFORMED + " meta is not an object"),
+    (lambda doc: doc["meta"].update(kind="tree"), _MALFORMED + " meta holds kind"),
 ], ids=["str-input-id", "float-input-id", "bool-input-id", "unhashable-kind", "nodes-not-list",
         "bool-cout-port", "bool-signal-id", "const-without-value", "const-value-5",
         "const-value-negative", "const-value-bool", "input-node-not-a-port", "width-zero",
         "and-fan-in-1", "bitswap-fan-in-2", "const-with-input", "input-with-input",
         "bool-version", "float-version", "str-version", "nested-100000-deep", "gate-with-value",
-        "gate-with-name"])
+        "gate-with-name", "misspelt-record-key", "extra-port", "extra-top-level-key",
+        "signals-pairs", "signals-strings", "meta-pairs", "meta-kind"])
 def test_document_type_holes_are_rejected(tmp_path, capsys, mutate, error):
     path, doc = _stored_ripple(tmp_path, capsys)
     text = mutate(doc)   # a mutation that returns text replaces the whole document

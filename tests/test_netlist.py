@@ -1,9 +1,11 @@
 """Netlist IR: construction rules, evaluation, timing, serialization."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
+import reference
 from strategies import RepeatingBuilder
 
 from quadder import netlist, qudit
@@ -35,9 +37,9 @@ def _finish_single_output(nb, cin, a, b, out):
 
 
 def test_arity_rules():
-    """Builder misuse is rejected at finish, by the checks document import
-    runs, with the same message.  Each case gets its own builder, because
-    interning would merge repeated gates."""
+    """A netlist that breaks a rule cannot be made: ``Netlist(...)``, ``finish``
+    and document import reject it with the same reason and message.  Each case
+    gets its own builder, because interning would merge repeated gates."""
     cases = [
         (lambda nb, cin, a, b: nb.add(AND, a), "malformed", "and node 3 needs fan-in >= 2"),
         (lambda nb, cin, a, b: nb.add(NOT, a, b), "malformed", "not node 3 needs fan-in 1"),
@@ -57,13 +59,17 @@ def test_arity_rules():
     for build, reason, words in cases:
         nb, cin, a, b = _two_input_fixture()
         out = build(nb, cin, a, b)
-        with pytest.raises(DocumentError, match=words) as built:
+        fields = dict(width=1, nodes=tuple(nb.nodes), a_ports=(a,), b_ports=(b,), cin_port=cin,
+                      s_ports=(out,), cout_port=out, signals={}, meta={})
+        with pytest.raises(DocumentError, match=words) as made:
+            netlist.Netlist(**fields)
+        assert made.value.reason == reason
+        with pytest.raises(DocumentError) as built:
             _finish_single_output(nb, cin, a, b, out)
-        assert built.value.reason == reason
-        raw = netlist.Netlist(1, tuple(nb.nodes), (a,), (b,), cin, (out,), out)
+        # the reference writer reads attributes only, so it writes the raw fields
         with pytest.raises(DocumentError) as imported:
-            netlist.from_json(netlist.to_json(raw))
-        assert str(imported.value) == str(built.value)
+            netlist.from_json(reference.to_json(types.SimpleNamespace(**fields)))
+        assert str(built.value) == str(imported.value) == str(made.value)
     nb, cin, a, b = _two_input_fixture()
     wide = nb.add(AND, a, b, cin)  # unbounded fan-in above 2
     assert _finish_single_output(nb, cin, a, b, wide).nodes[wide].inputs == (a, b, cin)
