@@ -132,16 +132,12 @@ class ComparisonRow:
 
 def _measure_counts(nl: netlist.Netlist, mask_counting: str):
     """Measured gate/input counts under the per-architecture convention."""
-    kind = nl.meta["kind"]
-    if kind == "tree":
-        pg_, pi_ = netlist.count_group(nl, "product_tree", mask_counting)
-        cg_, ci_ = netlist.count_group(nl, "carry_tree", mask_counting)
-        rep = netlist.measure(
-            nl, [name for name in nl.signals if name.startswith("carry[")], mask_counting
-        )
-        return pg_ + cg_, pi_ + ci_, rep.max_fan_in
     scope = [name for name in nl.signals if name.startswith("carry[")]
     rep = netlist.measure(nl, scope, mask_counting)
+    if nl.meta["kind"] == "tree":
+        pg_, pi_ = netlist.count_group(nl, "product_tree", mask_counting)
+        cg_, ci_ = netlist.count_group(nl, "carry_tree", mask_counting)
+        return pg_ + cg_, pi_ + ci_, rep.max_fan_in
     return rep.gate_count, rep.input_count, rep.max_fan_in
 
 

@@ -10,6 +10,9 @@ Shared conventions:
   low bit of a digit pair carries the arithmetic value, the high bit may
   float); a single And-with-1 mask cleans each carry where it is consumed.
   Ripple cells mask their carry inside the cell.
+* There are two constructions: a chain of ripple cells in blocks (ripple
+  is the hybrid with one block), and the pg stage, a carry network and one
+  shared sum stage (single_stage, tree and sparse).
 * Builders record node-id groups in ``meta["groups"]`` so cost reports can
   attribute gates to the propagate/generate stage, the carry network, the
   trees, masks and the sum stage.
@@ -116,8 +119,6 @@ class _Scaffold:
         self.signals: dict[str, int] = {}
         # pg handles, keyed by position: dicts with pstar/pbsw/p/g ids
         self.pg: dict[int, dict] = {}
-        self._gmask: dict[int, int] = {}
-        self._prod: dict[tuple[int, int], int] = {}
 
     def emit(self, group: str, kind: str, *inputs: int) -> int:
         """Add a gate; attribute it to ``group`` only if it is new (shared
@@ -147,11 +148,6 @@ class _Scaffold:
             self.signals[f"P[{i}]"] = p
             self.signals[f"G[{i}]"] = g
 
-    def gmask(self, i: int) -> int:
-        if i not in self._gmask:
-            self._gmask[i] = self.mask(self.pg[i]["g"])
-        return self._gmask[i]
-
     def prod(self, lo: int, hi: int, group: str) -> int:
         """Propagate product over positions lo..hi as one wide And.
 
@@ -161,14 +157,11 @@ class _Scaffold:
         """
         if lo == hi:
             return self.pg[lo]["p"]
-        key = (lo, hi)
-        if key not in self._prod:
-            literals = []
-            for j in range(lo, hi + 1):
-                literals.append(self.pg[j]["pstar"])
-                literals.append(self.pg[j]["pbsw"])
-            self._prod[key] = self.emit(group, AND, *literals)
-        return self._prod[key]
+        literals = []
+        for j in range(lo, hi + 1):
+            literals.append(self.pg[j]["pstar"])
+            literals.append(self.pg[j]["pbsw"])
+        return self.emit(group, AND, *literals)
 
     def lookahead_carries(self, lo: int, hi: int, seed, emit_at, group: str) -> dict:
         """Flat lookahead over the span lo..hi.
@@ -182,26 +175,13 @@ class _Scaffold:
         """
         out = {}
         for t in emit_at:
-            terms = [self.gmask(t)]
+            terms = [self.mask(self.pg[t]["g"])]
             for k in range(lo, t):
                 terms.append(self.emit(group, AND, self.pg[k]["g"], self.prod(k + 1, t, group)))
             if seed is not None:
                 terms.append(self.emit(group, AND, seed, self.prod(lo, t, group)))
             out[t] = self.emit(group, OR, *terms) if len(terms) > 1 else terms[0]
         return out
-
-    def sum_cell(self, i: int, cin_i: int) -> int:
-        """Sum digit for position i (reuses Xor(A,B) and And(A,B) when the
-        pg stage already built them)."""
-        a, b = self.a[i], self.b[i]
-        xorab = self.emit("sum", XOR, a, b)
-        ab = self.emit("sum", AND, a, b)
-        bc = self.emit("sum", AND, b, cin_i)
-        ca = self.emit("sum", AND, cin_i, a)
-        t = self.emit("sum", OR, ab, bc, ca)
-        tm = self.mask(t)
-        tb = self.emit("sum", BITSWAP, tm)
-        return self.emit("sum", XOR, xorab, cin_i, tb)
 
     def full_cell(self, i: int, cin_i: int, group: str, want_cout: bool = True):
         """One ripple full-adder cell; returns (sum id, masked cout id)."""
@@ -223,11 +203,31 @@ class _Scaffold:
         s = self.emit(group, XOR, xorab, cin_i, tbs)
         return s, cout
 
+    def sum_stage(self, carry: dict) -> tuple[list[int], int]:
+        """Sum stage of the lookahead adders, given ``carry[i]``, the raw
+        carry out of qudit i for i = 1..n.
+
+        Qudit i's cell is the ripple cell without its carry-out, fed the
+        masked carry out of qudit i-1 (the carry-in for i = 1); its Xor(A,B)
+        and And(A,B) are the pg stage's.  Records the carry and cin signals
+        and returns the sum ids and the masked carry-out.
+        """
+        n = self.n
+        for i in range(1, n + 1):
+            self.signals[f"carry[{i}]"] = carry[i]
+        s_ids = []
+        for i in range(1, n + 1):
+            cin_i = self.cin if i == 1 else self.mask(carry[i - 1])
+            if i > 1:
+                self.signals[f"cin[{i}]"] = cin_i
+            s_ids.append(self.full_cell(i, cin_i, "sum", want_cout=False)[0])
+        return s_ids, self.mask(carry[n])
+
     def finish(self, s_ids, cout_id, kind: str, params: dict, delay_scope, extra_meta=None) -> Netlist:
         meta = {
             "kind": kind,
             "params": params,
-            "groups": {g: sorted(ids) for g, ids in self.groups.items()},
+            "groups": self.groups,
             "delay_scope": list(delay_scope),
         }
         meta.update(extra_meta or {})
@@ -283,25 +283,16 @@ def _tree_nodes(sc: _Scaffold):
             q_keys.append([i, j, nid])
         return qmemo[key]
 
-    return pnode, qnode, q_keys
+    return qnode, q_keys
 
 
 # --- architectures ---
 
 
 def build_ripple(n: int) -> Netlist:
-    """Chain of full-adder cells; carry out of cell i feeds cell i+1."""
-    sc = _Scaffold(n)
-    s_ids = []
-    carry = sc.cin
-    for i in range(1, n + 1):
-        s, carry = sc.full_cell(i, carry, "cells")
-        s_ids.append(s)
-        sc.signals[f"carry[{i}]"] = carry
-        if i < n:
-            sc.signals[f"cin[{i + 1}]"] = carry
-    scope = [f"carry[{i}]" for i in range(1, n + 1)]
-    return sc.finish(s_ids, carry, "ripple", {"width": n}, scope)
+    """Chain of full-adder cells; carry out of cell i feeds cell i+1.  This
+    is the hybrid adder with a single block."""
+    return _block_chain(n, n, "ripple", {"width": n})
 
 
 def build_single_stage(n: int) -> Netlist:
@@ -309,16 +300,8 @@ def build_single_stage(n: int) -> Netlist:
     propagate products, all available two gate levels after the pg stage."""
     sc = _Scaffold(n)
     sc.build_pg(range(1, n + 1))
-    carries = sc.lookahead_carries(1, n, sc.cin, range(1, n + 1), "carry_network")
-    for i in range(1, n + 1):
-        sc.signals[f"carry[{i}]"] = carries[i]
-    s_ids = []
-    for i in range(1, n + 1):
-        cin_i = sc.cin if i == 1 else sc.mask(carries[i - 1])
-        if i > 1:
-            sc.signals[f"cin[{i}]"] = cin_i
-        s_ids.append(sc.sum_cell(i, cin_i))
-    cout = sc.mask(carries[n])
+    carry = sc.lookahead_carries(1, n, sc.cin, range(1, n + 1), "carry_network")
+    s_ids, cout = sc.sum_stage(carry)
     scope = (
         [f"P[{i}]" for i in range(1, n + 1)]
         + [f"G[{i}]" for i in range(1, n + 1)]
@@ -332,18 +315,8 @@ def build_tree(n: int) -> Netlist:
     tree evaluated in parallel; the carry into qudit i is q(i, 1)."""
     sc = _Scaffold(n)
     sc.build_pg(range(1, n + 1))
-    pnode, qnode, q_keys = _tree_nodes(sc)
-    for i in range(2, n + 2):
-        qnode(i, 1)
-    for i in range(1, n + 1):
-        sc.signals[f"carry[{i}]"] = qnode(i + 1, 1)
-    s_ids = []
-    for i in range(1, n + 1):
-        cin_i = sc.cin if i == 1 else sc.mask(qnode(i, 1))
-        if i > 1:
-            sc.signals[f"cin[{i}]"] = cin_i
-        s_ids.append(sc.sum_cell(i, cin_i))
-    cout = sc.mask(qnode(n + 1, 1))
+    qnode, q_keys = _tree_nodes(sc)
+    s_ids, cout = sc.sum_stage({i: qnode(i + 1, 1) for i in range(1, n + 1)})
     scope = (
         [f"P[{i}]" for i in range(1, n + 1)]
         + [f"G[{i}]" for i in range(1, n + 1)]
@@ -362,31 +335,20 @@ def build_sparse(n: int, sparsity: int = 4) -> Netlist:
         raise ValueError("sparsity must be >= 2")
     sc = _Scaffold(n)
     sc.build_pg(range(1, n + 1))
-    pnode, qnode, q_keys = _tree_nodes(sc)
+    qnode, q_keys = _tree_nodes(sc)
     boundaries = list(range(1 + sparsity, n + 2, sparsity))
-    for p in boundaries:
-        qnode(p, 1)
-
-    carry_raw: dict[int, int] = {p - 1: qnode(p, 1) for p in boundaries}
-    cin_sum: dict[int, int] = {}
+    carry = {p - 1: qnode(p, 1) for p in boundaries}
     for lo in range(1, n + 1, sparsity):
         hi = min(lo + sparsity - 1, n)
-        seed = sc.cin if lo == 1 else sc.mask(qnode(lo, 1))
-        cin_sum[lo] = seed
+        seed = sc.cin if lo == 1 else sc.mask(carry[lo - 1])
         emit_at = list(range(lo, hi))
         if hi == n and (n + 1) not in boundaries:
             emit_at.append(hi)  # ragged final block supplies the carry-out
         local = sc.lookahead_carries(lo, hi, seed, emit_at, "block_network")
-        carry_raw.update(local)
+        carry.update(local)
         for q in range(lo + 1, hi + 1):
-            cin_sum[q] = sc.mask(local[q - 1])
-    for i in range(1, n + 1):
-        sc.signals[f"carry[{i}]"] = carry_raw[i]
-    for i in range(2, n + 1):
-        sc.signals[f"cin[{i}]"] = cin_sum[i]
-
-    s_ids = [sc.sum_cell(i, cin_sum[i]) for i in range(1, n + 1)]
-    cout = sc.mask(carry_raw[n])
+            sc.mask(local[q - 1])  # the sum stage's cin[q], emitted in block order
+    s_ids, cout = sc.sum_stage(carry)
     scope = (
         [f"P[{i}]" for i in range(1, n + 1)]
         + [f"G[{i}]" for i in range(1, n + 1)]
@@ -409,6 +371,12 @@ def build_hybrid(n: int, block: int) -> Netlist:
     block generate = flat lookahead with no carry-in term)."""
     if not 1 <= block <= n:
         raise ValueError("block must satisfy 1 <= block <= width")
+    return _block_chain(n, block, "hybrid", {"width": n, "block": block})
+
+
+def _block_chain(n: int, block: int, kind: str, params: dict) -> Netlist:
+    """Ripple cells in blocks of ``block`` qudits, joined by the block-level
+    carry chain; one block is the ripple adder."""
     sc = _Scaffold(n)
     starts = list(range(1, n + 1, block))
     blocks = [(lo, min(lo + block - 1, n)) for lo in starts]
@@ -445,6 +413,4 @@ def build_hybrid(n: int, block: int) -> Netlist:
             bc_prev = sc.emit("block_level", OR, bg, step)
             sc.signals[f"carry[{hi}]"] = bc_prev
     scope = [f"carry[{i}]" for i in range(1, n + 1)]
-    return sc.finish(
-        s_ids, cout, "hybrid", {"width": n, "block": block}, scope
-    )
+    return sc.finish(s_ids, cout, kind, params, scope)

@@ -1,10 +1,13 @@
 """Value-level adder cells: half/full adders, propagate/generate and the
 carry recurrences.
 
-These are the functional reference that every generated netlist is checked
-against.  Carries are kept in {0, 1}: the low bit of a digit pair holds the
-arithmetic carry, and every carry expression ends in a mask (AND with 1)
-that clears the high bit.
+These are the paper's value-level equations.  Generated netlists are
+verified against the integer oracle in ``verify``, not against these cells;
+the tests check the width-1 ripple netlist and the raw lookahead carries
+against ``full_add``, and the tree's carry nodes against ``pg``.  Carries
+are kept in {0, 1}: the low bit of a digit pair holds the arithmetic carry,
+and every carry expression ends in a mask (AND with 1) that clears the
+high bit.
 """
 
 from __future__ import annotations

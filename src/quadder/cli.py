@@ -14,20 +14,12 @@ import sys
 
 from . import analysis, builders, netlist, verify
 
-_KIND_ALIASES = {
-    "ripple": "ripple",
-    "single": "single_stage",
-    "single_stage": "single_stage",
-    "single-stage": "single_stage",
-    "tree": "tree",
-    "sparse": "sparse",
-    "hybrid": "hybrid",
-}
+_KIND_ALIASES = {"single": "single_stage", "single-stage": "single_stage"}
 
 
 def _canonical_kind(text: str) -> str:
-    kind = _KIND_ALIASES.get(text)
-    if kind is None:
+    kind = _KIND_ALIASES.get(text, text)
+    if kind not in builders.KINDS:
         raise ValueError(f"unknown adder kind: {text!r}")
     return kind
 
@@ -204,7 +196,7 @@ def main(argv=None) -> int:
         ):
             raise ValueError("verify needs either --netlist or --kind/--width")
         return args.fn(args)
-    except (ValueError, netlist.DocumentError) as exc:
+    except (ValueError, MemoryError, netlist.DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -241,14 +241,27 @@ def test_sparse_random_equivalence():
 
 
 def test_hybrid_block_equals_width_acts_like_ripple():
-    nl_h = build_hybrid(6, 6)
-    nl_r = build_ripple(6)
+    """One block is the ripple adder: the same nodes, ports, signals and
+    groups; only the kind and params in meta differ."""
+    for n in range(1, 9):
+        nl_h = build_hybrid(n, n)
+        nl_r = build_ripple(n)
+        assert nl_h.nodes == nl_r.nodes
+        assert (nl_h.a_ports, nl_h.b_ports, nl_h.cin_port, nl_h.s_ports, nl_h.cout_port) == (
+            nl_r.a_ports, nl_r.b_ports, nl_r.cin_port, nl_r.s_ports, nl_r.cout_port)
+        assert nl_h.signals == nl_r.signals
+        assert nl_h.meta["groups"] == nl_r.meta["groups"]
+        assert (nl_h.meta["kind"], nl_h.meta["params"]) == ("hybrid", {"width": n, "block": n})
+        assert (nl_r.meta["kind"], nl_r.meta["params"]) == ("ripple", {"width": n})
+        rest = ("kind", "params")
+        assert ({k: v for k, v in nl_h.meta.items() if k not in rest}
+                == {k: v for k, v in nl_r.meta.items() if k not in rest})
     rng = np.random.default_rng(9)
     a = rng.integers(0, 4, size=(500, 6), dtype=np.uint8)
     b = rng.integers(0, 4, size=(500, 6), dtype=np.uint8)
     cin = rng.integers(0, 2, size=500, dtype=np.uint8)
-    sh, ch = netlist.add_batch(nl_h, a, b, cin)
-    sr, cr = netlist.add_batch(nl_r, a, b, cin)
+    sh, ch = netlist.add_batch(build_hybrid(6, 6), a, b, cin)
+    sr, cr = netlist.add_batch(build_ripple(6), a, b, cin)
     assert (sh == sr).all() and (ch == cr).all()
 
 

@@ -93,6 +93,15 @@ def test_verify_random_and_report_file(tmp_path, capsys):
     assert out.read_text() == stdout
 
 
+def test_verify_trial_count_too_large_to_allocate_exits_2(capsys):
+    # 1e17 trials of 16 digits ask for 1.6e18 bytes, beyond any 57-bit
+    # address space, so the allocation fails at once.
+    code, stdout, err = run(capsys, "verify", "--kind", "ripple", "--width", "16",
+                            "--random", "100000000000000000")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_catches_corrupted_stored_netlist(tmp_path, capsys):
     out = tmp_path / "r2.json"
     run(capsys, "build", "--kind", "ripple", "--width", "2", "--out", str(out))
@@ -113,6 +122,18 @@ def test_analyze_row(capsys):
     row = stdout.splitlines()[1]
     assert row.startswith("tree,7,10,10,")
     assert any(line.startswith("#") for line in stdout.splitlines())
+
+
+def test_kind_aliases_and_unknown_kind(capsys):
+    code, alias, _ = run(capsys, "analyze", "--kind", "single-stage", "--width", "3")
+    assert code == 0
+    code, canonical, _ = run(capsys, "analyze", "--kind", "single_stage", "--width", "3")
+    assert code == 0 and alias == canonical
+    for argv in (["analyze", "--kind", "carry_skip", "--width", "3"],
+                 ["sweep", "--kinds", "ripple,carry_skip", "--widths", "2..3"]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err == "error: unknown adder kind: 'carry_skip'\n"
 
 
 def test_sweep_row_count_and_determinism(tmp_path, capsys):

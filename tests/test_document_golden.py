@@ -1,8 +1,11 @@
 """Built, exported and lowered documents against a stored reference.
 
 The reference in data/document_golden.json was written by
-``PYTHONPATH=src python tests/data/make_document_golden.py`` at commit
-e9d6d7a, before a node's id became its position in ``Netlist.nodes``.
+``PYTHONPATH=src python tests/data/make_document_golden.py``: the default
+cases at commit e9d6d7a, before a node's id became its position in
+``Netlist.nodes``, and the sparse and hybrid parameter cases at 9cdb8b1,
+before the builders shared one sum stage and ripple became the hybrid with
+one block.
 """
 
 import importlib.util
@@ -21,10 +24,9 @@ _spec.loader.exec_module(maker)
 
 
 def test_documents_match_reference():
-    assert len(GOLDEN) == 5 * 10
-    for kind in maker.KINDS:
-        for n in maker.WIDTHS:
-            texts = maker.documents(kind, n)
-            assert {name: maker.sha(text) for name, text in texts.items()} == GOLDEN[f"{kind} {n}"]
-            for name in ("json", "lowered"):
-                assert netlist.to_json(netlist.from_json(texts[name])) == texts[name], (kind, n)
+    assert len(GOLDEN) == 5 * 10 + 2 * 12 + 42  # defaults, sparsity 2 and 3, hybrid blocks
+    for key, spec in maker.cases():
+        texts = maker.documents(spec)
+        assert {name: maker.sha(text) for name, text in texts.items()} == GOLDEN[key], key
+        for name in ("json", "lowered"):
+            assert netlist.to_json(netlist.from_json(texts[name])) == texts[name], key
