@@ -159,12 +159,11 @@ def _notes(nl: netlist.Netlist, mask_counting: str) -> list:
             "and the sum-stage XOR input; it is counted once, inside the carry cone"
         )
     if kind == "single_stage":
-        masked = netlist.measure(
-            nl, [f"cin[{i}]" for i in range(2, nl.width + 1)] + ["cout"], "included"
-        )
+        masked = [f"cin[{i}]" for i in range(2, nl.width + 1)] + ["cout"]
+        masked_depth = max(netlist.signal_depths(nl, masked, "included").values())
         notes.append(
             f"delay convention: raw network carries answer at depth {inc.depth}; "
-            f"masking each carry at its consumption instead gives {masked.depth}"
+            f"masking each carry at its consumption instead gives {masked_depth}"
         )
     if kind == "tree":
         depths = netlist.node_depths(nl, "included")
@@ -188,8 +187,8 @@ def compare(spec: AdderSpec, mask_counting: str = "excluded") -> ComparisonRow:
     reconciled."""
     nl = build(spec)
     cf = closed_form(spec.kind, spec.width)
-    delay = netlist.measure(nl, nl.meta["delay_scope"], "included").depth
     gates, inputs, max_fan_in = _measure_counts(nl, mask_counting)
+    delay = max(netlist.signal_depths(nl, nl.meta["delay_scope"], "included").values())
     return ComparisonRow(
         kind=spec.kind,
         n=spec.width,

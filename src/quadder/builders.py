@@ -119,6 +119,8 @@ class _Scaffold:
         self.signals: dict[str, int] = {}
         # pg handles, keyed by position: dicts with pstar/pbsw/p/g ids
         self.pg: dict[int, dict] = {}
+        # P*[i] and bitswapped P*[i] at 2i and 2i + 1, so a product's literals are one slice
+        self.literals: list = [None] * (2 * n + 2)
 
     def emit(self, group: str, kind: str, *inputs: int) -> int:
         """Add a gate; attribute it to ``group`` only if it is new (shared
@@ -145,6 +147,7 @@ class _Scaffold:
             g3 = self.emit("pg", AND, a, b, pbsw)
             g = self.emit("pg", OR, inw, g3)
             self.pg[i] = {"pstar": pstar, "pbsw": pbsw, "p": p, "g": g}
+            self.literals[2 * i:2 * i + 2] = pstar, pbsw
             self.signals[f"P[{i}]"] = p
             self.signals[f"G[{i}]"] = g
 
@@ -157,11 +160,7 @@ class _Scaffold:
         """
         if lo == hi:
             return self.pg[lo]["p"]
-        literals = []
-        for j in range(lo, hi + 1):
-            literals.append(self.pg[j]["pstar"])
-            literals.append(self.pg[j]["pbsw"])
-        return self.emit(group, AND, *literals)
+        return self.emit(group, AND, *self.literals[2 * lo:2 * hi + 2])
 
     def lookahead_carries(self, lo: int, hi: int, seed, emit_at, group: str) -> dict:
         """Flat lookahead over the span lo..hi.

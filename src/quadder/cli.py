@@ -72,7 +72,7 @@ def cmd_build(args) -> int:
     nl = builders.build(spec)
     text = netlist.to_json(nl) if args.format == "json" else netlist.to_dot(nl)
     _write_output(args.out, text)
-    depth = netlist.measure(nl, nl.meta["delay_scope"], "included").depth
+    depth = max(netlist.signal_depths(nl, nl.meta["delay_scope"], "included").values())
     gates = len(nl.gate_nodes())
     print(f"{spec.kind} width={spec.width} gates={gates} depth={depth}")
     return 0

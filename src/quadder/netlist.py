@@ -134,7 +134,7 @@ class NetlistBuilder:
         return self._intern(Node(CONST, (), value, None))
 
     def add(self, kind: str, *inputs: int) -> int:
-        return self._intern(Node(kind, inputs, None, None))
+        return self._intern(tuple.__new__(Node, (kind, inputs, None, None)))   # skips Node.__new__
 
     def finish(
         self,
@@ -455,23 +455,31 @@ class _Analysis:
         fan_exc = [0] * n
         inc = [0] * n
         exc = [0] * n
-        ones = {i for i, node in enumerate(nodes) if node.kind == CONST and node.value == 1}
-        for i, node in enumerate(nodes):
-            ins = node.inputs
+        ones = set()   # ids of Const 1 nodes
+        for i, (kind, ins, value, _) in enumerate(nodes):
             k = len(ins)
-            if k == 1:
+            if k == 2:
+                x, y = ins
+                fan_inc[i] = 2
+                dx, dy = inc[x], inc[y]
+                inc[i] = 1 + (dx if dx > dy else dy)
+                if kind == AND and (x in ones or y in ones):
+                    exc[i] = exc[y if x in ones else x]
+                else:
+                    dx, dy = exc[x], exc[y]
+                    exc[i] = 1 + (dx if dx > dy else dy)
+                    fan_exc[i] = 2
+            elif k == 1:
                 inc[i] = inc[ins[0]] + 1
                 exc[i] = exc[ins[0]] + 1
                 fan_inc[i] = fan_exc[i] = 1
             elif k:
-                fan_inc[i] = k
                 get = itemgetter(*ins)
                 inc[i] = 1 + max(get(inc))
-                if k == 2 and node.kind == AND and (ins[0] in ones or ins[1] in ones):
-                    exc[i] = exc[ins[1] if ins[0] in ones else ins[0]]
-                else:
-                    exc[i] = 1 + max(get(exc))
-                    fan_exc[i] = k
+                exc[i] = 1 + max(get(exc))
+                fan_inc[i] = fan_exc[i] = k
+            elif kind == CONST and value == 1:
+                ones.add(i)
         self.inputs = [node.inputs for node in nodes]
         self.fan_in = (fan_inc, fan_exc)
         self.depths = (inc, exc)
@@ -513,24 +521,39 @@ def node_depths(nl: Netlist, mask_counting: str = "included") -> list[int]:
     return list(nl._analysis.depths[_excluded(mask_counting)])
 
 
+def _node_id(nl: Netlist, nid, what: str) -> int:
+    if type(nid) is not int or not 0 <= nid < len(nl.nodes):
+        raise ValueError(f"{what} {nid!r} is not a node id of this netlist")
+    return nid
+
+
 def _resolve_signals(nl: Netlist, signals) -> dict:
     if signals is None:
         return nl.output_map()
     if isinstance(signals, Mapping):
-        resolved = dict(signals)
-    else:
-        space = {**nl.output_map(), **nl.signals}
-        resolved = {}
-        for name in signals:
-            if name not in space:
-                raise ValueError(f"unknown signal name: {name!r}")
-            resolved[name] = space[name]
+        return {name: _node_id(nl, nid, f"signal {name!r}: id") for name, nid in signals.items()}
+    if isinstance(signals, str):
+        raise ValueError(f"signals is the string {signals!r}, not a list of names")
+    space = {**nl.output_map(), **nl.signals}
+    resolved = {}
+    for name in signals:
+        if name not in space:
+            raise ValueError(f"unknown signal name: {name!r}")
+        resolved[name] = space[name]
     return resolved
 
 
 def cone(nl: Netlist, node_ids: Iterable[int]) -> set:
     """Set of node ids that can influence any of the given nodes."""
-    return set(nl._analysis.cone(node_ids))
+    return set(nl._analysis.cone([_node_id(nl, nid, "id") for nid in node_ids]))
+
+
+def signal_depths(nl: Netlist, signals, mask_counting: str) -> dict:
+    """Unit-delay depth per signal, read from the cached depth table; no cone
+    is walked.  ``signals`` and ``mask_counting`` are read as by ``measure``,
+    whose ``per_signal_depth`` this is."""
+    depths = nl._analysis.depths[_excluded(mask_counting)]
+    return {name: depths[nid] for name, nid in _resolve_signals(nl, signals).items()}
 
 
 def measure(
@@ -545,12 +568,10 @@ def measure(
     And(x, Const 1) gates are skipped in the gate and input counts and are
     transparent for depth.
     """
-    excluded = _excluded(mask_counting)
     resolved = _resolve_signals(nl, signals)
+    per_signal = signal_depths(nl, resolved, mask_counting)
     facts = nl._analysis
-    depths = facts.depths[excluded]
-    fans = _counted(facts.fan_in[excluded], facts.cone(resolved.values()))
-    per_signal = {name: depths[nid] for name, nid in resolved.items()}
+    fans = _counted(facts.fan_in[_excluded(mask_counting)], facts.cone(resolved.values()))
     return CostReport(
         gate_count=len(fans),
         input_count=sum(fans),

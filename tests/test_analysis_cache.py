@@ -2,14 +2,17 @@
 
 Random small netlists carry And(x, Const 1) masks (with the constant on
 either side), wide gates and unary gates.  Every query is asked several
-times, in a drawn order, and must equal what the definitions give.
+times, in a drawn order, and must equal what the definitions give.  The
+depth-only query also agrees with ``measure`` on the built adders.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import netlists
 
 from quadder import netlist
+from quadder.builders import KINDS, build, spec_for
 from quadder.netlist import AND, CONST, INPUT
 
 MODES = ("included", "excluded")
@@ -95,7 +98,25 @@ def test_cached_analysis_matches_definitions(nl, plan):
                 {name: space[name] for name in chosen} if salt % 3 == 1 else chosen)
             resolved = nl.output_map() if signals is None else {n: space[n] for n in chosen}
             assert _report(netlist.measure(nl, signals, mode)) == ref_measure(nl, resolved, mode)
+            depths = ref_depths(nl, mode)
+            got = netlist.signal_depths(nl, signals, mode)
+            assert got == {name: depths[nid] for name, nid in resolved.items()}
         else:
             group = "g" if salt % 2 else "h"
             fans = _counts(nl, nl.meta["groups"][group], mode)
             assert netlist.count_group(nl, group, mode) == (len(fans), sum(fans))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_signal_depths_agree_with_measure(kind):
+    """Over the delay scope, the masked carries cin[2..n] with cout, and cout
+    alone, under both conventions, widths 1-16."""
+    for n in range(1, 17):
+        nl = build(spec_for(kind, n))
+        masked = [f"cin[{i}]" for i in range(2, n + 1)] + ["cout"]
+        for scope in (nl.meta["delay_scope"], masked, ["cout"]):
+            for mode in MODES:
+                rep = netlist.measure(nl, scope, mode)
+                got = netlist.signal_depths(nl, scope, mode)
+                assert got == rep.per_signal_depth
+                assert max(got.values()) == rep.depth

@@ -1,6 +1,7 @@
 """Netlist IR: construction rules, evaluation, timing, serialization."""
 
 import itertools
+import re
 import types
 
 import numpy as np
@@ -208,10 +209,32 @@ def test_ripple_carry_cone_measurements():
     lambda nl: netlist.measure(nl, ["cout"], "bogus"),
     lambda nl: netlist.node_depths(nl, "bogus"),
     lambda nl: netlist.count_group(nl, "pg", "exclude"),
-], ids=["measure", "node_depths", "count_group"])
+    lambda nl: netlist.signal_depths(nl, ["cout"], "bogus"),
+], ids=["measure", "node_depths", "count_group", "signal_depths"])
 def test_unknown_mask_convention_is_rejected(query):
     with pytest.raises(ValueError, match="bad mask_counting"):
         query(build_tree(4))
+
+
+@pytest.mark.parametrize("query, bad", [
+    (lambda nl: netlist.cone(nl, [-1]), "-1"),
+    (lambda nl: netlist.cone(nl, [len(nl.nodes)]), "17"),
+    (lambda nl: netlist.cone(nl, [3, True]), "True"),
+    (lambda nl: netlist.measure(nl, {"x": -1}), "-1"),
+    (lambda nl: netlist.measure(nl, {"x": True}), "True"),
+    (lambda nl: netlist.measure(nl, {"x": 3, "y": 2.0}), "2.0"),
+    (lambda nl: netlist.measure(nl, "cout"), "'cout'"),
+    (lambda nl: netlist.signal_depths(nl, {"x": len(nl.nodes)}, "included"), "17"),
+    (lambda nl: netlist.signal_depths(nl, "cout", "included"), "'cout'"),
+], ids=["cone-negative", "cone-past-end", "cone-bool", "measure-negative", "measure-bool",
+        "measure-float", "measure-string", "signal_depths-past-end", "signal_depths-string"])
+def test_queries_reject_bad_ids(query, bad):
+    """A bad id or a bare string is a ValueError that names it, never a
+    wrapped-around index, a bool read as 1 or a string read letter by letter."""
+    nl = build_ripple(1)
+    assert len(nl.nodes) == 17
+    with pytest.raises(ValueError, match=f"(id|string) {re.escape(bad)}[ ,]"):
+        query(nl)
 
 
 def test_depth_monotone_under_construction():
