@@ -130,10 +130,9 @@ class ComparisonRow:
         return meas - cf, (meas - cf) / cf if cf else 0.0
 
 
-def _measure_counts(nl: netlist.Netlist, mask_counting: str):
-    """Measured gate/input counts under the per-architecture convention."""
-    scope = [name for name in nl.signals if name.startswith("carry[")]
-    rep = netlist.measure(nl, scope, mask_counting)
+def _measure_counts(nl: netlist.Netlist, rep: netlist.CostReport, mask_counting: str):
+    """Measured gate/input counts under the per-architecture convention;
+    ``rep`` is the carry cone measured under ``mask_counting``."""
     if nl.meta["kind"] == "tree":
         pg_, pi_ = netlist.count_group(nl, "product_tree", mask_counting)
         cg_, ci_ = netlist.count_group(nl, "carry_tree", mask_counting)
@@ -141,12 +140,14 @@ def _measure_counts(nl: netlist.Netlist, mask_counting: str):
     return rep.gate_count, rep.input_count, rep.max_fan_in
 
 
-def _notes(nl: netlist.Netlist, mask_counting: str) -> list:
+def _notes(nl: netlist.Netlist, scope: list, rep: netlist.CostReport,
+           mask_counting: str) -> list:
+    """``rep`` is the carry cone ``scope`` measured under ``mask_counting``;
+    only the other convention is measured here."""
     kind = nl.meta["kind"]
     notes = []
-    scope = [name for name in nl.signals if name.startswith("carry[")]
-    inc = netlist.measure(nl, scope, "included")
-    exc = netlist.measure(nl, scope, "excluded")
+    other = netlist.measure(nl, scope, "excluded" if mask_counting == "included" else "included")
+    inc, exc = (rep, other) if mask_counting == "included" else (other, rep)
     notes.append(
         f"carry-cone counts: mask included {inc.gate_count} gates/{inc.input_count} inputs, "
         f"excluded {exc.gate_count} gates/{exc.input_count} inputs "
@@ -187,7 +188,9 @@ def compare(spec: AdderSpec, mask_counting: str = "excluded") -> ComparisonRow:
     reconciled."""
     nl = build(spec)
     cf = closed_form(spec.kind, spec.width)
-    gates, inputs, max_fan_in = _measure_counts(nl, mask_counting)
+    scope = [name for name in nl.signals if name.startswith("carry[")]
+    rep = netlist.measure(nl, scope, mask_counting)
+    gates, inputs, max_fan_in = _measure_counts(nl, rep, mask_counting)
     delay = max(netlist.signal_depths(nl, nl.meta["delay_scope"], "included").values())
     return ComparisonRow(
         kind=spec.kind,
@@ -201,7 +204,7 @@ def compare(spec: AdderSpec, mask_counting: str = "excluded") -> ComparisonRow:
         max_fan_in=max_fan_in,
         mask_counting=mask_counting,
         signal_scope="carry-network",
-        notes=_notes(nl, mask_counting),
+        notes=_notes(nl, scope, rep, mask_counting),
     )
 
 

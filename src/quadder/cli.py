@@ -196,8 +196,11 @@ def main(argv=None) -> int:
         ):
             raise ValueError("verify needs either --netlist or --kind/--width")
         return args.fn(args)
-    except (ValueError, MemoryError, netlist.DocumentError) as exc:
+    except (ValueError, netlist.DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:   # often raised with no message
+        print(f"error: {args.command} ran out of memory {exc}".rstrip(), file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,7 +49,8 @@ _SCALAR_UNARY = {kind: tuple(map(fn, range(4))) for kind, fn in (   # value -> v
 
 _PLANE_GATE = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
 _ONES = np.uint64(2**64 - 1)
-_TRANSPOSE_CHUNK = 512   # cases per block of the (cases, width) -> (width, cases) copy
+_BIT_SWAPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (   # 8 x 8 transpose
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
 
 
 class DocumentError(ValueError):
@@ -332,21 +333,6 @@ class _Plan(NamedTuple):
         return cls(tuple(steps), size, tuple(slot[i] for i in nl.s_ports), slot[nl.cout_port])
 
 
-def digit_major(digits: np.ndarray) -> np.ndarray:
-    """A (cases, width) matrix as a C-contiguous (width, cases) one.
-
-    A column-major input (such as ``m.T`` of a digit-major ``m``) is returned
-    as a view; otherwise the copy goes in blocks of cases that stay in cache.
-    """
-    t = digits.T
-    if t.flags.c_contiguous:
-        return t
-    out = np.empty(t.shape, dtype=digits.dtype)
-    for lo in range(0, digits.shape[0], _TRANSPOSE_CHUNK):
-        out[:, lo:lo + _TRANSPOSE_CHUNK] = digits[lo:lo + _TRANSPOSE_CHUNK].T
-    return out
-
-
 def _qudits(values, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=np.uint8)
     if values.size and values.max() > 3:
@@ -354,16 +340,67 @@ def _qudits(values, what: str) -> np.ndarray:
     return values
 
 
+def _transpose_bits(words: np.ndarray) -> None:
+    """Each uint64, read as an 8 x 8 bit matrix (bit j of byte k), transposed
+    in place by three delta swaps."""
+    t = np.empty_like(words)
+    for shift, mask in _BIT_SWAPS:
+        np.right_shift(words, shift, out=t)
+        t ^= words
+        t &= mask
+        words ^= t
+        t <<= shift
+        words ^= t
+
+
 def _pack(planes: np.ndarray, digits: np.ndarray) -> None:
-    """Digit-major qudits (rows, cases) into the hi and lo planes of rows."""
-    count = digits.shape[-1]
-    planes[..., 0, : (count + 7) // 8] = np.packbits(digits >> 1, axis=-1, bitorder="little")
-    planes[..., 1, : (count + 7) // 8] = np.packbits(digits & 1, axis=-1, bitorder="little")
+    """Case-major qudits (cases, rows) into the hi and lo planes of rows.
+
+    Each case's bits are packed 8 rows to a byte; 8 cases' bytes then make
+    one uint64 whose bit matrix is transposed into 8 rows' bytes of 8 cases.
+    Cases past the last in a byte are left as they come: lanes never mix.
+    Fewer than 8 rows are cheaper to transpose whole than to pad to 8.
+    """
+    cases, rows = digits.shape
+    groups, blocks = -(-rows // 8), -(-cases // 8)
+    if rows < 8:
+        t = np.ascontiguousarray(digits.T)
+        planes[:, 0, :blocks] = np.packbits(t >> 1, axis=1, bitorder="little")
+        planes[:, 1, :blocks] = np.packbits(t & 1, axis=1, bitorder="little")
+        return
+    if rows % 8 or not digits.flags.c_contiguous:
+        padded = np.zeros((cases, 8 * groups), dtype=np.uint8)
+        padded[:, :rows] = digits
+        digits = padded
+    packed = np.empty((2, 8 * blocks, groups), dtype=np.uint8)
+    packed[0, :cases] = np.packbits(digits >> 1, bitorder="little").reshape(cases, groups)
+    packed[1, :cases] = np.packbits(digits & 1, bitorder="little").reshape(cases, groups)
+    words = np.ascontiguousarray(packed.reshape(2, blocks, 8, groups).transpose(0, 3, 1, 2))
+    _transpose_bits(words.view(np.uint64))
+    planes[:, :, :blocks] = words.transpose(1, 3, 0, 2).reshape(8 * groups, 2, blocks)[:rows]
 
 
-def _unpack(planes: np.ndarray, count: int) -> np.ndarray:
-    bits = np.unpackbits(planes, axis=-1, count=count, bitorder="little")
-    return (bits[..., 0, :] << 1) | bits[..., 1, :]
+def _unpack(buf: np.ndarray, slots: list, cases: int) -> np.ndarray:
+    """The qudits of the given plane rows as a C-contiguous (cases, rows)
+    matrix: the steps of ``_pack`` in reverse."""
+    rows, words = len(slots), buf.shape[2]
+    groups, blocks = -(-rows // 8), -(-cases // 8)
+    planes = np.empty((8 * groups, 2, words), dtype=np.uint64)
+    np.take(buf, slots, axis=0, out=planes[:rows])
+    if rows < 8:
+        bits = np.unpackbits(planes[:rows].view(np.uint8), axis=2, count=cases, bitorder="little")
+        digits = np.empty((cases, rows), dtype=np.uint8)
+        np.bitwise_or(bits[:, 0] + bits[:, 0], bits[:, 1], out=digits.T)
+        return digits
+    by_case = np.ascontiguousarray(
+        planes.view(np.uint8).reshape(groups, 8, 2, 8 * words)[..., :blocks].transpose(2, 0, 3, 1))
+    _transpose_bits(by_case.view(np.uint64))
+    packed = np.ascontiguousarray(
+        by_case.reshape(2, groups, 8 * blocks)[..., :cases].transpose(0, 2, 1))
+    digits = np.unpackbits(packed[0], bitorder="little").reshape(cases, 8 * groups)
+    digits += digits   # a left shift of uint8 is several times slower
+    digits |= np.unpackbits(packed[1], bitorder="little").reshape(cases, 8 * groups)
+    return digits if rows == 8 * groups else np.ascontiguousarray(digits[:, :rows])
 
 
 def _run(plan: _Plan, buf: np.ndarray) -> None:
@@ -396,9 +433,8 @@ def _run(plan: _Plan, buf: np.ndarray) -> None:
 def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray):
     """Batch addition: digit matrices of shape (cases, width), cin (cases,).
 
-    Returns (sum digit matrix, carry-out vector).  The sum matrix is a
-    column-major view of shape (cases, width); a column-major input (a
-    transposed digit-major array) is read without a copy.
+    Returns (sum digit matrix, carry-out vector), the sums C-contiguous of
+    shape (cases, width).
     """
     n = nl.width
     a_digits = _qudits(a_digits, "a_digits")
@@ -409,16 +445,13 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
         raise ValueError(f"expected digit matrices of shape (cases, {n}) and cin of shape "
                          f"(cases,), got {a_digits.shape}, {b_digits.shape}, {cin.shape}")
     plan = nl._plan
-    words = (cases + 63) // 64
-    buf = np.empty((plan.slots, 2, words), dtype=np.uint64)
+    buf = np.empty((plan.slots, 2, (cases + 63) // 64), dtype=np.uint64)
     as_bytes = buf.view(np.uint8)
-    _pack(as_bytes[:n], digit_major(a_digits))
-    _pack(as_bytes[n:2 * n], digit_major(b_digits))
-    _pack(as_bytes[2 * n], cin)
+    _pack(as_bytes[:n], a_digits)
+    _pack(as_bytes[n:2 * n], b_digits)
+    _pack(as_bytes[2 * n:2 * n + 1], cin[:, None])
     _run(plan, buf)
-    s = _unpack(buf[list(plan.s_slots)].view(np.uint8), cases)
-    cout = _unpack(buf[plan.cout_slot].view(np.uint8), cases)
-    return s.T, cout
+    return _unpack(buf, list(plan.s_slots), cases), _unpack(buf, [plan.cout_slot], cases)[:, 0]
 
 
 # --- timing and cost ---

@@ -4,7 +4,8 @@ The oracle works in plain integer arithmetic and never touches the
 quaternary operators, so a defect in the algebra cannot hide a matching
 defect in a netlist.  Exhaustive checks cover every assignment at small
 widths; randomized checks use a seeded PCG64 generator plus a fixed set of
-corner vectors.
+corner vectors.  Both run over chunks of at most ``CHUNK_CASES`` cases, so
+a check's memory does not grow with its case count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from . import cells, netlist, qudit
 from .netlist import Netlist
 
 EXHAUSTIVE_WIDTH_BOUND = 4
-_RNG_ALGORITHM = "numpy PCG64 (np.random.default_rng)"
+CHUNK_CASES = 2**15            # cases per add_batch call of a check; a multiple of 4
+RANDOM_DIGITS_CAP = 2**34      # trials x width; at ~50M digit-adds/s, about six minutes
+_FOUR_DIGITS = np.uint32(0x01041040)   # a word's 4 byte digits, base 4, into its top byte
 
 # Printed operator table: (a, b, and, or, xor, nand, nor, xnor, eq).
 # The eq column follows the equality operator's contract (3 iff a = b).
@@ -186,133 +189,163 @@ def oracle_add(a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
     return digits, total >> (2 * n)
 
 
-def _oracle_batch(a_t: np.ndarray, b_t: np.ndarray, cin: np.ndarray):
-    """Vectorized oracle on digit-major (width, cases) uint8 digits:
-    schoolbook digit addition with integer carries (a digit sum is at most
-    3 + 3 + 1, so uint8 holds it)."""
-    s = np.empty_like(a_t)
-    carry = cin.astype(np.uint8)
-    tot = np.empty_like(carry)
-    for i in range(a_t.shape[0]):
-        np.add(a_t[i], b_t[i], out=tot)
-        tot += carry
-        np.bitwise_and(tot, 3, out=s[i])
-        np.right_shift(tot, 2, out=carry)
-    return s, carry
+def _limbs(digits: np.ndarray) -> np.ndarray:
+    """(cases, n) digits as the little-endian uint64 limbs of their values,
+    n // 32 + 1 limbs a case, so a carry out of digit n has room."""
+    cases, n = digits.shape
+    if n % 4:
+        padded = np.zeros((cases, n + -n % 4), dtype=np.uint8)
+        padded[:, :n] = digits
+        digits = padded
+    packed = np.zeros((cases, 8 * (n // 32 + 1)), dtype=np.uint8)
+    np.right_shift(digits.view(np.uint32) * _FOUR_DIGITS, 24, out=packed[:, :-(-n // 4)],
+                   casting="unsafe")
+    return packed.view(np.uint64)
+
+
+def _oracle_batch(a: np.ndarray, b: np.ndarray, cin: np.ndarray) -> np.ndarray:
+    """Vectorized oracle on case-major (cases, n) digits: the limbs of
+    a + b + cin, added limb by limb with carries."""
+    x = _limbs(a)
+    total = x + _limbs(b)
+    carry = cin.astype(bool)
+    for k in range(total.shape[1]):
+        limb = total[:, k]
+        wrapped = limb < x[:, k]
+        limb += carry
+        carry = wrapped | (limb < carry)
+    return total
 
 
 def _signal_names(n: int) -> list[str]:
     return [*(f"S[{j + 1}]" for j in range(n)), "cout"]
 
 
-def _collect_mismatches(a_t, b_t, cin, want_s, want_c, got_s, got_c) -> MismatchTable:
-    """The per-signal mismatch records, canonically ordered.
+def _collect_mismatches(a, b, cin, want_s, want_c, got_s, got_c) -> MismatchTable:
+    """The per-signal mismatch records of the given cases, canonically ordered.
 
-    Digits are digit-major: (width, cases).  Only the cases with a wrong
-    output are expanded, into one record per wrong signal.
+    Digits are case-major: (cases, width).  Each wrong signal of a case
+    becomes one record.
     """
-    bad = np.nonzero((want_s != got_s).any(axis=0) | (want_c != got_c))[0]
-    n = a_t.shape[0]
-    if not bad.size:
-        digits, values = np.empty((0, n), dtype=np.uint8), np.empty(0, dtype=np.uint8)
-        return MismatchTable(digits, digits, values, values, values, values)
-    want = np.vstack([want_s[:, bad], want_c[bad]])   # (signals, bad cases)
-    got = np.vstack([got_s[:, bad], got_c[bad]])
-    signal, case = np.nonzero(want != got)
-    col = bad[case]
+    n = a.shape[1]
+    want = np.concatenate([want_s, want_c[:, None]], axis=1)   # (cases, signals)
+    got = np.concatenate([got_s, got_c[:, None]], axis=1)
+    case, signal = np.nonzero(want != got)
     rank = np.empty(n + 1, dtype=np.intp)   # each signal's place in name order
     names = _signal_names(n)
     rank[sorted(range(n + 1), key=names.__getitem__)] = np.arange(n + 1)
     # lexsort's last key is the primary one: a[0], ..., a[n-1], b[0], ..., cin, name.
-    order = np.lexsort(np.vstack([rank[signal], cin[col], b_t[::-1, col], a_t[::-1, col]]))
-    signal, case, col = signal[order], case[order], col[order]
-    return MismatchTable(a=a_t[:, col].T, b=b_t[:, col].T, cin=cin[col], signal=signal,
-                         expected=want[signal, case], actual=got[signal, case])
+    # Separate keys keep their own dtypes; stacked, each would be widened to intp.
+    order = np.lexsort((rank[signal], cin[case], *b[case, ::-1].T, *a[case, ::-1].T))
+    case, signal = case[order], signal[order]
+    return MismatchTable(a=a[case], b=b[case], cin=cin[case], signal=signal,
+                         expected=want[case, signal], actual=got[case, signal])
 
 
-def _mismatches(nl: Netlist, a_t: np.ndarray, b_t: np.ndarray, cin: np.ndarray) -> MismatchTable:
-    """Digit-major inputs through the netlist and the oracle; the netlist reads
-    them as column-major (cases, width) views, so nothing is transposed again."""
-    got_s, got_c = netlist.add_batch(nl, a_t.T, b_t.T, cin)
-    want_s, want_c = _oracle_batch(a_t, b_t, cin)
-    return _collect_mismatches(a_t, b_t, cin, want_s, want_c, got_s.T, got_c)
-
-
-def _report_for(nl: Netlist, mode: str, **kw) -> VerifyReport:
-    return VerifyReport(
-        mode=mode, kind=nl.meta.get("kind"), width=nl.width, **kw
-    )
+def _check(nl: Netlist, chunk, count: int) -> MismatchTable:
+    """The mismatch records of ``count`` cases, CHUNK_CASES at a time:
+    ``chunk(lo, hi)`` makes the (a, b, cin) of cases lo..hi-1.  Outputs are
+    compared with the oracle as limbs; only the failing cases are kept, and
+    their records get one canonical sort at the end."""
+    n = nl.width
+    top, shift = divmod(2 * n, 64)   # where the carry out sits in the limbs
+    kept = []
+    for lo in range(0, count, CHUNK_CASES):
+        a, b, cin = chunk(lo, min(lo + CHUNK_CASES, count))
+        got_s, got_c = netlist.add_batch(nl, a, b, cin)
+        want = _oracle_batch(a, b, cin)
+        got = _limbs(got_s)
+        got[:, top] |= got_c.astype(np.uint64) << np.uint64(shift)
+        # Rows of the differing limbs, in order, each kept once: any(axis=1) over a few
+        # limbs is several times slower, and np.unique costs 1.5 MB of RSS on first use.
+        rows = np.flatnonzero(got != want) // got.shape[1]
+        bad = rows[np.diff(rows, prepend=-1) != 0]
+        kept.append((a[bad], b[bad], cin[bad], want[bad], got_s[bad], got_c[bad]))
+        del a, b, got_s   # before the next chunk is made
+    a, b, cin, want, got_s, got_c = map(np.concatenate, zip(*kept))
+    bits = np.unpackbits(want.view(np.uint8), axis=1, count=2 * n + 2, bitorder="little")
+    digits = bits[:, 1::2] + bits[:, 1::2] | bits[:, ::2]   # S[1..n] and cout
+    return _collect_mismatches(a, b, cin, digits[:, :n], digits[:, n], got_s, got_c)
 
 
 def check_exhaustive(nl: Netlist) -> VerifyReport:
-    """Run all 4^n * 4^n * 2 assignments against the oracle."""
+    """Run all 4^n * 4^n * 2 assignments against the oracle: each a word in
+    turn, with b running through the words and cin through 0, 1."""
     n = nl.width
     if n > EXHAUSTIVE_WIDTH_BOUND:
         raise ValueError(
             f"width {n} exceeds the exhaustive bound {EXHAUSTIVE_WIDTH_BOUND}; use check_random"
         )
-    words = 4**n
-    pair = np.arange(words * words, dtype=np.int64)
-    a_val = np.repeat(pair // words, 2)
-    b_val = np.repeat(pair % words, 2)
-    cin = np.tile(np.array([0, 1], dtype=np.uint8), words * words)
-    a_t = np.empty((n, a_val.size), dtype=np.uint8)
-    b_t = np.empty((n, a_val.size), dtype=np.uint8)
-    for i in range(n):
-        a_t[i] = (a_val >> (2 * i)) & 3
-        b_t[i] = (b_val >> (2 * i)) & 3
-    records = _mismatches(nl, a_t, b_t, cin)
-    return _report_for(nl, "exhaustive", cases_run=a_val.size, records=records)
+    words = (np.arange(4**n)[:, None] >> 2 * np.arange(n) & 3).astype(np.uint8)
+    period = 2 * 4**n   # cases per a word
+    reps = -(-min(CHUNK_CASES, 16**n * 2) // period) + 1   # enough for a chunk at any offset
+    b_run = np.tile(np.repeat(words, 2, axis=0), (reps, 1))
+    cin_run = np.tile(np.uint8([0, 1]), reps * 4**n)
+
+    def chunk(lo, hi):
+        first, skip = divmod(lo, period)
+        cut = slice(skip, skip + hi - lo)
+        a = np.repeat(words[first:-(-hi // period)], period, axis=0)[cut]
+        return a, b_run[cut], cin_run[cut]
+
+    records = _check(nl, chunk, 2 * 16**n)
+    return VerifyReport("exhaustive", 2 * 16**n, records, kind=nl.meta.get("kind"), width=n)
 
 
 def _corner_vectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    zeros = [0] * n
-    threes = [3] * n
-    alt12 = [1 if i % 2 == 0 else 2 for i in range(n)]
-    alt21 = [2 if i % 2 == 0 else 1 for i in range(n)]
-    lo3 = [3] + [0] * (n - 1)
-    hi3 = [0] * (n - 1) + [3]
-    a_rows, b_rows, cins = [], [], []
-    for a, b in [
-        (zeros, zeros),
-        (threes, threes),
-        (threes, zeros),
-        (zeros, threes),
-        (alt12, alt21),
-        (alt12, alt12),
-        (lo3, lo3),
-        (hi3, hi3),
-        (hi3, zeros),
-    ]:
-        for c in (0, 1):
-            a_rows.append(a)
-            b_rows.append(b)
-            cins.append(c)
-    return (
-        np.array(a_rows, dtype=np.uint8),
-        np.array(b_rows, dtype=np.uint8),
-        np.array(cins, dtype=np.uint8),
-    )
+    """Nine fixed (a, b) pairs, each with cin 0 and then 1."""
+    zeros, threes = [0] * n, [3] * n
+    alt12, alt21 = [1 + i % 2 for i in range(n)], [2 - i % 2 for i in range(n)]
+    lo3, hi3 = [3] + [0] * (n - 1), [0] * (n - 1) + [3]
+    pairs = [(zeros, zeros), (threes, threes), (threes, zeros), (zeros, threes), (alt12, alt21),
+             (alt12, alt12), (lo3, lo3), (hi3, hi3), (hi3, zeros)]
+    a, b = (np.repeat(np.uint8([pair[k] for pair in pairs]), 2, axis=0) for k in (0, 1))
+    return a, b, np.tile(np.uint8([0, 1]), len(pairs))
+
+
+def _draw(seed: int, word: int, out: np.ndarray, shift: int) -> None:
+    """Fill ``out`` from 32-bit word ``word`` on of the PCG64 stream of
+    ``seed`` (a 64-bit output is two words, low half first), keeping the top
+    8 - shift bits of each little-endian byte.  With shift 6 (7) this is what
+    ``default_rng(seed).integers(0, 4 (2), dtype=uint8)`` draws from that
+    word on, as Lemire's method on a byte rejects nothing for those ranges."""
+    skip = 4 * (word % 2)
+    raw = np.random.PCG64(seed).advance(word // 2).random_raw(-(-(skip + out.size) // 8))
+    np.right_shift(raw.view(np.uint8)[skip:skip + out.size], shift, out=out.reshape(-1))
+
+
+def _random_cases(n: int, trials: int, seed: int, lo: int, hi: int) -> tuple:
+    """Trials lo..hi-1 of check_random as (a, b, cin), after the corner
+    vectors when lo is 0.  ``default_rng(seed)`` draws all a digits, then all
+    b digits, then all cin bits, each draw from a fresh 32-bit word, so lo
+    must be a multiple of 4 for every part to start on a word."""
+    words = -(-trials * n // 4)   # 32-bit words behind the a digits
+    parts = []
+    for start, corner, shift in zip((0, words, 2 * words), _corner_vectors(n), (6, 6, 7)):
+        head = corner.reshape(len(corner), -1)[:len(corner) * (lo == 0)]
+        part = np.empty((len(head) + hi - lo, head.shape[1]), dtype=np.uint8)
+        part[:len(head)] = head
+        _draw(seed, start + lo * head.shape[1] // 4, part[len(head):], shift)
+        parts.append(part)
+    return parts[0], parts[1], parts[2][:, 0]
 
 
 def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
     """Seeded random assignments plus the fixed corner vectors.
 
     The generator is numpy's default PCG64; the report records the seed,
-    so identical seeds reproduce identical reports byte for byte.
+    so identical seeds reproduce identical reports byte for byte.  Each
+    chunk's draws jump ahead to their place in the stream.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = nl.width
-    ca, cb, cc = _corner_vectors(n)
-    rng = np.random.default_rng(seed)
-    ra = rng.integers(0, 4, size=(trials, n), dtype=np.uint8)
-    rb = rng.integers(0, 4, size=(trials, n), dtype=np.uint8)
-    rc = rng.integers(0, 2, size=trials, dtype=np.uint8)
-    cin = np.concatenate([cc, rc])
-    records = _mismatches(nl, netlist.digit_major(np.concatenate([ca, ra])),
-                          netlist.digit_major(np.concatenate([cb, rb])), cin)
-    return _report_for(nl, "random", cases_run=int(cin.shape[0]), records=records, seed=seed)
+    if trials * n > RANDOM_DIGITS_CAP:
+        raise ValueError(f"{trials} trials x width {n} exceeds the random-check cap "
+                         f"RANDOM_DIGITS_CAP = {RANDOM_DIGITS_CAP} digits")
+    records = _check(nl, lambda lo, hi: _random_cases(n, trials, seed, lo, hi), trials)
+    return VerifyReport("random", len(_corner_vectors(n)[2]) + trials, records, seed,
+                        nl.meta.get("kind"), n)
 
 
 def check_truth_tables() -> VerifyReport:
@@ -325,60 +358,29 @@ def check_truth_tables() -> VerifyReport:
     """
     mismatches = []
     divergences = []
-    cases = 0
-    ops = (
-        ("and", qudit.qand),
-        ("or", qudit.qor),
-        ("xor", qudit.qxor),
-        ("nand", qudit.qnand),
-        ("nor", qudit.qnor),
-        ("xnor", qudit.qxnor),
-        ("eq", qudit.equality),
-    )
-    for row in TABLE_I:
-        a, b = row[0], row[1]
-        for (name, fn), want in zip(ops, row[2:]):
-            cases += 1
-            got = fn(a, b)
-            if got != want:
-                mismatches.append(
-                    {"a": [a], "b": [b], "cin": 0, "signal": name,
-                     "expected": want, "actual": got}
-                )
+
+    def check(a, b, cin, signal, want, got):
+        if want != got:
+            mismatches.append({"a": [a], "b": [b], "cin": cin, "signal": signal,
+                               "expected": want, "actual": got})
+
+    ops = (("and", qudit.qand), ("or", qudit.qor), ("xor", qudit.qxor), ("nand", qudit.qnand),
+           ("nor", qudit.qnor), ("xnor", qudit.qxnor), ("eq", qudit.equality))
+    for a, b, *wants in TABLE_I:
+        for (name, fn), want in zip(ops, wants):
+            check(a, b, 0, name, want, fn(a, b))
     for a, b, cin, s_printed, c_printed in TABLE_II:
-        cases += 2
         got = cells.full_add(a, b, cin)
         (s_oracle,), c_oracle = oracle_add([a], [b], cin)
         if (a, b, cin) == TABLE_II_DIVERGENT_ROW:
             want_s, want_c = s_oracle, c_oracle
-            divergences.append(
-                {
-                    "row": [a, b, cin],
-                    "printed_s": s_printed,
-                    "oracle_s": s_oracle,
-                    "note": "printed sum contradicts integer arithmetic; oracle value asserted",
-                }
-            )
+            divergences.append({"row": [a, b, cin], "printed_s": s_printed, "oracle_s": s_oracle,
+                                "note": "printed sum contradicts integer arithmetic; "
+                                        "oracle value asserted"})
         else:
             want_s, want_c = s_printed, c_printed
-            if (s_oracle, c_oracle) != (want_s, want_c):
-                mismatches.append(
-                    {"a": [a], "b": [b], "cin": cin, "signal": "table-vs-oracle",
-                     "expected": [s_oracle, c_oracle], "actual": [want_s, want_c]}
-                )
-        if got.sum != want_s:
-            mismatches.append(
-                {"a": [a], "b": [b], "cin": cin, "signal": "S",
-                 "expected": want_s, "actual": got.sum}
-            )
-        if got.carry != want_c:
-            mismatches.append(
-                {"a": [a], "b": [b], "cin": cin, "signal": "C",
-                 "expected": want_c, "actual": got.carry}
-            )
-    return VerifyReport(
-        mode="truth-tables",
-        cases_run=cases,
-        records=mismatches,
-        divergences=divergences,
-    )
+            check(a, b, cin, "table-vs-oracle", [s_oracle, c_oracle], [want_s, want_c])
+        check(a, b, cin, "S", want_s, got.sum)
+        check(a, b, cin, "C", want_c, got.carry)
+    return VerifyReport("truth-tables", len(TABLE_I) * len(ops) + 2 * len(TABLE_II), mismatches,
+                        divergences=divergences)

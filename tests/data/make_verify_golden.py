@@ -14,6 +14,12 @@ carry tree into an AND: ``carry[1]`` of the tree adder and ``carry[8]`` of
 the sparse one.  A wrong carry there reaches several sum digits at once, so
 one case mismatches at several signals, and the report's signal order
 (``S[10]`` before ``S[2]`` and ``S[9]``) is checked.
+Three longer random runs reach past one chunk of the streamed check
+(2^15 trials): a correct tree at width 16 over three chunks, a sparse
+width-16 document with one AND of its product tree turned into an OR,
+whose records come from all three, and the same fault in a width-7 tree
+with 33333 trials, an odd number of digits, so its b digits start halfway
+into a 64-bit PCG64 output.
 Each report is stored as its exit code, byte count and SHA-256; the faulty
 reports run to 34-142 kB each, too much to keep as text.
 """
@@ -37,6 +43,8 @@ FAULTY_WIDTHS = (2, 8)   # exhaustive, random
 FAULTS = ("S", "cout")
 CARRY_FAULT_WIDTH = 12   # random
 CARRY_FAULTS = (("tree", "carry[1]"), ("sparse", "carry[8]"))
+LONG_RUNS = (("tree", 16, None, 70000), ("sparse", 16, "product_tree[1]", 70000),
+             ("tree", 7, "product_tree[3]", 33333))   # (kind, width, fault, trials)
 
 
 def run(argv):
@@ -54,12 +62,14 @@ def seed_for(kind: str, n: int) -> int:
 def faulty_doc(kind: str, n: int, fault: str) -> dict:
     """The built document with one gate's kind changed: S[j]'s XOR (j = n//2 + 1)
     or the carry-out mask's AND becomes an OR; a named carry signal's OR
-    becomes an AND."""
+    becomes an AND; the k-th AND of the product tree becomes an OR."""
     doc = json.loads(netlist.to_json(builders.build(builders.spec_for(kind, n, 4, None))))
     if fault == "S":
         nid, want, new = doc["ports"]["S"][n // 2], "xor", "or"
     elif fault == "cout":
         nid, want, new = doc["ports"]["cout"], "and", "or"
+    elif fault.startswith("product_tree["):
+        nid, want, new = doc["meta"]["groups"]["product_tree"][int(fault[13:-1])], "and", "or"
     else:
         nid, want, new = doc["signals"][fault], "or", "and"
     if doc["nodes"][nid]["kind"] != want:
@@ -68,28 +78,33 @@ def faulty_doc(kind: str, n: int, fault: str) -> dict:
     return doc
 
 
-def faulty_argv(path: str, n: int, seed: int) -> list:
-    if n == FAULTY_WIDTHS[0]:
-        return ["verify", "--netlist", path, "--exhaustive"]
-    return ["verify", "--netlist", path, "--random", str(RANDOM_TRIALS), "--seed", str(seed)]
+def random_argv(kind: str, n: int, trials: int = RANDOM_TRIALS) -> list:
+    return ["verify", "--random", str(trials), "--seed", str(seed_for(kind, n))]
 
 
 def cases():
-    """(key, argv, document or None) for every report in the reference."""
+    """(key, argv, document or None) for every report in the reference; a
+    document's argv lacks its ``--netlist PATH``."""
     for kind in KINDS:
         for n in EXHAUSTIVE_WIDTHS:
             yield f"{kind} {n} exhaustive", ["verify", "--kind", kind, "--width", str(n),
                                              "--exhaustive"], None
         for n in RANDOM_WIDTHS:
-            yield f"{kind} {n} random", ["verify", "--kind", kind, "--width", str(n),
-                                         "--random", str(RANDOM_TRIALS),
-                                         "--seed", str(seed_for(kind, n))], None
+            yield f"{kind} {n} random", [*random_argv(kind, n), "--kind", kind,
+                                         "--width", str(n)], None
         for fault in FAULTS:
             for n in FAULTY_WIDTHS:
-                yield f"{kind} {n} {fault}-fault", None, faulty_doc(kind, n, fault)
+                argv = ["verify", "--exhaustive"] if n == FAULTY_WIDTHS[0] else random_argv(kind, n)
+                yield f"{kind} {n} {fault}-fault", argv, faulty_doc(kind, n, fault)
     for kind, signal in CARRY_FAULTS:
         n = CARRY_FAULT_WIDTH
-        yield f"{kind} {n} {signal}-fault", None, faulty_doc(kind, n, signal)
+        yield f"{kind} {n} {signal}-fault", random_argv(kind, n), faulty_doc(kind, n, signal)
+    for kind, n, fault, trials in LONG_RUNS:
+        argv = random_argv(kind, n, trials)
+        if fault is None:
+            yield f"{kind} {n} random {trials}", [*argv, "--kind", kind, "--width", str(n)], None
+        else:
+            yield f"{kind} {n} {fault}-fault {trials}", argv, faulty_doc(kind, n, fault)
 
 
 def report(argv, doc, workdir: Path, key: str):
@@ -97,8 +112,7 @@ def report(argv, doc, workdir: Path, key: str):
     if doc is not None:
         path = workdir / (key.replace(" ", "-") + ".json")
         path.write_text(json.dumps(doc), encoding="utf-8")
-        kind, n, _ = key.split()
-        argv = faulty_argv(str(path), int(n), seed_for(kind, int(n)))
+        argv = [*argv, "--netlist", str(path)]
     return run(argv)
 
 

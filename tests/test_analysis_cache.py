@@ -3,7 +3,8 @@
 Random small netlists carry And(x, Const 1) masks (with the constant on
 either side), wide gates and unary gates.  Every query is asked several
 times, in a drawn order, and must equal what the definitions give.  The
-depth-only query also agrees with ``measure`` on the built adders.
+depth-only query also agrees with ``measure`` on the built adders, and
+``compare`` measures the carry cone once under each convention.
 """
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import netlists
 
-from quadder import netlist
+from quadder import analysis, netlist
 from quadder.builders import KINDS, build, spec_for
 from quadder.netlist import AND, CONST, INPUT
 
@@ -120,3 +121,13 @@ def test_signal_depths_agree_with_measure(kind):
                 got = netlist.signal_depths(nl, scope, mode)
                 assert got == rep.per_signal_depth
                 assert max(got.values()) == rep.depth
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_compare_measures_the_carry_cone_once_per_convention(monkeypatch, mode):
+    seen = []
+    real = netlist.measure
+    monkeypatch.setattr(netlist, "measure",
+                        lambda nl, scope, how: seen.append(how) or real(nl, scope, how))
+    analysis.compare(spec_for("single_stage", 8), mask_counting=mode)
+    assert sorted(seen) == ["excluded", "included"]

@@ -91,10 +91,29 @@ def test_digit_major_inputs_give_the_same_sums():
     b = rng.integers(0, 4, size=(1000, 5), dtype=np.uint8)
     cin = rng.integers(0, 2, size=1000, dtype=np.uint8)
     s, cout = netlist.add_batch(nl, a, b, cin)
-    a_t, b_t = netlist.digit_major(a), netlist.digit_major(b)
-    assert a_t.flags.c_contiguous and (a_t.T == a).all()
-    s_f, cout_f = netlist.add_batch(nl, a_t.T, b_t.T, cin)
+    a_f, b_f = np.asfortranarray(a), np.asfortranarray(b)
+    assert a_f.T.flags.c_contiguous and (a_f == a).all()
+    s_f, cout_f = netlist.add_batch(nl, a_f, b_f, cin)
     assert (s_f == s).all() and (cout_f == cout).all()
+
+
+@pytest.mark.parametrize("n, cases", [(8, 1), (9, 63), (17, 130), (64, 65)])
+def test_wide_batches_match_scalar_in_either_layout(n, cases):
+    """Eight rows and more take the bit-transpose path: rows and cases that
+    are not multiples of 8, and column-major inputs."""
+    nl = build_tree(n)
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 4, size=(cases, n), dtype=np.uint8)
+    b = rng.integers(0, 4, size=(cases, n), dtype=np.uint8)
+    cin = rng.integers(0, 4, size=cases, dtype=np.uint8)
+    s, cout = netlist.add_batch(nl, a, b, cin)
+    assert s.flags.c_contiguous
+    s_f, cout_f = netlist.add_batch(nl, np.asfortranarray(a), np.asfortranarray(b), cin)
+    assert (s_f == s).all() and (cout_f == cout).all()
+    for k in range(cases):
+        values = netlist.evaluate_nodes(nl, a[k], b[k], cin[k])
+        assert s[k].tolist() == [values[p] for p in nl.s_ports]
+        assert int(cout[k]) == values[nl.cout_port]
 
 
 def test_bad_batches_are_rejected():

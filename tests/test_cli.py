@@ -1,10 +1,11 @@
 """Command-line integration: flows, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
-from quadder import netlist
+from quadder import builders, netlist
 from quadder.cli import main
 
 
@@ -100,6 +101,26 @@ def test_verify_trial_count_too_large_to_allocate_exits_2(capsys):
                             "--random", "100000000000000000")
     assert code == 2 and stdout == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_past_the_random_cap_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "verify", "--kind", "ripple", "--width", "16",
+                            "--random", "100000000000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and stdout == ""
+    assert "RANDOM_DIGITS_CAP" in err and "Traceback" not in err
+
+
+def test_memory_error_exits_2_with_a_reason(tmp_path, monkeypatch, capsys):
+    def exhausted(spec):
+        raise MemoryError()
+
+    monkeypatch.setattr(builders, "build", exhausted)
+    code, stdout, err = run(capsys, "build", "--kind", "tree", "--width", "4",
+                            "--out", str(tmp_path / "t.json"))
+    assert code == 2 and stdout == ""
+    assert err == "error: build ran out of memory\n"
 
 
 def test_verify_catches_corrupted_stored_netlist(tmp_path, capsys):

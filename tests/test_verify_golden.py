@@ -3,9 +3,11 @@
 The reference in data/verify_golden.json was written by
 ``PYTHONPATH=src python tests/data/make_verify_golden.py`` at commit
 7e72865, before batch evaluation moved onto bit planes; the two width-12
-carry-fault cases were added at e1b7640, before the mismatch table, with
-the other 55 fingerprints unchanged.  The cases and the fingerprint (exit
-code, byte count, SHA-256 of stdout) come from that script.
+carry-fault cases were added at e1b7640, before the mismatch table, and
+the three runs longer than one chunk (70000 and 33333 trials) at 14e5585,
+before random checks were streamed, each time with the other fingerprints
+unchanged.  The cases and the fingerprint (exit code, byte count, SHA-256
+of stdout) come from that script.
 """
 
 import importlib.util
@@ -25,6 +27,6 @@ def test_verify_reports_match_reference(tmp_path):
     got = {key: maker.fingerprint(*maker.report(argv, doc, tmp_path, key))
            for key, argv, doc in maker.cases()}
     assert sorted(got) == sorted(GOLDEN)
-    assert len(got) == 5 * (4 + 3 + 2 * 2) + 2
+    assert len(got) == 5 * (4 + 3 + 2 * 2) + 2 + 3
     for key, want in GOLDEN.items():
         assert got[key] == want, key

@@ -1,0 +1,130 @@
+"""The streamed random check: its digits, its chunks, its oracle, its memory.
+
+``check_random`` reads digits from whole 32-bit PCG64 words and runs its
+cases in chunks, each drawn by jumping ahead in the stream.  These tests pin
+the draws to ``Generator.integers``, the limb oracle to ``oracle_add``, the
+reports to the chunk size, and the memory to the chunk, not the trial count.
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_mismatch_table import CARRY_GROUPS, faulted
+
+from quadder import builders, verify
+
+SEEDS = range(30)
+# (trials, width): trials 1, width 1, and trials x width = 1, 2, 3 (mod 4)
+SHAPES = ((1, 1), (1, 7), (5, 1), (7, 5), (3, 6), (9, 7), (40, 12))
+
+
+def _one_shot(seed, trials, n):
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 4, size=(trials, n), dtype=np.uint8),
+            rng.integers(0, 4, size=(trials, n), dtype=np.uint8),
+            rng.integers(0, 2, size=trials, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("trials, n", SHAPES)
+def test_word_digits_equal_integer_draws(trials, n):
+    for seed, (shape, high, shift) in itertools.product(SEEDS, (((trials, n), 4, 6),
+                                                              ((trials,), 2, 7))):
+        out = np.empty(shape, dtype=np.uint8)
+        verify._draw(seed, 0, out, shift)
+        want = np.random.default_rng(seed).integers(0, high, size=shape, dtype=np.uint8)
+        assert (out == want).all()
+
+
+@pytest.mark.parametrize("chunk", [4, 64, verify.CHUNK_CASES])
+def test_chunked_draws_reproduce_the_one_shot_draws(monkeypatch, chunk):
+    monkeypatch.setattr(verify, "CHUNK_CASES", chunk)
+    for (trials, n), seed in itertools.product([*SHAPES, (130, 3), (67, 33)], SEEDS[:5]):
+        parts = [verify._random_cases(n, trials, seed, lo, min(lo + chunk, trials))
+                 for lo in range(0, trials, chunk)]
+        corners = verify._corner_vectors(n)
+        for got, head, want in zip(zip(*parts), corners, _one_shot(seed, trials, n)):
+            assert (np.concatenate(got) == np.concatenate([head, want])).all()
+
+
+def _value(digits) -> int:
+    return sum(int(d) << (2 * i) for i, d in enumerate(digits))
+
+
+def _assert_oracle_matches(a, b, cin):
+    limbs = verify._oracle_batch(a, b, cin)
+    for x, y, c, got in zip(a, b, cin, limbs):
+        s, cout = verify.oracle_add(x.tolist(), y.tolist(), int(c))
+        assert int.from_bytes(got.tobytes(), "little") == _value(s) + (cout << (2 * len(s)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_limb_oracle_matches_oracle_add_on_every_case(n):
+    cases = np.array([(*a, *b, c) for a in itertools.product(range(4), repeat=n)
+                      for b in itertools.product(range(4), repeat=n) for c in (0, 1)], np.uint8)
+    _assert_oracle_matches(cases[:, :n].copy(), cases[:, n:2 * n].copy(), cases[:, -1].copy())
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 256])
+def test_limb_oracle_matches_oracle_add_on_random_cases(n):
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 4, size=(200, n), dtype=np.uint8)
+    b = rng.integers(0, 4, size=(200, n), dtype=np.uint8)
+    cin = rng.integers(0, 2, size=200, dtype=np.uint8)
+    a[:2], b[:2], cin[:2] = 3, 3, 1   # all 3s with cin 1
+    a[2], b[2], cin[2] = 3, 0, 1      # a carry through every digit
+    _assert_oracle_matches(a, b, cin)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(builders.KINDS), width=st.integers(1, 12), data=st.data())
+def test_reports_do_not_depend_on_the_chunk_size(kind, width, data):
+    nl = builders.build(builders.spec_for(kind, width))
+    gates = sorted({nid for group in CARRY_GROUPS for nid in nl.meta["groups"].get(group, ())})
+    faults = data.draw(st.lists(st.sampled_from(gates), max_size=3, unique=True)
+                       if gates else st.just([]))
+    nl = faulted(nl, faults)
+    trials, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 2**32 - 1))
+    exhaustive = width <= 2
+    want = [verify.check_random(nl, trials, seed).to_json()]
+    if exhaustive:
+        want.append(verify.check_exhaustive(nl).to_json())
+    for chunk in (4, 12):   # the least (a chunk's draws start on a word), and not a power of 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "CHUNK_CASES", chunk)
+            got = [verify.check_random(nl, trials, seed).to_json()]
+            if exhaustive:
+                got.append(verify.check_exhaustive(nl).to_json())
+        assert got == want, chunk
+
+
+@pytest.mark.parametrize("kind", builders.KINDS)
+def test_exhaustive_reports_do_not_depend_on_the_chunk_size(monkeypatch, kind):
+    """Width 2 has 512 cases, 32 for each a word: chunks of 12 straddle them."""
+    nl = builders.build(builders.spec_for(kind, 2))
+    gates = sorted(nid for group in CARRY_GROUPS for nid in nl.meta["groups"].get(group, ()))
+    for checked in (nl, faulted(nl, gates[:1])):
+        want = verify.check_exhaustive(checked).to_json()
+        for chunk in (4, 12):
+            monkeypatch.setattr(verify, "CHUNK_CASES", chunk)
+            assert verify.check_exhaustive(checked).to_json() == want, chunk
+        monkeypatch.undo()
+
+
+def _peak(nl, trials) -> int:
+    tracemalloc.start()
+    try:
+        assert verify.check_random(nl, trials, 1).passed
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_random_check_memory_does_not_grow_with_trials():
+    nl = builders.build(builders.spec_for("tree", 64))
+    verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
+    small, large = _peak(nl, 10**5), _peak(nl, 4 * 10**5)
+    assert large <= 1.1 * small, f"{small / 2**20:.1f} -> {large / 2**20:.1f} MiB"
