@@ -256,8 +256,7 @@ def _check(nl: Netlist, chunk, count: int) -> MismatchTable:
         want = _oracle_batch(a, b, cin)
         got = _limbs(got_s)
         got[:, top] |= got_c.astype(np.uint64) << np.uint64(shift)
-        # Rows of the differing limbs, in order, each kept once: any(axis=1) over a few
-        # limbs is several times slower, and np.unique costs 1.5 MB of RSS on first use.
+        # Not any(axis=1), slow over a few limbs, nor np.unique, 1.5 MB of RSS on first use.
         rows = np.flatnonzero(got != want) // got.shape[1]
         bad = rows[np.diff(rows, prepend=-1) != 0]
         kept.append((a[bad], b[bad], cin[bad], want[bad], got_s[bad], got_c[bad]))
