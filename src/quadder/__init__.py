@@ -54,11 +54,6 @@ from .builders import (
     KINDS,
     AdderSpec,
     build,
-    build_hybrid,
-    build_ripple,
-    build_single_stage,
-    build_sparse,
-    build_tree,
     spec_for,
 )
 from .analysis import ClosedForm, ComparisonRow, closed_form, compare, rows_to_csv, sweep

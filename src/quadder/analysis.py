@@ -225,23 +225,10 @@ CSV_HEADER = (
 
 
 def rows_to_csv(rows) -> str:
+    """One line per row, its fields in CSV_HEADER's column order; None is an empty field."""
+    names = CSV_HEADER.split(",")
     out = [CSV_HEADER]
     for r in rows:
-        out.append(
-            ",".join(
-                [
-                    r.kind,
-                    str(r.n),
-                    "" if r.cf_delay is None else str(r.cf_delay),
-                    str(r.meas_delay),
-                    "" if r.cf_gates is None else str(r.cf_gates),
-                    str(r.meas_gates),
-                    "" if r.cf_inputs is None else str(r.cf_inputs),
-                    str(r.meas_inputs),
-                    str(r.max_fan_in),
-                    r.mask_counting,
-                    r.signal_scope,
-                ]
-            )
-        )
+        values = (getattr(r, name) for name in names)
+        out.append(",".join("" if v is None else str(v) for v in values))
     return "\n".join(out) + "\n"

@@ -24,18 +24,11 @@ from dataclasses import dataclass
 
 from .netlist import AND, BITSWAP, INWARD, OR, XOR, Netlist, NetlistBuilder
 
-KINDS = ("ripple", "single_stage", "tree", "sparse", "hybrid")
-
 __all__ = [
     "KINDS",
     "AdderSpec",
     "spec_for",
     "build",
-    "build_ripple",
-    "build_single_stage",
-    "build_tree",
-    "build_sparse",
-    "build_hybrid",
     "floor_log2",
     "ceil_log2",
 ]
@@ -55,7 +48,8 @@ def ceil_log2(x: int) -> int:
 
 @dataclass(frozen=True)
 class AdderSpec:
-    """Architecture selector plus width and block parameters."""
+    """Architecture selector plus width and block parameters: the one
+    place they are checked, so a construction takes its spec as given."""
 
     kind: str
     width: int
@@ -65,6 +59,10 @@ class AdderSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown adder kind: {self.kind!r}")
+        for name in ("width", "sparsity", "block"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "block" and value is None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.width < 1:
             raise ValueError("width must be >= 1")
         if self.kind == "sparse" and self.sparsity < 2:
@@ -74,6 +72,12 @@ class AdderSpec:
                 raise ValueError("hybrid adder needs a block size")
             if not 1 <= self.block <= self.width:
                 raise ValueError("block must satisfy 1 <= block <= width")
+
+    @property
+    def params(self) -> dict:
+        """The parameters its kind takes, as a built netlist's meta records them."""
+        taken = {"sparse": ("width", "sparsity"), "hybrid": ("width", "block")}
+        return {name: getattr(self, name) for name in taken.get(self.kind, ("width",))}
 
 
 def spec_for(kind: str, width: int, sparsity: int = 4, block: int | None = None) -> AdderSpec:
@@ -90,15 +94,8 @@ def spec_for(kind: str, width: int, sparsity: int = 4, block: int | None = None)
 
 
 def build(spec: AdderSpec) -> Netlist:
-    if spec.kind == "ripple":
-        return build_ripple(spec.width)
-    if spec.kind == "single_stage":
-        return build_single_stage(spec.width)
-    if spec.kind == "tree":
-        return build_tree(spec.width)
-    if spec.kind == "sparse":
-        return build_sparse(spec.width, spec.sparsity)
-    return build_hybrid(spec.width, spec.block)
+    """The netlist of a spec, from its kind's construction in ``_CONSTRUCTIONS``."""
+    return _CONSTRUCTIONS[spec.kind](spec)
 
 
 # --- shared construction machinery ---
@@ -107,18 +104,18 @@ def build(spec: AdderSpec) -> Netlist:
 class _Scaffold:
     """Builder plus input ports, group tracking and common sub-stages."""
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("width must be >= 1")
-        self.n = n
+    def __init__(self, spec: AdderSpec):
+        self.spec = spec
+        self.n = n = spec.width
         self.nb = NetlistBuilder(n)
         self.cin = self.nb.add_input("cin")
         self.a = [None] + [self.nb.add_input(f"A[{i}]") for i in range(1, n + 1)]
         self.b = [None] + [self.nb.add_input(f"B[{i}]") for i in range(1, n + 1)]
         self.groups: dict[str, list[int]] = {}
         self.signals: dict[str, int] = {}
-        # pg handles, keyed by position: dicts with pstar/pbsw/p/g ids
-        self.pg: dict[int, dict] = {}
+        # the propagate and generate ids of each position, built by build_pg
+        self.p: list = [None] * (n + 1)
+        self.g: list = [None] * (n + 1)
         # P*[i] and bitswapped P*[i] at 2i and 2i + 1, so a product's literals are one slice
         self.literals: list = [None] * (2 * n + 2)
 
@@ -146,7 +143,7 @@ class _Scaffold:
             inw = self.emit("pg", INWARD, ab)
             g3 = self.emit("pg", AND, a, b, pbsw)
             g = self.emit("pg", OR, inw, g3)
-            self.pg[i] = {"pstar": pstar, "pbsw": pbsw, "p": p, "g": g}
+            self.p[i], self.g[i] = p, g
             self.literals[2 * i:2 * i + 2] = pstar, pbsw
             self.signals[f"P[{i}]"] = p
             self.signals[f"G[{i}]"] = g
@@ -159,7 +156,7 @@ class _Scaffold:
         the P gate itself.
         """
         if lo == hi:
-            return self.pg[lo]["p"]
+            return self.p[lo]
         return self.emit(group, AND, *self.literals[2 * lo:2 * hi + 2])
 
     def lookahead_carries(self, lo: int, hi: int, seed, emit_at, group: str) -> dict:
@@ -174,15 +171,15 @@ class _Scaffold:
         """
         out = {}
         for t in emit_at:
-            terms = [self.mask(self.pg[t]["g"])]
+            terms = [self.mask(self.g[t])]
             for k in range(lo, t):
-                terms.append(self.emit(group, AND, self.pg[k]["g"], self.prod(k + 1, t, group)))
+                terms.append(self.emit(group, AND, self.g[k], self.prod(k + 1, t, group)))
             if seed is not None:
                 terms.append(self.emit(group, AND, seed, self.prod(lo, t, group)))
             out[t] = self.emit(group, OR, *terms) if len(terms) > 1 else terms[0]
         return out
 
-    def full_cell(self, i: int, cin_i: int, group: str, want_cout: bool = True):
+    def full_cell(self, i: int, cin_i: int, group: str, want_cout: bool):
         """One ripple full-adder cell; returns (sum id, masked cout id)."""
         a, b = self.a[i], self.b[i]
         ab = self.emit(group, AND, a, b)
@@ -222,10 +219,10 @@ class _Scaffold:
             s_ids.append(self.full_cell(i, cin_i, "sum", want_cout=False)[0])
         return s_ids, self.mask(carry[n])
 
-    def finish(self, s_ids, cout_id, kind: str, params: dict, delay_scope, extra_meta=None) -> Netlist:
+    def finish(self, s_ids, cout_id, delay_scope, extra_meta=None) -> Netlist:
         meta = {
-            "kind": kind,
-            "params": params,
+            "kind": self.spec.kind,
+            "params": self.spec.params,
             "groups": self.groups,
             "delay_scope": list(delay_scope),
         }
@@ -258,7 +255,7 @@ def _tree_nodes(sc: _Scaffold):
 
     def pnode(i: int, j: int) -> int:
         if i == j:
-            return sc.pg[i]["p"]
+            return sc.p[i]
         key = (i, j)
         if key not in pmemo:
             m = 1 << floor_log2(j - i)
@@ -269,7 +266,7 @@ def _tree_nodes(sc: _Scaffold):
 
     def qnode(i: int, j: int) -> int:
         if i == j:
-            return sc.cin if i == 1 else sc.pg[i - 1]["g"]
+            return sc.cin if i == 1 else sc.g[i - 1]
         key = (i, j)
         if key not in qmemo:
             m = 1 << floor_log2(i - j)
@@ -288,16 +285,17 @@ def _tree_nodes(sc: _Scaffold):
 # --- architectures ---
 
 
-def build_ripple(n: int) -> Netlist:
+def _ripple(spec: AdderSpec) -> Netlist:
     """Chain of full-adder cells; carry out of cell i feeds cell i+1.  This
     is the hybrid adder with a single block."""
-    return _block_chain(n, n, "ripple", {"width": n})
+    return _block_chain(spec, spec.width)
 
 
-def build_single_stage(n: int) -> Netlist:
+def _single_stage(spec: AdderSpec) -> Netlist:
     """Flat carry-lookahead: every carry is one Or over generate terms and
     propagate products, all available two gate levels after the pg stage."""
-    sc = _Scaffold(n)
+    sc = _Scaffold(spec)
+    n = sc.n
     sc.build_pg(range(1, n + 1))
     carry = sc.lookahead_carries(1, n, sc.cin, range(1, n + 1), "carry_network")
     s_ids, cout = sc.sum_stage(carry)
@@ -306,13 +304,14 @@ def build_single_stage(n: int) -> Netlist:
         + [f"G[{i}]" for i in range(1, n + 1)]
         + [f"carry[{i}]" for i in range(1, n + 1)]
     )
-    return sc.finish(s_ids, cout, "single_stage", {"width": n}, scope)
+    return sc.finish(s_ids, cout, scope)
 
 
-def build_tree(n: int) -> Netlist:
+def _tree(spec: AdderSpec) -> Netlist:
     """Logarithmic carry tree (Kogge-Stone style recursion) with a product
     tree evaluated in parallel; the carry into qudit i is q(i, 1)."""
-    sc = _Scaffold(n)
+    sc = _Scaffold(spec)
+    n = sc.n
     sc.build_pg(range(1, n + 1))
     qnode, q_keys = _tree_nodes(sc)
     s_ids, cout = sc.sum_stage({i: qnode(i + 1, 1) for i in range(1, n + 1)})
@@ -321,18 +320,15 @@ def build_tree(n: int) -> Netlist:
         + [f"G[{i}]" for i in range(1, n + 1)]
         + [f"cin[{i}]" for i in range(2, n + 1)]
     )
-    return sc.finish(
-        s_ids, cout, "tree", {"width": n}, scope, extra_meta={"q_nodes": q_keys}
-    )
+    return sc.finish(s_ids, cout, scope, extra_meta={"q_nodes": q_keys})
 
 
-def build_sparse(n: int, sparsity: int = 4) -> Netlist:
+def _sparse(spec: AdderSpec) -> Netlist:
     """Sparse carry tree: the tree materializes only every ``sparsity``-th
     carry (the block boundaries); a flat lookahead network fills each block,
     seeded by the masked boundary carry."""
-    if sparsity < 2:
-        raise ValueError("sparsity must be >= 2")
-    sc = _Scaffold(n)
+    sc = _Scaffold(spec)
+    n, sparsity = sc.n, spec.sparsity
     sc.build_pg(range(1, n + 1))
     qnode, q_keys = _tree_nodes(sc)
     boundaries = list(range(1 + sparsity, n + 2, sparsity))
@@ -354,29 +350,21 @@ def build_sparse(n: int, sparsity: int = 4) -> Netlist:
         + [f"cin[{i}]" for i in range(2, n + 1)]
         + ["cout"]
     )
-    return sc.finish(
-        s_ids,
-        cout,
-        "sparse",
-        {"width": n, "sparsity": sparsity},
-        scope,
-        extra_meta={"q_nodes": q_keys, "boundaries": boundaries},
-    )
+    return sc.finish(s_ids, cout, scope, extra_meta={"q_nodes": q_keys, "boundaries": boundaries})
 
 
-def build_hybrid(n: int, block: int) -> Netlist:
+def _hybrid(spec: AdderSpec) -> Netlist:
     """Serial/parallel hybrid: ripple cells inside each block, lookahead
     steps across blocks (block propagate = And of the block's P terms,
     block generate = flat lookahead with no carry-in term)."""
-    if not 1 <= block <= n:
-        raise ValueError("block must satisfy 1 <= block <= width")
-    return _block_chain(n, block, "hybrid", {"width": n, "block": block})
+    return _block_chain(spec, spec.block)
 
 
-def _block_chain(n: int, block: int, kind: str, params: dict) -> Netlist:
+def _block_chain(spec: AdderSpec, block: int) -> Netlist:
     """Ripple cells in blocks of ``block`` qudits, joined by the block-level
     carry chain; one block is the ripple adder."""
-    sc = _Scaffold(n)
+    sc = _Scaffold(spec)
+    n = sc.n
     starts = list(range(1, n + 1, block))
     blocks = [(lo, min(lo + block - 1, n)) for lo in starts]
     for lo, hi in blocks[:-1]:
@@ -404,12 +392,18 @@ def _block_chain(n: int, block: int, kind: str, params: dict) -> Netlist:
             cout = carry
         else:
             if lo == hi:
-                bp = sc.pg[lo]["p"]
+                bp = sc.p[lo]
             else:
-                bp = sc.emit("block_level", AND, *[sc.pg[i]["p"] for i in range(lo, hi + 1)])
+                bp = sc.emit("block_level", AND, *sc.p[lo:hi + 1])
             bg = sc.lookahead_carries(lo, hi, None, [hi], "block_level")[hi]
             step = sc.emit("block_level", AND, bp, bc_prev)
             bc_prev = sc.emit("block_level", OR, bg, step)
             sc.signals[f"carry[{hi}]"] = bc_prev
     scope = [f"carry[{i}]" for i in range(1, n + 1)]
-    return sc.finish(s_ids, cout, kind, params, scope)
+    return sc.finish(s_ids, cout, scope)
+
+
+# The one table of kinds: each kind's construction, in the order KINDS lists them.
+_CONSTRUCTIONS = {"ripple": _ripple, "single_stage": _single_stage, "tree": _tree,
+                  "sparse": _sparse, "hybrid": _hybrid}
+KINDS = tuple(_CONSTRUCTIONS)

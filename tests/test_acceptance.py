@@ -12,9 +12,6 @@ from quadder.analysis import closed_form, compare, rows_to_csv, sweep
 from quadder.builders import (
     AdderSpec,
     build,
-    build_ripple,
-    build_single_stage,
-    build_tree,
     ceil_log2,
     floor_log2,
 )
@@ -97,22 +94,22 @@ def test_criterion_3_randomized_correctness():
 def test_criterion_4_delay_formulas_exact():
     bad = []
     for n in range(1, 65):
-        nl = build_ripple(n)
+        nl = build(AdderSpec("ripple", n))
         d = netlist.measure(nl, nl.meta["delay_scope"], "included").depth
         if d != 5 * n:
             bad.append(("ripple", n, d))
     for n in range(1, 65):
-        nl = build_single_stage(n)
+        nl = build(AdderSpec("single_stage", n))
         d = netlist.measure(nl, nl.meta["delay_scope"], "included").depth
         if d != 6:
             bad.append(("single_stage", n, d))
     for n in range(2, 65):
-        nl = build_tree(n)
+        nl = build(AdderSpec("tree", n))
         d = netlist.measure(nl, nl.meta["delay_scope"], "included").depth
         if d != 4 + 2 * ceil_log2(n):
             bad.append(("tree", n, d))
-    for builder, kind in ((build_single_stage, "single_stage"), (build_tree, "tree")):
-        nl = builder(12)
+    for kind in ("single_stage", "tree"):
+        nl = build(AdderSpec(kind, 12))
         rep = netlist.measure(nl, nl.meta["delay_scope"], "included")
         for i in range(1, 13):
             if rep.per_signal_depth[f"P[{i}]"] != 3:
@@ -201,7 +198,7 @@ def test_criterion_7_curve_properties():
 def test_criterion_8_lemma_1_reach_bound():
     bad = []
     for n in range(2, 129):
-        nl = build_tree(n)
+        nl = build(AdderSpec("tree", n))
         levels = {}
 
         def level(i, j):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from strategies import RepeatingBuilder, netlists
 
 from quadder import netlist, qudit
-from quadder.builders import build_tree
+from quadder.builders import AdderSpec, build
 from quadder.netlist import AND, BITSWAP, INWARD, NOT, OR, OUTWARD, XOR, NetlistBuilder
 
 GATES = {AND: qudit.qand, OR: qudit.qor, XOR: qudit.qxor}
@@ -85,7 +85,7 @@ def test_gate_reading_one_node_twice_frees_its_slot_once():
 
 
 def test_digit_major_inputs_give_the_same_sums():
-    nl = build_tree(5)
+    nl = build(AdderSpec("tree", 5))
     rng = np.random.default_rng(3)
     a = rng.integers(0, 4, size=(1000, 5), dtype=np.uint8)
     b = rng.integers(0, 4, size=(1000, 5), dtype=np.uint8)
@@ -101,7 +101,7 @@ def test_digit_major_inputs_give_the_same_sums():
 def test_wide_batches_match_scalar_in_either_layout(n, cases):
     """Eight rows and more take the bit-transpose path: rows and cases that
     are not multiples of 8, and column-major inputs."""
-    nl = build_tree(n)
+    nl = build(AdderSpec("tree", n))
     rng = np.random.default_rng(n)
     a = rng.integers(0, 4, size=(cases, n), dtype=np.uint8)
     b = rng.integers(0, 4, size=(cases, n), dtype=np.uint8)
@@ -117,7 +117,7 @@ def test_wide_batches_match_scalar_in_either_layout(n, cases):
 
 
 def test_bad_batches_are_rejected():
-    nl = build_tree(2)
+    nl = build(AdderSpec("tree", 2))
     ok = np.zeros((4, 2), dtype=np.uint8)
     with pytest.raises(ValueError, match="non-qudit"):
         netlist.add_batch(nl, ok + 4, ok, np.zeros(4))
@@ -128,7 +128,7 @@ def test_bad_batches_are_rejected():
 
 
 def test_tree_256_batch_of_20000_stays_under_48_mib():
-    nl = build_tree(256)
+    nl = build(AdderSpec("tree", 256))
     rng = np.random.default_rng(0)
     a = rng.integers(0, 4, size=(20000, 256), dtype=np.uint8)
     b = rng.integers(0, 4, size=(20000, 256), dtype=np.uint8)

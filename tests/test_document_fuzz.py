@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadder import netlist
-from quadder.builders import build_ripple, build_tree
+from quadder.builders import AdderSpec, build
 from quadder.cli import main
 
-DOCS = [json.loads(netlist.to_json(build(2))) for build in (build_ripple, build_tree)]
+DOCS = [json.loads(netlist.to_json(build(AdderSpec(kind, 2)))) for kind in ("ripple", "tree")]
 KINDS = [*sorted(netlist.MULTI_KINDS | netlist.UNARY_KINDS | netlist.LEAF_KINDS), "nand"]
 ODD = st.sampled_from([True, False, 1.0, 2.5, "1", "and", None, [], {}, [1, 2]])
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from quadder import builders, netlist
 
-BASE = json.loads(netlist.to_json(builders.build_ripple(2)))
+BASE = json.loads(netlist.to_json(builders.build(builders.AdderSpec("ripple", 2))))
 
 TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t", "\x00\x1f", "é€😀", " ",
                                                "\ud800", "</script>", ""])
@@ -67,7 +67,7 @@ def test_memoized_lowering_matches_recursive_split(kind):
 def test_nodes_that_break_rules_cannot_be_added():
     """A netlist checks itself when it is made, also by ``dataclasses.replace``:
     list kinds, bool ids, stray or missing values and names, inputs on a const."""
-    nl = builders.build_ripple(1)
+    nl = builders.build(builders.AdderSpec("ripple", 1))
     odd = [
         netlist.Node(["and"], (0, 1), None, None),
         netlist.Node("and", (0, True), 3, "é"),

@@ -10,7 +10,7 @@ import reference
 from strategies import RepeatingBuilder
 
 from quadder import netlist, qudit
-from quadder.builders import build_ripple, build_tree
+from quadder.builders import AdderSpec, build
 from quadder.netlist import (
     AND,
     BITSWAP,
@@ -144,13 +144,13 @@ def test_pass_through_identity():
 
 
 def test_full_adder_netlist_matches_cell():
-    nl = build_ripple(1)
+    nl = build(AdderSpec("ripple", 1))
     s, c = netlist.evaluate_words(nl, (1,), (2,), 1)
     assert (s, c) == ((0,), 1)
 
 
 def test_evaluation_is_pure_and_deterministic():
-    nl = build_tree(3)
+    nl = build(AdderSpec("tree", 3))
     before = nl.nodes
     got1 = netlist.evaluate_words(nl, (1, 2, 3), (3, 0, 1), 1)
     got2 = netlist.evaluate_words(nl, (1, 2, 3), (3, 0, 1), 1)
@@ -159,7 +159,7 @@ def test_evaluation_is_pure_and_deterministic():
 
 
 def test_batch_matches_scalar():
-    nl = build_tree(2)
+    nl = build(AdderSpec("tree", 2))
     rng = np.random.default_rng(7)
     a = rng.integers(0, 4, size=(50, 2), dtype=np.uint8)
     b = rng.integers(0, 4, size=(50, 2), dtype=np.uint8)
@@ -195,7 +195,7 @@ def test_mask_conventions_in_measure():
 
 
 def test_ripple_carry_cone_measurements():
-    nl = build_ripple(1)
+    nl = build(AdderSpec("ripple", 1))
     inc = netlist.measure(nl, ["cout"], "included")
     exc = netlist.measure(nl, ["cout"], "excluded")
     assert inc.depth == 5
@@ -213,7 +213,7 @@ def test_ripple_carry_cone_measurements():
 ], ids=["measure", "node_depths", "count_group", "signal_depths"])
 def test_unknown_mask_convention_is_rejected(query):
     with pytest.raises(ValueError, match="bad mask_counting"):
-        query(build_tree(4))
+        query(build(AdderSpec("tree", 4)))
 
 
 @pytest.mark.parametrize("query, bad", [
@@ -231,7 +231,7 @@ def test_unknown_mask_convention_is_rejected(query):
 def test_queries_reject_bad_ids(query, bad):
     """A bad id or a bare string is a ValueError that names it, never a
     wrapped-around index, a bool read as 1 or a string read letter by letter."""
-    nl = build_ripple(1)
+    nl = build(AdderSpec("ripple", 1))
     assert len(nl.nodes) == 17
     with pytest.raises(ValueError, match=f"(id|string) {re.escape(bad)}[ ,]"):
         query(nl)
@@ -250,7 +250,7 @@ def test_depth_monotone_under_construction():
 
 
 def test_json_round_trip_structural_identity():
-    nl = build_ripple(4)
+    nl = build(AdderSpec("ripple", 4))
     doc = netlist.to_json(nl)
     back = netlist.from_json(doc)
     assert back == nl
@@ -258,7 +258,7 @@ def test_json_round_trip_structural_identity():
 
 
 def test_import_rejects_bad_documents():
-    nl = build_ripple(2)
+    nl = build(AdderSpec("ripple", 2))
     doc = netlist.to_json(nl)
 
     with pytest.raises(DocumentError) as err:
@@ -296,7 +296,7 @@ def test_dot_export_has_one_edge_per_fanin():
 
 
 def test_lower_fanin2_equivalence_and_bound():
-    nl = build_tree(4)
+    nl = build(AdderSpec("tree", 4))
     low = netlist.lower_fanin2(nl)
     assert max(len(n.inputs) for n in low.gate_nodes()) == 2
     rng = np.random.default_rng(3)

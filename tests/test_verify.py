@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadder import netlist, qudit, verify
-from quadder.builders import build_ripple, build_sparse, build_tree
+from quadder.builders import AdderSpec, build
 from quadder.netlist import Netlist
 
 
@@ -43,16 +43,16 @@ def test_oracle_agrees_with_cells_ripple():
 
 
 def test_exhaustive_counts_and_bound():
-    report = verify.check_exhaustive(build_ripple(2))
+    report = verify.check_exhaustive(build(AdderSpec("ripple", 2)))
     assert report.passed and report.cases_run == 512
-    report = verify.check_exhaustive(build_tree(3))
+    report = verify.check_exhaustive(build(AdderSpec("tree", 3)))
     assert report.passed and report.cases_run == 8192
     with pytest.raises(ValueError, match="use check_random"):
-        verify.check_exhaustive(build_ripple(9))
+        verify.check_exhaustive(build(AdderSpec("ripple", 9)))
 
 
 def test_random_corners_and_determinism():
-    nl = build_sparse(16, 4)
+    nl = build(AdderSpec("sparse", 16, sparsity=4))
     r1 = verify.check_random(nl, 1000, seed=42)
     r2 = verify.check_random(nl, 1000, seed=42)
     assert r1.passed
@@ -64,7 +64,7 @@ def test_random_corners_and_determinism():
 
 
 def test_all_threes_plus_carry_corner():
-    nl = build_tree(32)
+    nl = build(AdderSpec("tree", 32))
     s, c = netlist.evaluate_words(nl, (3,) * 32, (0,) * 32, 1)
     assert s == (0,) * 32 and c == 1
 
@@ -106,7 +106,7 @@ def mutation_catalogue(nl: Netlist, count: int = 20, seed: int = 2024):
 
 
 def test_corrupted_netlist_is_reported_with_replay_inputs():
-    nl = build_ripple(2)
+    nl = build(AdderSpec("ripple", 2))
     and_id = next(nid for nid, n in enumerate(nl.nodes) if n.kind == "and")
     bad = _mutate(nl, and_id, "or")
     report = verify.check_exhaustive(bad)
@@ -121,7 +121,7 @@ def test_corrupted_netlist_is_reported_with_replay_inputs():
 
 
 def test_mutation_catalogue_all_caught():
-    nl = build_ripple(2)
+    nl = build(AdderSpec("ripple", 2))
     catalogue = mutation_catalogue(nl, count=20, seed=2024)
     assert len(catalogue) == 20
     assert catalogue == mutation_catalogue(nl, count=20, seed=2024)
@@ -142,7 +142,7 @@ def test_truth_tables_report():
 def test_report_serialization_round_trip():
     import json
 
-    report = verify.check_random(build_tree(4), 50, seed=9)
+    report = verify.check_random(build(AdderSpec("tree", 4)), 50, seed=9)
     doc = json.loads(report.to_json())
     assert doc["passed"] is True
     assert doc["seed"] == 9
