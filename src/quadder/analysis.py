@@ -31,6 +31,7 @@ Counts:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from . import netlist
@@ -226,9 +227,8 @@ CSV_HEADER = (
 
 def rows_to_csv(rows) -> str:
     """One line per row, its fields in CSV_HEADER's column order; None is an empty field."""
-    names = CSV_HEADER.split(",")
+    values = operator.attrgetter(*CSV_HEADER.split(","))
     out = [CSV_HEADER]
     for r in rows:
-        values = (getattr(r, name) for name in names)
-        out.append(",".join("" if v is None else str(v) for v in values))
+        out.append(",".join(["" if v is None else str(v) for v in values(r)]))
     return "\n".join(out) + "\n"

@@ -48,7 +48,7 @@ def ceil_log2(x: int) -> int:
 
 @dataclass(frozen=True)
 class AdderSpec:
-    """Architecture selector plus width and block parameters: the one
+    """Architecture selector plus its width, sparsity and block: the one
     place they are checked, so a construction takes its spec as given."""
 
     kind: str

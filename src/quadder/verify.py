@@ -5,7 +5,8 @@ quaternary operators, so a defect in the algebra cannot hide a matching
 defect in a netlist.  Exhaustive checks cover every assignment at small
 widths; randomized checks use a seeded PCG64 generator plus a fixed set of
 corner vectors.  Both run over chunks of at most ``CHUNK_CASES`` cases, so
-a check's memory does not grow with its case count.
+a random check's memory does not grow with its trial count; an exhaustive
+check makes its cases once, at most about 1.2 MB at the width bound.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def _collect_mismatches(a, b, cin, want_s, want_c, got_s, got_c) -> MismatchTabl
 
 def _check(nl: Netlist, chunk, count: int) -> MismatchTable:
     """The mismatch records of ``count`` cases, CHUNK_CASES at a time:
-    ``chunk(lo, hi)`` makes the (a, b, cin) of cases lo..hi-1.  Outputs are
+    ``chunk(lo, hi)`` gives the (a, b, cin) of cases lo..hi-1.  Outputs are
     compared with the oracle as limbs; only the failing cases are kept, and
     their records get one canonical sort at the end."""
     n = nl.width
@@ -276,7 +277,6 @@ def check_exhaustive(nl: Netlist) -> VerifyReport:
             f"width {n} exceeds the exhaustive bound {EXHAUSTIVE_WIDTH_BOUND}; use check_random"
         )
     words = (np.arange(4**n)[:, None] >> 2 * np.arange(n) & 3).astype(np.uint8)
-    # All the cases at once: at the bound, 2 * 16^4 of them, about 1.2 MB.
     a = np.repeat(words, 2 * 4**n, axis=0)
     b = np.tile(np.repeat(words, 2, axis=0), (4**n, 1))
     cin = np.tile(np.uint8([0, 1]), 16**n)
