@@ -3,7 +3,7 @@
 Digit strings on the command line are most-significant digit first; the
 in-memory word order (least significant first) never leaks through this
 module.  Exit codes: 0 success, 1 verification mismatch or output I/O
-failure, 2 usage or validation error.
+failure, 2 usage or validation error (an unreadable input document too).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 from . import analysis, builders, netlist, verify
 
@@ -41,30 +42,33 @@ def _format_digits(word) -> str:
 
 
 def _parse_widths(text: str) -> list[int]:
-    """Comma-separated width tokens; each token is an integer or lo..hi."""
+    """Comma-separated width tokens; each token is n or lo..hi, with 1 <= lo <= hi."""
     widths = []
     for token in text.split(","):
-        token = token.strip()
-        if ".." in token:
-            lo, hi = token.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if lo < 1 or hi < lo:
-                raise ValueError(f"bad width range: {token!r}")
-            widths.extend(range(lo, hi + 1))
-        else:
-            n = int(token)
-            if n < 1:
-                raise ValueError(f"bad width: {token!r}")
-            widths.append(n)
+        lo, dots, hi = token.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if dots else lo)
+        except ValueError:
+            lo = hi = 0   # not a number: fails the range check below
+        if not 1 <= lo <= hi:
+            raise ValueError(f"bad width: {token.strip()!r}; use n or lo..hi with 1 <= lo <= hi")
+        widths.extend(range(lo, hi + 1))
     return widths
 
 
 def _write_output(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(path).write_text(text, encoding="utf-8")
+
+
+def _read_netlist(path: str) -> netlist.Netlist:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    return netlist.from_json(text)
 
 
 def cmd_build(args) -> int:
@@ -79,8 +83,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.netlist, "r", encoding="utf-8") as fh:
-        nl = netlist.from_json(fh.read())
+    nl = _read_netlist(args.netlist)
     a = _parse_digits(args.a, nl.width, "--a")
     b = _parse_digits(args.b, nl.width, "--b")
     s, cout = netlist.evaluate_words(nl, a, b, args.cin)
@@ -90,8 +93,9 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.netlist is not None:
-        with open(args.netlist, "r", encoding="utf-8") as fh:
-            nl = netlist.from_json(fh.read())
+        nl = _read_netlist(args.netlist)
+    elif args.kind is None or args.width is None:
+        raise ValueError("verify needs either --netlist or --kind/--width")
     else:
         nl = builders.build(_spec_from_args(args))
     if args.exhaustive:
@@ -191,12 +195,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "verify" and args.netlist is None and (
-            args.kind is None or args.width is None
-        ):
-            raise ValueError("verify needs either --netlist or --kind/--width")
         return args.fn(args)
-    except (ValueError, netlist.DocumentError) as exc:
+    except ValueError as exc:   # a DocumentError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:   # often raised with no message

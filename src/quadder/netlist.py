@@ -334,10 +334,12 @@ class _Plan(NamedTuple):
 
 
 def _qudits(values, what: str) -> np.ndarray:
-    values = np.asarray(values, dtype=np.uint8)
-    if values.size and values.max() > 3:
+    values = np.asarray(values)
+    with np.errstate(invalid="ignore"):   # a copy must equal its input (256, -1, 2.5, NaN do not)
+        digits = values.astype(np.uint8, copy=False)
+    if digits.size and (digits.max() > 3 or digits is not values and (digits != values).any()):
         raise ValueError(f"{what} holds non-qudit values")
-    return values
+    return digits
 
 
 def _transpose_bits(words: np.ndarray) -> None:

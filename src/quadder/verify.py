@@ -90,13 +90,6 @@ class MismatchTable:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
 
-    def as_dicts(self) -> list[dict]:
-        names = _signal_names(self.a.shape[1])
-        return [{"a": a, "b": b, "cin": c, "signal": names[s], "expected": e, "actual": g}
-                for a, b, c, s, e, g in zip(self.a.tolist(), self.b.tolist(), self.cin.tolist(),
-                                            self.signal.tolist(), self.expected.tolist(),
-                                            self.actual.tolist())]
-
     def to_json(self) -> str:
         """The records as the ``mismatches`` value of a report: the text
         ``json.dumps`` writes with indent 2 for the list one level deep.
@@ -136,7 +129,7 @@ class MismatchTable:
 class VerifyReport:
     """A check's outcome.  ``records`` is a MismatchTable for the batch
     checks and a list of dicts for the truth tables; ``mismatches`` reads
-    either as a list of dicts."""
+    the records back from the report text as a list of dicts."""
 
     mode: str                 # "exhaustive" | "random" | "truth-tables"
     cases_run: int
@@ -152,9 +145,7 @@ class VerifyReport:
 
     @cached_property
     def mismatches(self) -> list:
-        if isinstance(self.records, MismatchTable):
-            return self.records.as_dicts()
-        return self.records
+        return json.loads(self.to_json())["mismatches"]
 
     def to_json(self) -> str:
         """The report as JSON with indent 2, byte for byte what ``json.dumps``
@@ -222,15 +213,13 @@ def _signal_names(n: int) -> list[str]:
     return [*(f"S[{j + 1}]" for j in range(n)), "cout"]
 
 
-def _collect_mismatches(a, b, cin, want_s, want_c, got_s, got_c) -> MismatchTable:
+def _collect_mismatches(a, b, cin, want, got) -> MismatchTable:
     """The per-signal mismatch records of the given cases, canonically ordered.
 
-    Digits are case-major: (cases, width).  Each wrong signal of a case
-    becomes one record.
+    Case-major digits: a and b are (cases, width); want and got are (cases,
+    width + 1), S[1..n] then cout.  Each wrong signal of a case is a record.
     """
     n = a.shape[1]
-    want = np.concatenate([want_s, want_c[:, None]], axis=1)   # (cases, signals)
-    got = np.concatenate([got_s, got_c[:, None]], axis=1)
     case, signal = np.nonzero(want != got)
     rank = np.empty(n + 1, dtype=np.intp)   # each signal's place in name order
     names = _signal_names(n)
@@ -246,8 +235,8 @@ def _collect_mismatches(a, b, cin, want_s, want_c, got_s, got_c) -> MismatchTabl
 def _check(nl: Netlist, chunk, count: int) -> MismatchTable:
     """The mismatch records of ``count`` cases, CHUNK_CASES at a time:
     ``chunk(lo, hi)`` gives the (a, b, cin) of cases lo..hi-1.  Outputs are
-    compared with the oracle as limbs; only the failing cases are kept, and
-    their records get one canonical sort at the end."""
+    compared with the oracle as limbs; only the failing cases are kept, each
+    with its outputs as one row, and their records get one sort at the end."""
     n = nl.width
     top, shift = divmod(2 * n, 64)   # where the carry out sits in the limbs
     kept = []
@@ -260,12 +249,13 @@ def _check(nl: Netlist, chunk, count: int) -> MismatchTable:
         # Not any(axis=1), slow over a few limbs, nor np.unique, 1.5 MB of RSS on first use.
         rows = np.flatnonzero(got != want) // got.shape[1]
         bad = rows[np.diff(rows, prepend=-1) != 0]
-        kept.append((a[bad], b[bad], cin[bad], want[bad], got_s[bad], got_c[bad]))
+        kept.append((a[bad], b[bad], cin[bad], want[bad],
+                     np.column_stack((got_s[bad], got_c[bad]))))   # S[1..n], then cout
         del a, b, got_s   # before the next chunk is made
-    a, b, cin, want, got_s, got_c = map(np.concatenate, zip(*kept))
+    a, b, cin, want, got = map(np.concatenate, zip(*kept))
     bits = np.unpackbits(want.view(np.uint8), axis=1, count=2 * n + 2, bitorder="little")
-    digits = bits[:, 1::2] + bits[:, 1::2] | bits[:, ::2]   # S[1..n] and cout
-    return _collect_mismatches(a, b, cin, digits[:, :n], digits[:, n], got_s, got_c)
+    want = bits[:, 1::2] + bits[:, 1::2] | bits[:, ::2]   # S[1..n], then cout
+    return _collect_mismatches(a, b, cin, want, got)
 
 
 def check_exhaustive(nl: Netlist) -> VerifyReport:
@@ -329,8 +319,9 @@ def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
     so identical seeds reproduce identical reports byte for byte.  Each
     chunk's draws jump ahead to their place in the stream.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if type(value) is not int or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
     n = nl.width
     if trials * n > RANDOM_DIGITS_CAP:
         raise ValueError(f"{trials} trials x width {n} exceeds the random-check cap "

@@ -127,6 +127,20 @@ def test_bad_batches_are_rejected():
         netlist.add_batch(nl, ok, ok, np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [256, -1, 2.5, np.nan])
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_digits_are_checked_before_they_are_cast(bad, place):
+    """256 would wrap to 0, -1 to 255 and 2.5 truncate to 2; a NaN raises no
+    cast warning first."""
+    nl = build(AdderSpec("tree", 2))
+    args = [np.ones((4, 2)), np.ones((4, 2), dtype=np.int64), np.ones(4)]
+    s, cout = netlist.add_batch(nl, *args)   # integral values of any dtype are digits
+    assert s.tolist() == [[3, 2]] * 4 and cout.tolist() == [0] * 4
+    args[place] = np.full(args[place].shape, bad)
+    with pytest.raises(ValueError, match="non-qudit"):
+        netlist.add_batch(nl, *args)
+
+
 def test_tree_256_batch_of_20000_stays_under_48_mib():
     nl = build(AdderSpec("tree", 256))
     rng = np.random.default_rng(0)

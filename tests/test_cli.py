@@ -83,6 +83,10 @@ def test_verify_exhaustive_and_bound(tmp_path, capsys):
                        "--exhaustive")
     assert code == 2 and "bound" in err
 
+    code, stdout, err = run(capsys, "verify", "--width", "3", "--exhaustive")
+    assert code == 2 and stdout == ""
+    assert err == "error: verify needs either --netlist or --kind/--width\n"
+
 
 def test_verify_random_and_report_file(tmp_path, capsys):
     out = tmp_path / "report.json"
@@ -173,8 +177,14 @@ def test_sweep_row_count_and_determinism(tmp_path, capsys):
                        "--widths", "2..4")
     assert code == 2 and "zigzag" in err
 
-    code, _, _ = run(capsys, "sweep", "--kinds", "tree", "--widths", "0..3")
-    assert code == 2
+    for widths in ("0", "0..3", "3..1", "2..", "x", "1..2..3", "2,,3"):
+        code, stdout, err = run(capsys, "sweep", "--kinds", "tree", "--widths", widths)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: bad width: '") and "Traceback" not in err
+
+    code, stdout, _ = run(capsys, "sweep", "--kinds", "tree", "--widths", "2..4, 7")
+    assert code == 0
+    assert [line.split(",")[1] for line in stdout.splitlines()[1:]] == ["2", "3", "4", "7"]
 
 
 def test_unknown_flags_rejected(capsys):
@@ -184,6 +194,30 @@ def test_unknown_flags_rejected(capsys):
     code, _, _ = run(capsys, "verify", "--kind", "tree", "--width", "4", "--exhaustive",
                      "--bound", "4")
     assert code == 2
+
+
+def test_unreadable_document_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        for argv in (["eval", "--netlist", str(path), "--a", "01", "--b", "02"],
+                     ["verify", "--netlist", str(path), "--exhaustive"]):
+            code, stdout, err = run(capsys, *argv)
+            assert code == 2 and stdout == ""
+            assert err.startswith(f"error: cannot read {path}: ") and "Traceback" not in err
+
+
+def test_dash_is_an_ordinary_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    dash = tmp_path / "-"
+    code, stdout, _ = run(capsys, "verify", "--kind", "tree", "--width", "2", "--exhaustive",
+                          "--out", "-")
+    assert code == 0 and json.loads(stdout)["passed"] is True
+    assert dash.read_text() == stdout
+    code, stdout, _ = run(capsys, "build", "--kind", "tree", "--width", "2", "--out", "-")
+    assert code == 0 and stdout.startswith("tree width=2 gates=") and stdout.count("\n") == 1
+    assert netlist.from_json(dash.read_text()).width == 2
+    code, stdout, _ = run(capsys, "analyze", "--kind", "tree", "--width", "2", "--csv", "-")
+    assert code == 0 and stdout == "wrote -\n"
+    assert dash.read_text().startswith("kind,n,")
 
 
 def test_write_failure_maps_to_exit_1(tmp_path, capsys):

@@ -63,6 +63,40 @@ def test_random_corners_and_determinism():
         verify.check_random(nl, 0, seed=1)
 
 
+@pytest.mark.parametrize("wrong, trials, seed", [
+    ("seed", 10, None), ("seed", 10, True), ("seed", 10, np.int64(1)), ("seed", 10, -1),
+    ("trials", True, 1), ("trials", 2.5, 1), ("trials", 0, 1)])
+def test_random_check_takes_exact_ints(wrong, trials, seed):
+    """An unseeded check could not be reproduced, and a bool would be
+    recorded as true."""
+    with pytest.raises(ValueError, match=f"{wrong} must be an int"):
+        verify.check_random(build(AdderSpec("ripple", 2)), trials, seed)
+
+
+def test_checks_reach_the_layers_by_module_lookup(monkeypatch):
+    """The kernel, the oracle and the mismatch collector are looked up on
+    their modules at call time, so a wrapper put in their place sees every
+    check's calls."""
+    calls = {}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((netlist, "add_batch"), (verify, "_oracle_batch"),
+                         (verify, "_collect_mismatches")):
+        counting(module, name)
+    nl = build(AdderSpec("tree", 2))
+    for check in (lambda: verify.check_random(nl, 100, 1), lambda: verify.check_exhaustive(nl)):
+        calls.clear()
+        check()
+        assert calls == {"add_batch": 1, "_oracle_batch": 1, "_collect_mismatches": 1}
+
+
 def test_all_threes_plus_carry_corner():
     nl = build(AdderSpec("tree", 32))
     s, c = netlist.evaluate_words(nl, (3,) * 32, (0,) * 32, 1)
