@@ -94,35 +94,38 @@ class MismatchTable:
         """The records as the ``mismatches`` value of a report: the text
         ``json.dumps`` writes with indent 2 for the list one level deep.
 
-        Every value is one decimal digit, so the head of a record (its a and
-        b digit lines and cin) has a fixed layout per width: one template
-        row per record is filled and decoded at once.  The tail (signal,
-        expected, actual) takes one of a few texts, each formatted once.
+        Every value but the signal name is one decimal digit, so all records
+        share one fixed-width template, its name slot as wide as the longest
+        name.  The template is tiled into one buffer, each value column is
+        written there by one strided copy and the buffer is decoded once; a
+        shorter name is padded with NUL bytes, which one pass removes.
         """
         count, n = self.a.shape
         if not count:
             return "[]"
-        digits = ",\n".join(["        #"] * n)
+        names = [name.encode() for name in _signal_names(n)]
+        lengths = np.array([len(name) for name in names])[self.signal]
+        longest = lengths.max()
+        names = np.array(names, dtype=f"S{longest}")   # NUL-padded; longer ones go unused
+        digits = ",\n".join(["        #"] * n)   # a digit line every 11 bytes
         template = np.frombuffer(
-            f',\n    {{\n      "a": [\n{digits}\n      ],\n      "b": [\n{digits}\n'
-            f'      ],\n      "cin": #,\n'.encode(), dtype=np.uint8)
-        rows = np.tile(template, (count, 1))
-        rows[:, template == ord("#")] = np.hstack([self.a, self.b, self.cin[:, None]]) + ord("0")
-        heads = rows.tobytes().decode()
-        size = template.size
-        names = _signal_names(n)
-        tails = {}
-        parts = []
-        for i, key in enumerate(zip(self.signal.tolist(), self.expected.tolist(),
-                                    self.actual.tolist())):
-            tail = tails.get(key)
-            if tail is None:
-                s, e, g = key
-                tail = tails[key] = (f'      "signal": "{names[s]}",\n      "expected": {e},\n'
-                                     f'      "actual": {g}\n    }}')
-            parts += (heads[i * size:(i + 1) * size], tail)
-        parts[0] = parts[0][1:]   # the first record has no separating comma
-        return "[" + "".join(parts) + "\n  ]"
+            f',\n    {{\n      "a": [\n{digits}\n      ],\n      "b": [\n{digits}\n      ],\n'
+            f'      "cin": #,\n      "signal": "{"@" * names.itemsize}",\n      "expected": #,\n'
+            f'      "actual": #\n    }}'.encode(), dtype=np.uint8)
+        buf = np.empty(count * template.size + 4, dtype=np.uint8)
+        rows = buf[:-4].reshape(count, template.size)
+        rows[:] = template
+        buf[0], buf[-4:] = ord("["), list(b"\n  ]")
+        marks = np.flatnonzero(template == ord("#"))   # a digits, b digits, cin, expected, actual
+        columns = (self.a, self.b, *(v[:, None] for v in (self.cin, self.expected, self.actual)))
+        for start, values in zip(marks[[0, n, -3, -2, -1]], columns):
+            np.add(values, ord("0"), out=rows[:, start:start + 11 * values.shape[1]:11],
+                   casting="unsafe")
+        slot = np.flatnonzero(template == ord("@"))
+        rows[:, slot] = names.view(np.uint8).reshape(n + 1, -1)[self.signal]
+        text = str(buf, "ascii")
+        del buf, rows   # before the copy without the padding
+        return text if lengths.min() == longest else text.replace("\0", "")
 
 
 @dataclass
@@ -263,9 +266,8 @@ def check_exhaustive(nl: Netlist) -> VerifyReport:
     turn, with b running through the words and cin through 0, 1."""
     n = nl.width
     if n > EXHAUSTIVE_WIDTH_BOUND:
-        raise ValueError(
-            f"width {n} exceeds the exhaustive bound {EXHAUSTIVE_WIDTH_BOUND}; use check_random"
-        )
+        raise ValueError(f"width {n} exceeds the exhaustive bound {EXHAUSTIVE_WIDTH_BOUND}; "
+                         "check it with random trials instead")
     words = (np.arange(4**n)[:, None] >> 2 * np.arange(n) & 3).astype(np.uint8)
     a = np.repeat(words, 2 * 4**n, axis=0)
     b = np.tile(np.repeat(words, 2, axis=0), (4**n, 1))

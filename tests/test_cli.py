@@ -79,9 +79,11 @@ def test_verify_exhaustive_and_bound(tmp_path, capsys):
     assert code == 0
     assert json.loads(stdout)["passed"] is True
 
-    code, _, err = run(capsys, "verify", "--kind", "ripple", "--width", "9",
-                       "--exhaustive")
-    assert code == 2 and "bound" in err
+    code, stdout, err = run(capsys, "verify", "--kind", "ripple", "--width", "9",
+                            "--exhaustive")
+    assert code == 2 and stdout == ""
+    assert err == ("error: width 9 exceeds the exhaustive bound 4; "
+                   "check it with random trials instead\n")
 
     code, stdout, err = run(capsys, "verify", "--width", "3", "--exhaustive")
     assert code == 2 and stdout == ""
@@ -139,6 +141,17 @@ def test_verify_catches_corrupted_stored_netlist(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", "--netlist", str(out), "--exhaustive")
     assert code == 1
     assert json.loads(stdout)["mismatches"]
+
+
+def test_verify_netlist_excludes_kind_and_width(tmp_path, capsys):
+    """A stored document and a built spec are two sources: naming both, or
+    --netlist with either spec flag, is a usage error, not a silent pick."""
+    out = tmp_path / "t2.json"
+    run(capsys, "build", "--kind", "tree", "--width", "2", "--out", str(out))
+    for spec in (["--kind", "ripple", "--width", "9"], ["--kind", "ripple"], ["--width", "2"]):
+        code, stdout, err = run(capsys, "verify", "--netlist", str(out), *spec, "--exhaustive")
+        assert code == 2 and stdout == ""
+        assert err == "error: verify takes either --netlist or --kind/--width, not both\n"
 
 
 def test_analyze_row(capsys):

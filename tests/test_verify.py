@@ -47,7 +47,7 @@ def test_exhaustive_counts_and_bound():
     assert report.passed and report.cases_run == 512
     report = verify.check_exhaustive(build(AdderSpec("tree", 3)))
     assert report.passed and report.cases_run == 8192
-    with pytest.raises(ValueError, match="use check_random"):
+    with pytest.raises(ValueError, match="^width 9 exceeds the exhaustive bound 4; check it with random trials instead$"):
         verify.check_exhaustive(build(AdderSpec("ripple", 9)))
 
 
