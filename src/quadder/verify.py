@@ -96,7 +96,7 @@ class MismatchTable:
 
         Every value but the signal name is one decimal digit, so all records
         share one fixed-width template, its name slot as wide as the longest
-        name.  The template is tiled into one buffer, each value column is
+        name in the report.  The template is tiled into one buffer, each value column is
         written there by one strided copy and the buffer is decoded once; a
         shorter name is padded with NUL bytes, which one pass removes.
         """
@@ -106,7 +106,7 @@ class MismatchTable:
         names = [name.encode() for name in _signal_names(n)]
         lengths = np.array([len(name) for name in names])[self.signal]
         longest = lengths.max()
-        names = np.array(names, dtype=f"S{longest}")   # NUL-padded; longer ones go unused
+        names = np.array(names, dtype=f"S{longest}")   # NUL-padded; names cut short are unused
         digits = ",\n".join(["        #"] * n)   # a digit line every 11 bytes
         template = np.frombuffer(
             f',\n    {{\n      "a": [\n{digits}\n      ],\n      "b": [\n{digits}\n      ],\n'

@@ -4,13 +4,15 @@ The reference evaluates every case with the scalar evaluator and the
 integer oracle, makes one dict per wrong output signal, sorts the dicts in
 Python by (a, b, cin, signal) and writes the report with
 ``json.dumps(doc, indent=2)``.  The netlists are built adders with up to
-three gates of their carry network (at least one where it has any) changed to another kind of the same
-fan-in.
+three gates of their carry network (at least one where it has any)
+changed to another kind of the same fan-in.  The writer is also checked
+alone, on tables drawn with no netlist.
 """
 
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -133,3 +135,69 @@ def test_equal_checks_give_equal_reports():
     assert verify.check_exhaustive(bad) == verify.check_exhaustive(bad)
     assert verify.check_random(bad, 30, 4) != verify.check_random(bad, 30, 5)
     assert verify.check_random(nl, 30, 4) == verify.check_random(nl, 30, 4)
+
+
+def reference_text(table):
+    """The table's records as dicts, written as a report writes a list of
+    records: ``json.dumps`` with indent 2, nested one level."""
+    names = [*(f"S[{j + 1}]" for j in range(table.a.shape[1])), "cout"]
+    columns = (table.a, table.b, table.cin, table.signal, table.expected, table.actual)
+    records = [{"a": a, "b": b, "cin": cin, "signal": names[signal], "expected": want,
+                "actual": got}
+               for a, b, cin, signal, want, got in zip(*(c.tolist() for c in columns))]
+    return json.dumps(records, indent=2).replace("\n", "\n  ")
+
+
+@st.composite
+def tables(draw):
+    """MismatchTables drawn directly, with no netlist: any digits and signals
+    in any order, at widths whose names take 4, 5 and 6 characters, the
+    signals all one name or any mix of names."""
+    n, count = draw(st.integers(1, 300)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))   # shrinks fast, unlike arrays
+
+    def digits(shape, top):
+        return rng.integers(0, top + 1, shape, dtype=np.uint8)
+
+    signal = st.integers(0, n)
+    signals = ([draw(signal)] * count if draw(st.booleans())
+               else draw(st.lists(signal, min_size=count, max_size=count)))
+    return verify.MismatchTable(a=digits((count, n), 3), b=digits((count, n), 3),
+                                cin=digits(count, 1), signal=np.array(signals, dtype=np.intp),
+                                expected=digits(count, 3), actual=digits(count, 3))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(table=tables())
+def test_table_text_matches_json_dumps(table):
+    assert table.to_json() == reference_text(table)
+
+
+def test_empty_and_one_record_tables():
+    empty = np.zeros((0, 3), dtype=np.uint8)
+    none = np.zeros(0, dtype=np.uint8)
+    table = verify.MismatchTable(a=empty, b=empty, cin=none, signal=none.astype(np.intp),
+                                 expected=none, actual=none)
+    assert table.to_json() == reference_text(table) == "[]"
+    one = verify.MismatchTable(a=np.uint8([[1, 2]]), b=np.uint8([[3, 0]]), cin=np.uint8([1]),
+                               signal=np.intp([2]), expected=np.uint8([2]), actual=np.uint8([0]))
+    assert one.to_json() == reference_text(one) == (
+        '[\n    {\n      "a": [\n        1,\n        2\n      ],\n'
+        '      "b": [\n        3,\n        0\n      ],\n      "cin": 1,\n'
+        '      "signal": "cout",\n      "expected": 2,\n      "actual": 0\n    }\n  ]')
+
+
+def test_report_text_peak_memory():
+    """A failing report of about 20,000 records at width 16 is written with
+    at most three times its text allocated at the peak."""
+    nl = builders.build(builders.spec_for("ripple", 16))
+    ab = nl.nodes.index(netlist.Node("and", (nl.a_ports[0], nl.b_ports[0])))
+    report = verify.check_random(faulted(nl, [ab]), 33500, 1)
+    assert 19_000 < len(report.records) < 21_000
+    tracemalloc.start()
+    try:
+        text = report.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)

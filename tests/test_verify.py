@@ -47,7 +47,8 @@ def test_exhaustive_counts_and_bound():
     assert report.passed and report.cases_run == 512
     report = verify.check_exhaustive(build(AdderSpec("tree", 3)))
     assert report.passed and report.cases_run == 8192
-    with pytest.raises(ValueError, match="^width 9 exceeds the exhaustive bound 4; check it with random trials instead$"):
+    bound = "^width 9 exceeds the exhaustive bound 4; check it with random trials instead$"
+    with pytest.raises(ValueError, match=bound):
         verify.check_exhaustive(build(AdderSpec("ripple", 9)))
 
 
