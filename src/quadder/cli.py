@@ -26,7 +26,8 @@ def _canonical_kind(text: str) -> str:
 
 
 def _spec_from_args(args) -> builders.AdderSpec:
-    return builders.spec_for(_canonical_kind(args.kind), args.width, args.sparsity, args.block)
+    given = {} if args.sparsity is None else {"sparsity": args.sparsity}   # else spec_for's default
+    return builders.spec_for(_canonical_kind(args.kind), args.width, block=args.block, **given)
 
 
 def _parse_digits(text: str, width: int, flag: str) -> tuple[int, ...]:
@@ -95,6 +96,8 @@ def cmd_verify(args) -> int:
     if args.netlist is not None:
         if args.kind is not None or args.width is not None:
             raise ValueError("verify takes either --netlist or --kind/--width, not both")
+        if args.sparsity is not None or args.block is not None:
+            raise ValueError("verify --netlist takes no --sparsity or --block")
         nl = _read_netlist(args.netlist)
     elif args.kind is None or args.width is None:
         raise ValueError("verify needs either --netlist or --kind/--width")
@@ -145,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", required=need_kind,
                        help="ripple | single | tree | sparse | hybrid")
         p.add_argument("--width", type=int, required=need_kind)
-        p.add_argument("--sparsity", type=int, default=4)
+        p.add_argument("--sparsity", type=int, default=None, help="sparse sparsity (default: 4)")
         p.add_argument("--block", type=int, default=None,
                        help="hybrid block size (default: min(4, width))")
 

@@ -288,9 +288,12 @@ class _Plan(NamedTuple):
 
     Rows (slots) 0..2n of the plane buffer hold the ports A[1..n], B[1..n]
     and cin, bound by port id.  Each step computes one live node into its
-    own slot: (kind, out slot, input slots, const value).  A slot is reused
-    once the last step reading it has run; nodes outside the cone of S and
-    cout get no step, and the output slots are never reused.
+    own slot: (kind, out slot, input slots, const value).  A wide gate whose
+    inputs begin with all the inputs of the latest earlier wide gate of its
+    kind with the same first input reads that gate's slot in place of them
+    (wide: fan-in 3 or more).  A slot is reused once the last step reading
+    it has run; nodes outside the cone of S and cout get no step unless a
+    step reads them as its prefix, and the output slots are never reused.
     """
 
     steps: tuple
@@ -300,23 +303,36 @@ class _Plan(NamedTuple):
 
     @classmethod
     def compile(cls, nl: Netlist) -> _Plan:
-        n = len(nl.nodes)
+        nodes = nl.nodes
+        n = len(nodes)
+        reads = [node[1] for node in nodes]   # the ids each node's step reads
+        latest = {}   # (kind, first input) -> the latest wide gate of that kind reading it first
+        for nid in [nid for nid, ins in enumerate(reads) if len(ins) > 2]:
+            ins = reads[nid]
+            key = (nodes[nid][0], ins[0])
+            head = latest.get(key)
+            if head is not None:
+                prefix = nodes[head][1]
+                if len(prefix) < len(ins) and ins[:len(prefix)] == prefix:
+                    reads[nid] = (head, *ins[len(prefix):])
+            latest[key] = nid
         last = [-1] * n          # id of the last live node reading each node
         for nid in (*nl.s_ports, nl.cout_port):
             last[nid] = n
-        for nid in range(n - 1, -1, -1):
+        for nid, ins in zip(range(n - 1, -1, -1), reversed(reads)):
             if last[nid] >= 0:
-                for i in nl.nodes[nid].inputs:
+                for i in ins:
                     if last[i] < 0:
                         last[i] = nid
         ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
         slot = [0] * n
+        get = slot.__getitem__
         for k, pid in enumerate(ports):
             slot[pid] = k
         free = [slot[pid] for pid in reversed(ports) if last[pid] < 0]
         size = len(ports)
         steps = []
-        for nid, (kind, ins, value, _) in enumerate(nl.nodes):
+        for nid, (kind, _, value, _), ins in zip(range(n), nodes, reads):
             if kind == INPUT or last[nid] < 0:
                 continue
             if free:
@@ -324,8 +340,14 @@ class _Plan(NamedTuple):
             else:
                 out = size
                 size += 1
-            slot[nid] = out
-            steps.append((kind, out, tuple(map(slot.__getitem__, ins)), value))
+            slot[nid] = out   # taken before any input's slot is freed: it aliases no input
+            if len(ins) == 2:   # most steps; a tuple display is cheaper than a map
+                x, y = ins
+                steps.append((kind, out, (slot[x], slot[y]), value))
+            elif len(ins) == 1:
+                steps.append((kind, out, (slot[ins[0]],), value))
+            else:
+                steps.append((kind, out, tuple(map(get, ins)), value))
             for i in ins:
                 if last[i] == nid:
                     last[i] = n   # freed once, also when this node reads it twice
@@ -412,10 +434,10 @@ def _run(plan: _Plan, buf: np.ndarray) -> None:
     for kind, out, ins, value in plan.steps:
         gate = _PLANE_GATE.get(kind)
         if gate is not None:
-            if len(ins) == 2:
-                gate(rows[ins[0]], rows[ins[1]], out=rows[out])
-            else:
-                gate.reduce(buf[list(ins)], axis=0, out=buf[out])
+            row = rows[out]
+            gate(rows[ins[0]], rows[ins[1]], out=row)
+            for i in ins[2:]:
+                gate(row, rows[i], out=row)
         elif kind == NOT:
             np.invert(rows[ins[0]], out=rows[out])
         elif kind == BITSWAP:

@@ -16,9 +16,12 @@ class RepeatingBuilder(NetlistBuilder):
 @st.composite
 def netlists(draw, width=1):
     """Small random netlists: And(x, Const 1) masks (the constant on either
-    side), wide gates, unary chains and constants 0..3.  The port inputs are
-    made in the order cin, A[1], B[1], A[2], B[2], ..., so port slots and
-    node ids disagree; S and cout are drawn from every node."""
+    side), wide gates, unary chains and constants 0..3.  A prefix gate reads
+    an earlier gate's inputs (fan-in 3 or more) and then 1-3 more, with that
+    gate's kind or another.  The port inputs are made in the order cin,
+    A[1], B[1], A[2], B[2], ..., so port slots and node ids disagree; S and
+    cout are drawn from every node, so the earlier gate of a prefix gate in
+    the cone is often outside it."""
     nb = RepeatingBuilder(width)
     cin = nb.add_input("cin")
     a_ports, b_ports = [], []
@@ -29,15 +32,22 @@ def netlists(draw, width=1):
     ids += [nb.add_const(v) for v in draw(st.lists(st.sampled_from([0, 1, 1, 2, 3]),
                                                    min_size=1, max_size=3))]
     ones = [i for i in ids if nb.nodes[i].value == 1] or [nb.add_const(1)]
+    wide = []   # ids of the gates of fan-in 3 or more
     for _ in range(draw(st.integers(1, 25))):
         pick = st.integers(0, len(nb.nodes) - 1)
-        shape = draw(st.sampled_from(["mask", "mask", "multi", "unary"]))
+        shape = draw(st.sampled_from(["mask", "mask", "multi", "unary", "prefix", "prefix"]))
         if shape == "mask":
             x, one = draw(pick), draw(st.sampled_from(ones))
             nb.add(AND, *((one, x) if draw(st.booleans()) else (x, one)))
-        elif shape == "multi":
-            kind = draw(st.sampled_from(sorted(MULTI_KINDS)))
-            nb.add(kind, *draw(st.lists(pick, min_size=2, max_size=6)))
+        elif shape == "prefix" and wide:
+            head = nb.nodes[draw(st.sampled_from(wide))]
+            kind = draw(st.sampled_from([head.kind, *sorted(MULTI_KINDS)]))   # its kind half the time
+            wide.append(nb.add(kind, *head.inputs, *draw(st.lists(pick, min_size=1, max_size=3))))
+        elif shape in ("multi", "prefix"):
+            ins = draw(st.lists(pick, min_size=2, max_size=6))
+            nid = nb.add(draw(st.sampled_from(sorted(MULTI_KINDS))), *ins)
+            if len(ins) > 2:
+                wide.append(nid)
         else:
             nb.add(draw(st.sampled_from(sorted(UNARY_KINDS))), draw(pick))
     top = len(nb.nodes) - 1

@@ -40,12 +40,28 @@ def _through_gate(kind, fan_in, rows):
     return [int(x) for x in cout]
 
 
+def _wide_gate(kind, picks):
+    """Width 2: the gate reads the ports (A[1], B[1], A[2], B[2], cin) at
+    the indices in picks, repeats allowed, and drives S[1], S[2] and cout."""
+    nb = NetlistBuilder(2)
+    ports = [nb.add_input(name) for name in ("A[1]", "B[1]", "A[2]", "B[2]", "cin")]
+    out = nb.add(kind, *(ports[k] for k in picks))
+    return nb.finish(ports[0:4:2], ports[1:4:2], ports[4], [out, out], out)
+
+
 @pytest.mark.parametrize("kind", sorted(GATES))
 def test_binary_gate_kernels_match_the_algebra(kind):
     rows = list(itertools.product(range(4), repeat=2))
     assert _through_gate(kind, 2, rows) == [GATES[kind](a, b) for a, b in rows]
     wide = list(itertools.product(range(4), repeat=3))
     assert _through_gate(kind, 3, wide) == [GATES[kind](a, b, c) for a, b, c in wide]
+    cases = np.array(list(itertools.product(range(4), repeat=5)), dtype=np.uint8)
+    for picks in [(0, 1, 2, 3), (2, 2, 4, 0), (0, 1, 2, 3, 4), (4, 1, 4, 1, 3),
+                  (0, 1, 2, 3, 4, 1), (3, 0, 3, 3, 4, 2)]:
+        s, cout = netlist.add_batch(_wide_gate(kind, picks), cases[:, 0:4:2], cases[:, 1:4:2],
+                                    cases[:, 4])
+        want = [GATES[kind](*(row[k] for k in picks)) for row in cases.tolist()]
+        assert cout.tolist() == want and (s == cout[:, None]).all(), picks
 
 
 @pytest.mark.parametrize("kind", sorted(UNARY))
@@ -82,6 +98,43 @@ def test_gate_reading_one_node_twice_frees_its_slot_once():
     s, cout = netlist.add_batch(nl, av[:, None], bv[:, None], np.ones(16))
     assert [int(v) for v in s[:, 0]] == [qudit.qxor(u ^ v, qudit.qnot(1)) for u, v in rows]
     assert [int(v) for v in cout] == [qudit.qor(qudit.bitswap(v), 1) for _, v in rows]
+
+
+def _reads(nl):
+    """The plan's input rows per step, in step order."""
+    return [len(ins) for _, _, ins, _ in nl._plan.steps]
+
+
+def test_a_gate_reads_the_earlier_gate_holding_its_prefix():
+    """A wide gate that starts with all the inputs of the latest earlier wide
+    gate of its kind with the same first input reads that gate, which gets a
+    step although no output reads it.  A gate of another kind, or one whose
+    latest such gate is not its prefix, reads all its inputs."""
+    nb = NetlistBuilder(2)
+    a1, b1, a2, b2, cin = (nb.add_input(name) for name in ("A[1]", "B[1]", "A[2]", "B[2]", "cin"))
+    nb.add(AND, a1, b1, a2)                 # the prefix, outside the cone
+    full = nb.add(AND, a1, b1, a2, b2, cin)
+    other = nb.add(OR, a1, b1, a2, b2)
+    nb.add(AND, b1, a2, cin)                # the latest And read first by b1, no step
+    shadowed = nb.add(AND, b1, a2, b2, a1)
+    nl = nb.finish([a1, a2], [b1, b2], cin, [full, other], shadowed)
+    assert _reads(nl) == [3, 3, 4, 4]
+    cases = np.array(list(itertools.product(range(4), repeat=5)), dtype=np.uint8)
+    s, cout = netlist.add_batch(nl, cases[:, [0, 2]], cases[:, [1, 3]], cases[:, 4])
+    for k, (x1, y1, x2, y2, c) in enumerate(cases.tolist()):
+        values = netlist.evaluate_nodes(nl, (x1, x2), (y1, y2), c)
+        assert s[k].tolist() == [values[full], values[other]] and cout[k] == values[shadowed]
+
+
+@pytest.mark.parametrize("kind, n, most", [("single_stage", 64, 15_000),
+                                           ("single_stage", 32, 4_100), ("tree", 256, 17_468)])
+def test_plan_input_reads(kind, n, most):
+    """single_stage builds each propagate product over k+1..t from the
+    literals of k+1..t, about n^3 / 3 gate inputs in all (99,616 at n=64,
+    14,480 at n=32), and reads the product over k+1..t-1 in their place.
+    Tree has no wide gate holding another's prefix: 17,468 is one read
+    per gate input."""
+    assert sum(_reads(build(AdderSpec(kind, n)))) <= most
 
 
 def test_digit_major_inputs_give_the_same_sums():

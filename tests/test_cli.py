@@ -154,6 +154,17 @@ def test_verify_netlist_excludes_kind_and_width(tmp_path, capsys):
         assert err == "error: verify takes either --netlist or --kind/--width, not both\n"
 
 
+@pytest.mark.parametrize("flag", ["--block", "--sparsity"])
+def test_verify_netlist_excludes_block_and_sparsity(tmp_path, capsys, flag):
+    """The spec parameters only shape a built adder; with --netlist they
+    would be ignored, so either one is a usage error."""
+    out = tmp_path / "t2.json"
+    run(capsys, "build", "--kind", "tree", "--width", "2", "--out", str(out))
+    code, stdout, err = run(capsys, "verify", "--netlist", str(out), flag, "2", "--exhaustive")
+    assert code == 2 and stdout == ""
+    assert err == "error: verify --netlist takes no --sparsity or --block\n"
+
+
 def test_analyze_row(capsys):
     code, stdout, _ = run(capsys, "analyze", "--kind", "tree", "--width", "7")
     assert code == 0
