@@ -18,10 +18,11 @@ def netlists(draw, width=1):
     """Small random netlists: And(x, Const 1) masks (the constant on either
     side), wide gates, unary chains and constants 0..3.  A prefix gate reads
     an earlier gate's inputs (fan-in 3 or more) and then 1-3 more, with that
-    gate's kind or another.  The port inputs are made in the order cin,
-    A[1], B[1], A[2], B[2], ..., so port slots and node ids disagree; S and
-    cout are drawn from every node, so the earlier gate of a prefix gate in
-    the cone is often outside it."""
+    gate's kind or another; in half of them one input after the first is
+    drawn anew.  The port inputs are made in the order cin, A[1], B[1],
+    A[2], B[2], ..., so port slots and node ids disagree; S and cout are
+    drawn from every node, so the earlier gate of a prefix gate in the cone
+    is often outside it."""
     nb = RepeatingBuilder(width)
     cin = nb.add_input("cin")
     a_ports, b_ports = [], []
@@ -42,7 +43,10 @@ def netlists(draw, width=1):
         elif shape == "prefix" and wide:
             head = nb.nodes[draw(st.sampled_from(wide))]
             kind = draw(st.sampled_from([head.kind, *sorted(MULTI_KINDS)]))   # its kind half the time
-            wide.append(nb.add(kind, *head.inputs, *draw(st.lists(pick, min_size=1, max_size=3))))
+            ins = [*head.inputs, *draw(st.lists(pick, min_size=1, max_size=3))]
+            if draw(st.booleans()):   # a near miss: the same first input, not the same prefix
+                ins[draw(st.integers(1, len(head.inputs) - 1))] = draw(pick)
+            wide.append(nb.add(kind, *ins))
         elif shape in ("multi", "prefix"):
             ins = draw(st.lists(pick, min_size=2, max_size=6))
             nid = nb.add(draw(st.sampled_from(sorted(MULTI_KINDS))), *ins)

@@ -115,7 +115,7 @@ def test_a_gate_reads_the_earlier_gate_holding_its_prefix():
     nb.add(AND, a1, b1, a2)                 # the prefix, outside the cone
     full = nb.add(AND, a1, b1, a2, b2, cin)
     other = nb.add(OR, a1, b1, a2, b2)
-    nb.add(AND, b1, a2, cin)                # the latest And read first by b1, no step
+    nb.add(AND, b1, a2, cin)                # not the next gate's prefix, and dead: no step
     shadowed = nb.add(AND, b1, a2, b2, a1)
     nl = nb.finish([a1, a2], [b1, b2], cin, [full, other], shadowed)
     assert _reads(nl) == [3, 3, 4, 4]
