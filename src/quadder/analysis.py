@@ -122,14 +122,6 @@ class ComparisonRow:
     signal_scope: str
     notes: list = field(default_factory=list)
 
-    def deviation(self, metric: str) -> tuple[int, float] | None:
-        """(absolute, relative) deviation, or None when no closed form."""
-        cf = getattr(self, f"cf_{metric}")
-        meas = getattr(self, f"meas_{metric}")
-        if cf is None:
-            return None
-        return meas - cf, (meas - cf) / cf if cf else 0.0
-
 
 def _measure_counts(nl: netlist.Netlist, rep: netlist.CostReport, mask_counting: str):
     """Measured gate/input counts under the per-architecture convention;

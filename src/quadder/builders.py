@@ -80,15 +80,17 @@ class AdderSpec:
         return {name: getattr(self, name) for name in taken.get(self.kind, ("width",))}
 
 
-def spec_for(kind: str, width: int, sparsity: int = 4, block: int | None = None) -> AdderSpec:
+def spec_for(kind: str, width: int, sparsity: int | None = None,
+             block: int | None = None) -> AdderSpec:
     """The spec for a kind, keeping only the parameters that kind takes.
 
-    A hybrid without an explicit block gets min(4, width); an explicit
-    block is validated as given.
+    A sparse adder without an explicit sparsity gets AdderSpec's 4, and a
+    hybrid without an explicit block gets min(4, width); an explicit value
+    is validated as given.
     """
     if kind == "hybrid":
         return AdderSpec(kind, width, block=min(4, width) if block is None else block)
-    if kind == "sparse":
+    if kind == "sparse" and sparsity is not None:
         return AdderSpec(kind, width, sparsity=sparsity)
     return AdderSpec(kind, width)
 

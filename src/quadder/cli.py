@@ -26,8 +26,12 @@ def _canonical_kind(text: str) -> str:
 
 
 def _spec_from_args(args) -> builders.AdderSpec:
-    given = {} if args.sparsity is None else {"sparsity": args.sparsity}   # else spec_for's default
-    return builders.spec_for(_canonical_kind(args.kind), args.width, block=args.block, **given)
+    """The spec of the flags; a flag its kind does not take is an error, not dropped."""
+    spec = builders.spec_for(_canonical_kind(args.kind), args.width, args.sparsity, args.block)
+    for name in ("sparsity", "block"):
+        if getattr(args, name) is not None and name not in spec.params:
+            raise ValueError(f"a {spec.kind} adder takes no --{name}")
+    return spec
 
 
 def _parse_digits(text: str, width: int, flag: str) -> tuple[int, ...]:
@@ -93,6 +97,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.exhaustive and args.seed is not None:
+        raise ValueError("verify --exhaustive takes no --seed")
     if args.netlist is not None:
         if args.kind is not None or args.width is not None:
             raise ValueError("verify takes either --netlist or --kind/--width, not both")
@@ -106,7 +112,7 @@ def cmd_verify(args) -> int:
     if args.exhaustive:
         report = verify.check_exhaustive(nl)
     else:
-        report = verify.check_random(nl, args.random, args.seed)
+        report = verify.check_random(nl, args.random, args.seed or 0)
     text = report.to_json()
     sys.stdout.write(text)
     if args.out:
@@ -171,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--random", type=int, metavar="TRIALS")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="random seed (default: 0)")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify)
 

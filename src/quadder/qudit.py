@@ -1,4 +1,4 @@
-"""Quaternary digit algebra.
+"""Quaternary digit algebra: what each netlist gate computes on a digit.
 
 A qudit is an integer in {0, 1, 2, 3}, read as the 2-bit pair
 (high, low) = (value // 2, value % 2).  The binary operators work bitwise
@@ -10,7 +10,7 @@ their two bits swap), 1 and 2 are asymmetrical.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 __all__ = [
     "check_qudit",
@@ -18,18 +18,10 @@ __all__ = [
     "qor",
     "qxor",
     "qnot",
-    "qnand",
-    "qnor",
-    "qxnor",
     "inward",
     "outward",
     "bitswap",
-    "saturate3",
-    "equality",
-    "is_symmetrical",
     "check_word",
-    "word_to_int",
-    "int_to_word",
 ]
 
 
@@ -70,18 +62,6 @@ def qnot(a: int) -> int:
     return check_qudit(a) ^ 3
 
 
-def qnand(a: int, b: int, *more: int) -> int:
-    return qnot(qand(a, b, *more))
-
-
-def qnor(a: int, b: int, *more: int) -> int:
-    return qnot(qor(a, b, *more))
-
-
-def qxnor(a: int, b: int, *more: int) -> int:
-    return qnot(qxor(a, b, *more))
-
-
 def inward(a: int) -> int:
     """Inward (half) inverter: invert, then pull symmetrical values to the
     nearest asymmetrical ones.  Maps 0,1 -> 2 and 2,3 -> 1."""
@@ -106,21 +86,6 @@ def bitswap(a: int) -> int:
     return ((a << 1) & 2) | (a >> 1)
 
 
-def saturate3(a: int) -> int:
-    """qand(a, bitswap(a)): 3 when a = 3, otherwise 0."""
-    return qand(a, bitswap(a))
-
-
-def equality(a: int, b: int) -> int:
-    """3 when a = b, otherwise 0; realized as saturate3 of the XNOR."""
-    return saturate3(qxnor(a, b))
-
-
-def is_symmetrical(a: int) -> bool:
-    """True for 0 and 3, whose bit pairs are invariant under bitswap."""
-    return check_qudit(a) in (0, 3)
-
-
 # --- fixed-width digit words (index 0 holds the least significant digit) ---
 
 
@@ -132,16 +97,3 @@ def check_word(word: Sequence[int], width: int | None = None) -> tuple[int, ...]
     if width is not None and len(digits) != width:
         raise ValueError(f"expected width {width}, got {len(digits)}")
     return digits
-
-
-def word_to_int(word: Iterable[int]) -> int:
-    value = 0
-    for i, d in enumerate(word):
-        value += check_qudit(d) << (2 * i)
-    return value
-
-
-def int_to_word(value: int, width: int) -> tuple[int, ...]:
-    if value < 0 or value >= 1 << (2 * width):
-        raise ValueError(f"{value} does not fit in {width} quaternary digits")
-    return tuple((value >> (2 * i)) & 3 for i in range(width))

@@ -1,71 +1,30 @@
 """Independent arithmetic oracle and equivalence harness.
 
-The oracle works in plain integer arithmetic and never touches the
-quaternary operators, so a defect in the algebra cannot hide a matching
-defect in a netlist.  Exhaustive checks cover every assignment at small
-widths; randomized checks use a seeded PCG64 generator plus a fixed set of
-corner vectors.  Both run over chunks of at most ``CHUNK_CASES`` cases, so
-a random check's memory does not grow with its trial count; an exhaustive
-check makes its cases once, at most about 1.2 MB at the width bound.
+The oracle, ``_oracle_batch``, adds the digits as integers on 64-bit
+limbs and never touches the quaternary operators, so a defect in the
+algebra cannot hide a matching defect in a netlist.  Exhaustive checks
+cover every assignment at small widths; randomized checks use a seeded
+PCG64 generator plus a fixed set of corner vectors.  Both run over chunks
+of at most ``CHUNK_CASES`` cases, so a random check's memory does not grow
+with its trial count; an exhaustive check makes its cases once, at most
+about 1.2 MB at the width bound.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from . import cells, netlist, qudit
+from . import netlist
 from .netlist import Netlist
 
 EXHAUSTIVE_WIDTH_BOUND = 4
 CHUNK_CASES = 2**15            # cases per add_batch call of a check; a multiple of 4
 RANDOM_DIGITS_CAP = 2**34      # trials x width; at ~50M digit-adds/s, about six minutes
 _FOUR_DIGITS = np.uint32(0x01041040)   # a word's 4 byte digits, base 4, into its top byte
-
-# Printed operator table: (a, b, and, or, xor, nand, nor, xnor, eq).
-# The eq column follows the equality operator's contract (3 iff a = b).
-TABLE_I = (
-    (0, 0, 0, 0, 0, 3, 3, 3, 3),
-    (0, 1, 0, 1, 1, 3, 2, 2, 0),
-    (0, 2, 0, 2, 2, 3, 1, 1, 0),
-    (0, 3, 0, 3, 3, 3, 0, 0, 0),
-    (1, 1, 1, 1, 0, 2, 2, 3, 3),
-    (1, 2, 0, 3, 3, 3, 0, 0, 0),
-    (1, 3, 1, 3, 2, 2, 0, 1, 0),
-    (2, 2, 2, 2, 0, 1, 1, 3, 3),
-    (2, 3, 2, 3, 1, 1, 0, 2, 0),
-    (3, 3, 3, 3, 0, 0, 0, 3, 3),
-)
-
-# Printed full-adder table: (a, b, cin, s, c).  The (0, 3, 1) row prints
-# s = 1, which contradicts integer arithmetic (0 + 3 + 1 = 4 -> s = 0); it
-# is asserted against the oracle and reported as a divergence.
-TABLE_II = (
-    (0, 0, 0, 0, 0),
-    (0, 1, 0, 1, 0),
-    (0, 2, 0, 2, 0),
-    (0, 3, 0, 3, 0),
-    (1, 1, 0, 2, 0),
-    (1, 2, 0, 3, 0),
-    (1, 3, 0, 0, 1),
-    (2, 2, 0, 0, 1),
-    (2, 3, 0, 1, 1),
-    (3, 3, 0, 2, 1),
-    (0, 0, 1, 1, 0),
-    (0, 1, 1, 2, 0),
-    (0, 2, 1, 3, 0),
-    (0, 3, 1, 1, 1),
-    (1, 1, 1, 3, 0),
-    (1, 2, 1, 0, 1),
-    (1, 3, 1, 1, 1),
-    (2, 2, 1, 1, 1),
-    (2, 3, 1, 2, 1),
-    (3, 3, 1, 3, 1),
-)
-TABLE_II_DIVERGENT_ROW = (0, 3, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,17 +89,15 @@ class MismatchTable:
 
 @dataclass
 class VerifyReport:
-    """A check's outcome.  ``records`` is a MismatchTable for the batch
-    checks and a list of dicts for the truth tables; ``mismatches`` reads
-    the records back from the report text as a list of dicts."""
+    """A check's outcome.  ``mismatches`` reads the records back from the
+    report text as a list of dicts."""
 
-    mode: str                 # "exhaustive" | "random" | "truth-tables"
+    mode: str                 # "exhaustive" | "random"
     cases_run: int
-    records: MismatchTable | list = field(default_factory=list)
+    records: MismatchTable
     seed: int | None = None
     kind: str | None = None
     width: int | None = None
-    divergences: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -162,26 +119,7 @@ class VerifyReport:
             "seed": self.seed,
             "passed": self.passed,
         }, indent=2)
-        if isinstance(self.records, MismatchTable):
-            body = self.records.to_json()
-        else:
-            body = json.dumps(self.records, indent=2).replace("\n", "\n  ")
-        tail = json.dumps({"divergences": self.divergences}, indent=2)
-        return f'{head[:-2]},\n  "mismatches": {body},{tail[1:]}\n'
-
-
-def oracle_add(a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
-    """Ground-truth base-4 addition through unbounded integers."""
-    a = qudit.check_word(a)
-    b = qudit.check_word(b, width=len(a))
-    if cin not in (0, 1):
-        raise ValueError(f"cin must be 0 or 1, got {cin}")
-    n = len(a)
-    total = sum(d << (2 * i) for i, d in enumerate(a))
-    total += sum(d << (2 * i) for i, d in enumerate(b))
-    total += cin
-    digits = tuple((total >> (2 * i)) & 3 for i in range(n))
-    return digits, total >> (2 * n)
+        return f'{head[:-2]},\n  "mismatches": {self.records.to_json()},\n  "divergences": []\n}}\n'
 
 
 def _limbs(digits: np.ndarray) -> np.ndarray:
@@ -331,41 +269,3 @@ def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
     records = _check(nl, lambda lo, hi: _random_cases(n, trials, seed, lo, hi), trials)
     return VerifyReport("random", len(_corner_vectors(n)[2]) + trials, records, seed,
                         nl.meta.get("kind"), n)
-
-
-def check_truth_tables() -> VerifyReport:
-    """Re-derive both printed tables from the algebra and the adder cells.
-
-    Table I: 10 rows x 7 operator columns (and, or, xor, nand, nor, xnor,
-    equality), 70 entries.  Table II: 20 rows; 19 must match the printed
-    values, the (0, 3, cin=1) row must match the integer oracle (s = 0)
-    and is recorded as a documented divergence from the printed s = 1.
-    """
-    mismatches = []
-    divergences = []
-
-    def check(a, b, cin, signal, want, got):
-        if want != got:
-            mismatches.append({"a": [a], "b": [b], "cin": cin, "signal": signal,
-                               "expected": want, "actual": got})
-
-    ops = (("and", qudit.qand), ("or", qudit.qor), ("xor", qudit.qxor), ("nand", qudit.qnand),
-           ("nor", qudit.qnor), ("xnor", qudit.qxnor), ("eq", qudit.equality))
-    for a, b, *wants in TABLE_I:
-        for (name, fn), want in zip(ops, wants):
-            check(a, b, 0, name, want, fn(a, b))
-    for a, b, cin, s_printed, c_printed in TABLE_II:
-        got = cells.full_add(a, b, cin)
-        (s_oracle,), c_oracle = oracle_add([a], [b], cin)
-        if (a, b, cin) == TABLE_II_DIVERGENT_ROW:
-            want_s, want_c = s_oracle, c_oracle
-            divergences.append({"row": [a, b, cin], "printed_s": s_printed, "oracle_s": s_oracle,
-                                "note": "printed sum contradicts integer arithmetic; "
-                                        "oracle value asserted"})
-        else:
-            want_s, want_c = s_printed, c_printed
-            check(a, b, cin, "table-vs-oracle", [s_oracle, c_oracle], [want_s, want_c])
-        check(a, b, cin, "S", want_s, got.sum)
-        check(a, b, cin, "C", want_c, got.carry)
-    return VerifyReport("truth-tables", len(TABLE_I) * len(ops) + 2 * len(TABLE_II), mismatches,
-                        divergences=divergences)

@@ -1,13 +1,19 @@
-"""Plain reference versions of the document writer and the fan-in lowering.
+"""Plain reference versions the package is checked against.
 
-``netlist.to_json`` writes its text from templates and ``netlist.lower_fanin2``
-splits each distinct wide gate once; these are the direct forms they must
-match byte for byte.
+* The document writer and the fan-in lowering: ``netlist.to_json`` writes
+  its text from templates and ``netlist.lower_fanin2`` splits each distinct
+  wide gate once; these are the direct forms they must match byte for byte.
+* The paper's value-level model: the derived operators, the half/full
+  adders, propagate/generate and the carry recurrences, the printed Tables I
+  and II with their check, and a scalar integer oracle.  The builders are
+  checked against the cells, and the batch oracle against ``oracle_add``.
 """
 
 import json
+from typing import NamedTuple
 
 from quadder.netlist import DOC_VERSION, MULTI_KINDS, Netlist, NetlistBuilder
+from quadder.qudit import bitswap, check_qudit, check_word, inward, qand, qnot, qor, qxor
 
 
 def to_json(nl: Netlist) -> str:
@@ -82,3 +88,251 @@ def lower_fanin2(nl: Netlist) -> Netlist:
         signals=signals,
         meta=meta,
     )
+
+
+# --- derived operators and digit words ---
+
+
+def qnand(a: int, b: int, *more: int) -> int:
+    return qnot(qand(a, b, *more))
+
+
+def qnor(a: int, b: int, *more: int) -> int:
+    return qnot(qor(a, b, *more))
+
+
+def qxnor(a: int, b: int, *more: int) -> int:
+    return qnot(qxor(a, b, *more))
+
+
+def saturate3(a: int) -> int:
+    """qand(a, bitswap(a)): 3 when a = 3, otherwise 0."""
+    return qand(a, bitswap(a))
+
+
+def equality(a: int, b: int) -> int:
+    """3 when a = b, otherwise 0; realized as saturate3 of the XNOR."""
+    return saturate3(qxnor(a, b))
+
+
+def is_symmetrical(a: int) -> bool:
+    """True for 0 and 3, whose bit pairs are invariant under bitswap."""
+    return check_qudit(a) in (0, 3)
+
+
+def word_to_int(word) -> int:
+    value = 0
+    for i, d in enumerate(word):
+        value += check_qudit(d) << (2 * i)
+    return value
+
+
+def int_to_word(value: int, width: int) -> tuple[int, ...]:
+    if value < 0 or value >= 1 << (2 * width):
+        raise ValueError(f"{value} does not fit in {width} quaternary digits")
+    return tuple((value >> (2 * i)) & 3 for i in range(width))
+
+
+# --- value-level adder cells ---
+#
+# Carries are kept in {0, 1}: the low bit of a digit pair holds the
+# arithmetic carry, and every carry expression ends in a mask (AND with 1)
+# that clears the high bit.
+
+
+class SumCarry(NamedTuple):
+    sum: int
+    carry: int
+
+
+class PropGen(NamedTuple):
+    propagate: int  # 3 when the digit pair passes a carry, else 0
+    generate: int   # 1 when the digit pair creates a carry, else 0
+
+
+def half_add(a: int, b: int) -> SumCarry:
+    """Add two digits; satisfies 4*carry + sum = a + b."""
+    s = qxor(a, b, bitswap(qand(a, b, 1)))
+    c = qand(qor(inward(qand(a, b)), qand(a, b, bitswap(qxor(a, b)))), 1)
+    return SumCarry(s, c)
+
+
+def full_add(a: int, b: int, cin: int) -> SumCarry:
+    """Add two digits and a carry.
+
+    Total as a logic function for any cin in 0..3; the arithmetic contract
+    4*carry + sum = a + b + cin is guaranteed for cin in {0, 1}, the only
+    values a carry chain can produce.
+    """
+    t = qor(qand(a, b), qand(b, cin), qand(cin, a))
+    s = qxor(a, b, cin, bitswap(qand(t, 1)))
+    c = qand(qor(inward(qand(a, b)), qand(t, bitswap(qxor(a, b)))), 1)
+    return SumCarry(s, c)
+
+
+def pg(a: int, b: int) -> PropGen:
+    """Propagate/generate pair for one digit position.
+
+    propagate = 3 iff a + b = 3 (an incoming carry ripples through);
+    generate = 1 iff a + b >= 4 (a carry leaves regardless of carry-in).
+    """
+    pstar = qxor(a, b)
+    p = saturate3(pstar)
+    g = qand(qor(inward(qand(a, b)), qand(a, b, bitswap(pstar))), 1)
+    return PropGen(p, g)
+
+
+def carry_step(g: int, p: int, c_prev: int) -> int:
+    """One lookahead step: carry-out = g + p * c_prev.
+
+    Intended domain: g in {0,1}, p in {0,3}, c_prev in {0,1}; the result
+    then stays in {0,1}.
+    """
+    return qor(check_qudit(g), qand(p, c_prev))
+
+
+def ripple_add(a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
+    """Chain full adders from the least significant digit upward."""
+    a = check_word(a)
+    b = check_word(b, width=len(a))
+    carry = check_qudit(cin)
+    out = []
+    for da, db in zip(a, b):
+        s, carry = full_add(da, db, carry)
+        out.append(s)
+    return tuple(out), carry
+
+
+def single_stage_carries(a, b, cin: int = 0) -> tuple[int, ...]:
+    """All carries of the flat lookahead expansion.
+
+    Position i's carry-out is g_i plus every g_k (k < i) gated by the
+    propagate product over k+1..i, plus the carry-in gated by the full
+    product.  Matches the carries produced by ripple_add.
+    """
+    a = check_word(a)
+    b = check_word(b, width=len(a))
+    c0 = check_qudit(cin)
+    pgs = [pg(da, db) for da, db in zip(a, b)]
+
+    def prod(lo: int, hi: int) -> int:  # 0-based, inclusive
+        out = 3
+        for j in range(lo, hi + 1):
+            out = qand(out, pgs[j].propagate)
+        return out
+
+    carries = []
+    for i in range(len(a)):
+        c = pgs[i].generate
+        for k in range(i):
+            c = qor(c, qand(pgs[k].generate, prod(k + 1, i)))
+        c = qor(c, qand(prod(0, i), c0))
+        carries.append(c)
+    return tuple(carries)
+
+
+# --- the printed tables and the scalar oracle ---
+
+# Printed operator table: (a, b, and, or, xor, nand, nor, xnor, eq).
+# The eq column follows the equality operator's contract (3 iff a = b).
+TABLE_I = (
+    (0, 0, 0, 0, 0, 3, 3, 3, 3),
+    (0, 1, 0, 1, 1, 3, 2, 2, 0),
+    (0, 2, 0, 2, 2, 3, 1, 1, 0),
+    (0, 3, 0, 3, 3, 3, 0, 0, 0),
+    (1, 1, 1, 1, 0, 2, 2, 3, 3),
+    (1, 2, 0, 3, 3, 3, 0, 0, 0),
+    (1, 3, 1, 3, 2, 2, 0, 1, 0),
+    (2, 2, 2, 2, 0, 1, 1, 3, 3),
+    (2, 3, 2, 3, 1, 1, 0, 2, 0),
+    (3, 3, 3, 3, 0, 0, 0, 3, 3),
+)
+
+# Printed full-adder table: (a, b, cin, s, c).  The (0, 3, 1) row prints
+# s = 1, which contradicts integer arithmetic (0 + 3 + 1 = 4 -> s = 0); it
+# is asserted against the oracle and reported as a divergence.
+TABLE_II = (
+    (0, 0, 0, 0, 0),
+    (0, 1, 0, 1, 0),
+    (0, 2, 0, 2, 0),
+    (0, 3, 0, 3, 0),
+    (1, 1, 0, 2, 0),
+    (1, 2, 0, 3, 0),
+    (1, 3, 0, 0, 1),
+    (2, 2, 0, 0, 1),
+    (2, 3, 0, 1, 1),
+    (3, 3, 0, 2, 1),
+    (0, 0, 1, 1, 0),
+    (0, 1, 1, 2, 0),
+    (0, 2, 1, 3, 0),
+    (0, 3, 1, 1, 1),
+    (1, 1, 1, 3, 0),
+    (1, 2, 1, 0, 1),
+    (1, 3, 1, 1, 1),
+    (2, 2, 1, 1, 1),
+    (2, 3, 1, 2, 1),
+    (3, 3, 1, 3, 1),
+)
+TABLE_II_DIVERGENT_ROW = (0, 3, 1)
+
+
+def oracle_add(a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
+    """Ground-truth base-4 addition through unbounded integers."""
+    a = check_word(a)
+    b = check_word(b, width=len(a))
+    if cin not in (0, 1):
+        raise ValueError(f"cin must be 0 or 1, got {cin}")
+    n = len(a)
+    total = sum(d << (2 * i) for i, d in enumerate(a))
+    total += sum(d << (2 * i) for i, d in enumerate(b))
+    total += cin
+    digits = tuple((total >> (2 * i)) & 3 for i in range(n))
+    return digits, total >> (2 * n)
+
+
+def check_truth_tables() -> tuple[list, list]:
+    """Re-derive both printed tables from the algebra and the adder cells;
+    the mismatch records and the divergences.
+
+    Table I: 10 rows x 7 operator columns (and, or, xor, nand, nor, xnor,
+    equality), 70 entries.  Table II: 20 rows; 19 must match the printed
+    values, the (0, 3, cin=1) row must match the integer oracle (s = 0)
+    and is recorded as a documented divergence from the printed s = 1.
+    """
+    mismatches = []
+    divergences = []
+
+    def check(a, b, cin, signal, want, got):
+        if want != got:
+            mismatches.append({"a": [a], "b": [b], "cin": cin, "signal": signal,
+                               "expected": want, "actual": got})
+
+    ops = (("and", qand), ("or", qor), ("xor", qxor), ("nand", qnand), ("nor", qnor),
+           ("xnor", qxnor), ("eq", equality))
+    for a, b, *wants in TABLE_I:
+        for (name, fn), want in zip(ops, wants):
+            check(a, b, 0, name, want, fn(a, b))
+    for a, b, cin, s_printed, c_printed in TABLE_II:
+        got = full_add(a, b, cin)
+        (s_oracle,), c_oracle = oracle_add([a], [b], cin)
+        if (a, b, cin) == TABLE_II_DIVERGENT_ROW:
+            want_s, want_c = s_oracle, c_oracle
+            divergences.append({"row": [a, b, cin], "printed_s": s_printed, "oracle_s": s_oracle,
+                                "note": "printed sum contradicts integer arithmetic; "
+                                        "oracle value asserted"})
+        else:
+            want_s, want_c = s_printed, c_printed
+            check(a, b, cin, "table-vs-oracle", [s_oracle, c_oracle], [want_s, want_c])
+        check(a, b, cin, "S", want_s, got.sum)
+        check(a, b, cin, "C", want_c, got.carry)
+    return mismatches, divergences
+
+
+def deviation(row, metric: str) -> tuple[int, float] | None:
+    """A comparison row's (absolute, relative) deviation from its closed
+    form in ``metric``, or None when it has no closed form."""
+    cf = getattr(row, f"cf_{metric}")
+    meas = getattr(row, f"meas_{metric}")
+    if cf is None:
+        return None
+    return meas - cf, (meas - cf) / cf if cf else 0.0

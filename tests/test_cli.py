@@ -165,6 +165,24 @@ def test_verify_netlist_excludes_block_and_sparsity(tmp_path, capsys, flag):
     assert err == "error: verify --netlist takes no --sparsity or --block\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["build", "--kind", "tree", "--width", "4", "--block", "2"], "a tree adder takes no --block"),
+    (["analyze", "--kind", "ripple", "--width", "4", "--sparsity", "3"],
+     "a ripple adder takes no --sparsity"),
+    (["verify", "--kind", "tree", "--width", "4", "--block", "9", "--random", "10"],
+     "a tree adder takes no --block"),
+    (["verify", "--kind", "tree", "--width", "2", "--exhaustive", "--seed", "7"],
+     "verify --exhaustive takes no --seed"),
+], ids=["build-block", "analyze-sparsity", "verify-block", "exhaustive-seed"])
+def test_a_flag_the_command_would_ignore_exits_2(tmp_path, capsys, argv, error):
+    """A flag that would change nothing (a spec parameter the kind does not
+    take, a seed for an exhaustive check) is a usage error, not dropped."""
+    out = tmp_path / "x.json"
+    code, stdout, err = run(capsys, *argv, *(["--out", str(out)] if argv[0] == "build" else []))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {error}\n"
+
+
 def test_analyze_row(capsys):
     code, stdout, _ = run(capsys, "analyze", "--kind", "tree", "--width", "7")
     assert code == 0
