@@ -1,22 +1,11 @@
 """Quaternary-logic adder laboratory.
 
-The quaternary digit algebra, gate-level netlist generation for five
-adder architectures, simulation, exhaustive and randomized verification
-against an integer oracle, and delay/cost analysis with closed-form
-comparisons.
+Gate-level netlists of quaternary gates, whose semantics are one table of
+gate kinds in ``netlist``; netlist generation for five adder
+architectures, simulation, exhaustive and randomized verification against
+an integer oracle, and delay/cost analysis with closed-form comparisons.
 """
 
-from .qudit import (
-    bitswap,
-    check_qudit,
-    check_word,
-    inward,
-    outward,
-    qand,
-    qnot,
-    qor,
-    qxor,
-)
 from .netlist import (
     CostReport,
     DocumentError,

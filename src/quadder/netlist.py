@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import and_, itemgetter, or_, xor
+from operator import and_, index, itemgetter, or_, xor
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-from . import qudit
 
 # gate kind tags (serialized verbatim)
 AND = "and"
@@ -32,22 +30,36 @@ BITSWAP = "bitswap"
 CONST = "const"
 INPUT = "input"
 
-MULTI_KINDS = frozenset({AND, OR, XOR})
-UNARY_KINDS = frozenset({NOT, INWARD, OUTWARD, BITSWAP})
-LEAF_KINDS = frozenset({CONST, INPUT})
-_FAN_IN = {**dict.fromkeys(MULTI_KINDS, (2, sys.maxsize)), **dict.fromkeys(UNARY_KINDS, (1, 1)),
-           **dict.fromkeys(LEAF_KINDS, (0, 0))}   # (least, most) inputs per kind
+# Every gate kind once: its (least, most) inputs, then for And/Or/Xor the bitwise
+# (operator on ints, ufunc on bit planes), and for a unary kind how its output's hi
+# and lo plane are each made from one input plane, as (source plane, inverted).
+_HI, _LO = 0, 1   # a qudit's bit planes, value = 2 * hi + lo, in the order they are stored
+_KINDS = {
+    AND: ((2, sys.maxsize), (and_, np.bitwise_and)),
+    OR: ((2, sys.maxsize), (or_, np.bitwise_or)),
+    XOR: ((2, sys.maxsize), (xor, np.bitwise_xor)),
+    NOT: ((1, 1), ((_HI, True), (_LO, True))),         # 3 - a
+    INWARD: ((1, 1), ((_HI, True), (_HI, False))),     # 0, 1 -> 2 and 2, 3 -> 1
+    OUTWARD: ((1, 1), ((_HI, True), (_HI, True))),     # 0, 1 -> 3 and 2, 3 -> 0
+    BITSWAP: ((1, 1), ((_LO, False), (_HI, False))),   # 1 <-> 2
+    CONST: ((0, 0), ()),
+    INPUT: ((0, 0), ()),
+}
+_FAN_IN = {kind: fan_in for kind, (fan_in, _) in _KINDS.items()}
+_SCALAR_WIDE = {kind: ops[0] for kind, ((_, most), ops) in _KINDS.items() if most > 1}
+_PLANE_GATE = {kind: ops[1] for kind, ((_, most), ops) in _KINDS.items() if most > 1}
+_RULES = {kind: rule for kind, ((_, most), rule) in _KINDS.items() if most == 1}
+MULTI_KINDS, UNARY_KINDS = frozenset(_SCALAR_WIDE), frozenset(_RULES)
+LEAF_KINDS = frozenset(_KINDS.keys() - MULTI_KINDS - UNARY_KINDS)
+_SCALAR_UNARY = {   # value -> value, from the (hi, lo) bit pairs of 0..3
+    kind: tuple(2 * (b[hi] ^ hi_inv) + (b[lo] ^ lo_inv) for b in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    for kind, ((hi, hi_inv), (lo, lo_inv)) in _RULES.items()}
 
 DOC_VERSION = 1
 _DOC_FIELDS = frozenset({"version", "kind", "width", "params", "nodes", "ports", "signals", "meta"})
 _PORT_FIELDS = frozenset({"A", "B", "cin", "S", "cout"})
 _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
-_SCALAR_WIDE = {AND: and_, OR: or_, XOR: xor}
-_SCALAR_UNARY = {kind: tuple(map(fn, range(4))) for kind, fn in (   # value -> value tables
-    (NOT, qudit.qnot), (INWARD, qudit.inward), (OUTWARD, qudit.outward), (BITSWAP, qudit.bitswap))}
-
-_PLANE_GATE = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
 _ONES = np.uint64(2**64 - 1)
 _BIT_SWAPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (   # 8 x 8 transpose
     (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
@@ -243,6 +255,25 @@ def _check_ids(ids, n: int, what: str) -> None:
 # --- evaluation ---
 
 
+def _check_qudit(digit) -> int:
+    try:
+        value = index(digit)
+    except TypeError:
+        raise ValueError(f"not a qudit: {digit!r}") from None
+    if not 0 <= value <= 3:
+        raise ValueError(f"not a qudit: {value}")
+    return value
+
+
+def _check_word(word, width: int) -> tuple[int, ...]:
+    digits = tuple(map(_check_qudit, word))
+    if not digits:
+        raise ValueError("empty word")
+    if len(digits) != width:
+        raise ValueError(f"expected width {width}, got {len(digits)}")
+    return digits
+
+
 def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
     """Single forward pass; returns the value of every node by id.
 
@@ -254,7 +285,7 @@ def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
     n = nl.width
     values: list = [0] * len(nl.nodes)
     ports = (*nl.a_ports, *nl.b_ports, nl.cin_port)
-    digits = (*qudit.check_word(a, width=n), *qudit.check_word(b, width=n), qudit.check_qudit(cin))
+    digits = (*_check_word(a, n), *_check_word(b, n), _check_qudit(cin))
     for pid, digit in zip(ports, digits):
         values[pid] = digit
     for nid, (kind, ins, value, _) in enumerate(nl.nodes):
@@ -279,8 +310,8 @@ def evaluate_words(nl: Netlist, a, b, cin: int = 0) -> tuple[tuple[int, ...], in
 # Batch evaluation works on bit planes.  A batch of qudits is two packed bit
 # vectors, hi and lo (value = 2 * hi + lo), one bit per case; a node's value
 # over the batch is one row of uint64 words, its hi plane followed by its lo
-# plane.  AND, OR and XOR act on both planes at once; NOT inverts both;
-# bitswap swaps them; inward is (not hi, hi) and outward (not hi, not hi).
+# plane.  AND, OR and XOR act on both planes at once; a unary gate makes each
+# output plane from one input plane, copied or inverted, by its rule in _KINDS.
 
 
 class _Plan(NamedTuple):
@@ -429,8 +460,9 @@ def _unpack(buf: np.ndarray, slots: list, cases: int) -> np.ndarray:
 
 def _run(plan: _Plan, buf: np.ndarray) -> None:
     rows = list(buf.reshape(plan.slots, -1))
-    his = list(buf[:, 0])
-    los = list(buf[:, 1])
+    his = list(buf[:, _HI])
+    los = list(buf[:, _LO])
+    planes = (his, los)
     for kind, out, ins, value in plan.steps:
         gate = _PLANE_GATE.get(kind)
         if gate is not None:
@@ -438,17 +470,10 @@ def _run(plan: _Plan, buf: np.ndarray) -> None:
             gate(rows[ins[0]], rows[ins[1]], out=row)
             for i in ins[2:]:
                 gate(row, rows[i], out=row)
-        elif kind == NOT:
-            np.invert(rows[ins[0]], out=rows[out])
-        elif kind == BITSWAP:
-            np.copyto(his[out], los[ins[0]])
-            np.copyto(los[out], his[ins[0]])
-        elif kind == INWARD:
-            np.invert(his[ins[0]], out=his[out])
-            np.copyto(los[out], his[ins[0]])
-        elif kind == OUTWARD:
-            np.invert(his[ins[0]], out=his[out])
-            np.copyto(los[out], his[out])
+        elif value is None:   # unary; the output slot aliases no input, so the order is free
+            (hi, hi_inv), (lo, lo_inv) = _RULES[kind]
+            (np.invert if hi_inv else np.positive)(planes[hi][ins[0]], out=his[out])
+            (np.invert if lo_inv else np.positive)(planes[lo][ins[0]], out=los[out])
         else:  # CONST
             his[out].fill(_ONES if value >> 1 else 0)
             los[out].fill(_ONES if value & 1 else 0)

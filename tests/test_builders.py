@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import reference
 
-from quadder import netlist, qudit
+from quadder import netlist
 from quadder.builders import (
     KINDS,
     AdderSpec,
@@ -140,8 +140,8 @@ def test_tree_q31_expands_to_three_terms():
                 values = netlist.evaluate_nodes(nl, a, b, cin)
                 p1, g1 = reference.pg(a[0], b[0])
                 p2, g2 = reference.pg(a[1], b[1])
-                want = qudit.qor(g2, qudit.qand(g1, p2), qudit.qand(cin, p1, p2))
-                assert qudit.qand(values[qid], 1) == want
+                want = reference.qor(g2, reference.qand(g1, p2), reference.qand(cin, p1, p2))
+                assert reference.qand(values[qid], 1) == want
 
 
 def test_tree_lemma1_levels():
@@ -186,9 +186,9 @@ def _q_value(i, j, p, g, c0):
     if i == j:
         return c0 if i == 1 else g[i - 1]
     m = 1 << floor_log2(i - j)
-    return qudit.qor(
+    return reference.qor(
         _q_value(i, i - m + 1, p, g, c0),
-        qudit.qand(_q_value(i - m, j, p, g, c0), _p_value(i - m, i - 1, p)),
+        reference.qand(_q_value(i - m, j, p, g, c0), _p_value(i - m, i - 1, p)),
     )
 
 
@@ -196,7 +196,7 @@ def _p_value(i, j, p):
     if i == j:
         return p[i]
     m = 1 << floor_log2(j - i)
-    return qudit.qand(_p_value(i, j - m, p), _p_value(j - m + 1, j, p))
+    return reference.qand(_p_value(i, j - m, p), _p_value(j - m + 1, j, p))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -213,7 +213,7 @@ def test_tree_matches_nonmemoized_expansion(n):
         g = {i + 1: reference.pg(a[i], b[i]).generate for i in range(n)}
         for i in range(2, n + 2):
             want = _q_value(i, 1, p, g, cin)
-            assert qudit.qand(values[qid[(i, 1)]], 1) == want
+            assert reference.qand(values[qid[(i, 1)]], 1) == want
 
 
 def test_unmasked_carry_low_bit_soundness():
@@ -232,7 +232,7 @@ def test_unmasked_carry_low_bit_soundness():
                     for i in range(1, n + 1):
                         chain = reference.full_add(a[i - 1], b[i - 1], chain).carry
                         raw = values[nl.signals[f"carry[{i}]"]]
-                        assert qudit.qand(raw, 1) == chain
+                        assert reference.qand(raw, 1) == chain
 
 
 def test_sparse_boundary_materialization():

@@ -9,7 +9,7 @@ import pytest
 import reference
 from strategies import RepeatingBuilder
 
-from quadder import netlist, qudit
+from quadder import netlist
 from quadder.builders import AdderSpec, build
 from quadder.netlist import (
     AND,
@@ -93,7 +93,7 @@ def test_deduplication_returns_same_id():
 def test_multi_gate_semantics(kind):
     """Fan-ins 2 to 4 over every qudit combination; the operands are the
     ports A[1], B[1], A[2] and B[2], in that order."""
-    fn = {"and": qudit.qand, "or": qudit.qor, "xor": qudit.qxor}[kind]
+    fn = reference.GATES[kind]
     for fan_in in (2, 3, 4):
         nb = NetlistBuilder(2)
         cin = nb.add_input("cin")
@@ -108,12 +108,7 @@ def test_multi_gate_semantics(kind):
 
 @pytest.mark.parametrize("kind", sorted(netlist.UNARY_KINDS))
 def test_unary_gate_semantics(kind):
-    fn = {
-        "not": qudit.qnot,
-        "inward": qudit.inward,
-        "outward": qudit.outward,
-        "bitswap": qudit.bitswap,
-    }[kind]
+    fn = reference.GATES[kind]
     nb, cin, a, b = _two_input_fixture()
     out = nb.add(kind, a)
     nl = _finish_single_output(nb, cin, a, b, out)
@@ -134,6 +129,19 @@ def test_evaluate_table_i_example_and_missing_port():
         netlist.evaluate_words(nl, (9,), (2,))
     with pytest.raises(ValueError, match="not a qudit"):
         netlist.evaluate_words(nl, (1,), (2,), 4)
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None])
+def test_a_digit_that_is_not_an_integer_is_a_value_error(bad):
+    nl = build(AdderSpec("ripple", 2))
+    for a, b, cin in [((bad, 0), (0, 0), 0), ((0, 0), (0, bad), 0), ((0, 0), (0, 0), bad)]:
+        with pytest.raises(ValueError, match=f"^not a qudit: {re.escape(repr(bad))}$"):
+            netlist.evaluate_words(nl, a, b, cin)
+
+
+def test_every_gate_kind_has_a_reference():
+    """A kind added to the package's table without a reference function fails."""
+    assert reference.GATES.keys() == netlist._KINDS.keys() - netlist.LEAF_KINDS
 
 
 def test_pass_through_identity():

@@ -7,7 +7,8 @@ packing, a faulty document and the error paths) goes through
 before it imports quadder, so the calls made at import time count too.  A
 function of the package that no run reaches fails the test unless
 ``ALLOWED`` names it with its reason: code that only tests use belongs in
-``tests/reference.py``.
+``tests/reference.py``.  An ``ALLOWED`` entry that a run reaches, or that
+names a function no longer defined, fails it too.
 """
 
 import inspect
@@ -29,8 +30,6 @@ ALLOWED = {
     "verify.VerifyReport.mismatches": "documented library API (README, Library)",
     "netlist.lower_fanin2": "run by the benchmark's document workload (bench/workloads.py)",
     "verify.MismatchTable.__eq__": "VerifyReport's == compares its records with it",
-    "qudit.qxor": "the xor gate's semantics, exported beside qand and qor; the evaluators "
-                  "compute it with operator.xor and np.bitwise_xor",
 }
 
 CHILD = r"""
@@ -167,3 +166,4 @@ def test_every_src_function_is_reached_by_the_cli(tmp_path):
                                   for ok in ALLOWED))
     assert not unreached, f"src functions no CLI run reaches: {unreached}"
     assert not set(ALLOWED) - defined, "the allowlist names a function that is gone"
+    assert not set(ALLOWED) & reached, f"a CLI run reaches {sorted(set(ALLOWED) & reached)}"
