@@ -104,7 +104,7 @@ def build(spec: AdderSpec) -> Netlist:
 
 
 class _Scaffold:
-    """Builder plus input ports, group tracking and common sub-stages."""
+    """Builder plus input ports, the shared Const 1 and common sub-stages."""
 
     def __init__(self, spec: AdderSpec):
         self.spec = spec
@@ -113,7 +113,7 @@ class _Scaffold:
         self.cin = self.nb.add_input("cin")
         self.a = [None] + [self.nb.add_input(f"A[{i}]") for i in range(1, n + 1)]
         self.b = [None] + [self.nb.add_input(f"B[{i}]") for i in range(1, n + 1)]
-        self.groups: dict[str, list[int]] = {}
+        self.one = None   # the Const 1 every mask reads, made by the first mask
         self.signals: dict[str, int] = {}
         # the propagate and generate ids of each position, built by build_pg
         self.p: list = [None] * (n + 1)
@@ -121,30 +121,23 @@ class _Scaffold:
         # P*[i] and bitswapped P*[i] at 2i and 2i + 1, so a product's literals are one slice
         self.literals: list = [None] * (2 * n + 2)
 
-    def emit(self, group: str, kind: str, *inputs: int) -> int:
-        """Add a gate; attribute it to ``group`` only if it is new (shared
-        subexpressions stay with the group that first built them)."""
-        new = len(self.nb.nodes)
-        nid = self.nb.add(kind, *inputs)
-        if nid == new:
-            self.groups.setdefault(group, []).append(nid)
-        return nid
-
     def mask(self, x: int) -> int:
-        one = self.nb.add_const(1)
-        return self.emit("masks", AND, x, one)
+        if self.one is None:
+            self.one = self.nb.add_const(1)
+        return self.nb.add(AND, x, self.one, group="masks")
 
     def build_pg(self, positions) -> None:
         """Propagate/generate stage (7 gates per position, generate raw)."""
+        add = self.nb.add
         for i in positions:
             a, b = self.a[i], self.b[i]
-            pstar = self.emit("pg", XOR, a, b)
-            pbsw = self.emit("pg", BITSWAP, pstar)
-            p = self.emit("pg", AND, pstar, pbsw)
-            ab = self.emit("pg", AND, a, b)
-            inw = self.emit("pg", INWARD, ab)
-            g3 = self.emit("pg", AND, a, b, pbsw)
-            g = self.emit("pg", OR, inw, g3)
+            pstar = add(XOR, a, b, group="pg")
+            pbsw = add(BITSWAP, pstar, group="pg")
+            p = add(AND, pstar, pbsw, group="pg")
+            ab = add(AND, a, b, group="pg")
+            inw = add(INWARD, ab, group="pg")
+            g3 = add(AND, a, b, pbsw, group="pg")
+            g = add(OR, inw, g3, group="pg")
             self.p[i], self.g[i] = p, g
             self.literals[2 * i:2 * i + 2] = pstar, pbsw
             self.signals[f"P[{i}]"] = p
@@ -159,7 +152,7 @@ class _Scaffold:
         """
         if lo == hi:
             return self.p[lo]
-        return self.emit(group, AND, *self.literals[2 * lo:2 * hi + 2])
+        return self.nb.add(AND, *self.literals[2 * lo:2 * hi + 2], group=group)
 
     def lookahead_carries(self, lo: int, hi: int, seed, emit_at, group: str) -> dict:
         """Flat lookahead over the span lo..hi.
@@ -171,34 +164,34 @@ class _Scaffold:
         outputs are low-bit correct; the standalone generate enters through
         its mask so the Or sits at depth 6 for every t.
         """
-        out = {}
+        add, out = self.nb.add, {}
         for t in emit_at:
             terms = [self.mask(self.g[t])]
             for k in range(lo, t):
-                terms.append(self.emit(group, AND, self.g[k], self.prod(k + 1, t, group)))
+                terms.append(add(AND, self.g[k], self.prod(k + 1, t, group), group=group))
             if seed is not None:
-                terms.append(self.emit(group, AND, seed, self.prod(lo, t, group)))
-            out[t] = self.emit(group, OR, *terms) if len(terms) > 1 else terms[0]
+                terms.append(add(AND, seed, self.prod(lo, t, group), group=group))
+            out[t] = add(OR, *terms, group=group) if len(terms) > 1 else terms[0]
         return out
 
     def full_cell(self, i: int, cin_i: int, group: str, want_cout: bool):
         """One ripple full-adder cell; returns (sum id, masked cout id)."""
-        a, b = self.a[i], self.b[i]
-        ab = self.emit(group, AND, a, b)
-        bc = self.emit(group, AND, b, cin_i)
-        ca = self.emit(group, AND, cin_i, a)
-        t = self.emit(group, OR, ab, bc, ca)
-        xorab = self.emit(group, XOR, a, b)
+        add, a, b = self.nb.add, self.a[i], self.b[i]
+        ab = add(AND, a, b, group=group)
+        bc = add(AND, b, cin_i, group=group)
+        ca = add(AND, cin_i, a, group=group)
+        t = add(OR, ab, bc, ca, group=group)
+        xorab = add(XOR, a, b, group=group)
         cout = None
         if want_cout:
-            bswab = self.emit(group, BITSWAP, xorab)
-            inw = self.emit(group, INWARD, ab)
-            tb = self.emit(group, AND, t, bswab)
-            craw = self.emit(group, OR, inw, tb)
+            bswab = add(BITSWAP, xorab, group=group)
+            inw = add(INWARD, ab, group=group)
+            tb = add(AND, t, bswab, group=group)
+            craw = add(OR, inw, tb, group=group)
             cout = self.mask(craw)
         tm = self.mask(t)
-        tbs = self.emit(group, BITSWAP, tm)
-        s = self.emit(group, XOR, xorab, cin_i, tbs)
+        tbs = add(BITSWAP, tm, group=group)
+        s = add(XOR, xorab, cin_i, tbs, group=group)
         return s, cout
 
     def sum_stage(self, carry: dict) -> tuple[list[int], int]:
@@ -225,10 +218,10 @@ class _Scaffold:
         meta = {
             "kind": self.spec.kind,
             "params": self.spec.params,
-            "groups": self.groups,
+            "groups": self.nb.groups,
             "delay_scope": list(delay_scope),
+            **(extra_meta or {}),
         }
-        meta.update(extra_meta or {})
         return self.nb.finish(
             self.a[1:],
             self.b[1:],
@@ -249,8 +242,7 @@ def _tree_nodes(sc: _Scaffold):
     internal node is one 2-input And.  Leaves are the pg-stage signals and
     the carry-in.
     """
-    sc.groups.setdefault("product_tree", [])
-    sc.groups.setdefault("carry_tree", [])
+    sc.nb.groups.update(product_tree=[], carry_tree=[])   # listed even when empty, in this order
     pmemo: dict = {}
     qmemo: dict = {}
     q_keys: list = []
@@ -263,7 +255,7 @@ def _tree_nodes(sc: _Scaffold):
             m = 1 << floor_log2(j - i)
             left = pnode(i, j - m)
             right = pnode(j - m + 1, j)
-            pmemo[key] = sc.emit("product_tree", AND, left, right)
+            pmemo[key] = sc.nb.add(AND, left, right, group="product_tree")
         return pmemo[key]
 
     def qnode(i: int, j: int) -> int:
@@ -275,8 +267,8 @@ def _tree_nodes(sc: _Scaffold):
             upper = qnode(i, i - m + 1)
             lower = qnode(i - m, j)
             pr = pnode(i - m, i - 1)
-            t = sc.emit("carry_tree", AND, lower, pr)
-            nid = sc.emit("carry_tree", OR, upper, t)
+            t = sc.nb.add(AND, lower, pr, group="carry_tree")
+            nid = sc.nb.add(OR, upper, t, group="carry_tree")
             qmemo[key] = nid
             q_keys.append([i, j, nid])
         return qmemo[key]
@@ -396,10 +388,10 @@ def _block_chain(spec: AdderSpec, block: int) -> Netlist:
             if lo == hi:
                 bp = sc.p[lo]
             else:
-                bp = sc.emit("block_level", AND, *sc.p[lo:hi + 1])
+                bp = sc.nb.add(AND, *sc.p[lo:hi + 1], group="block_level")
             bg = sc.lookahead_carries(lo, hi, None, [hi], "block_level")[hi]
-            step = sc.emit("block_level", AND, bp, bc_prev)
-            bc_prev = sc.emit("block_level", OR, bg, step)
+            step = sc.nb.add(AND, bp, bc_prev, group="block_level")
+            bc_prev = sc.nb.add(OR, bg, step, group="block_level")
             sc.signals[f"carry[{hi}]"] = bc_prev
     scope = [f"carry[{i}]" for i in range(1, n + 1)]
     return sc.finish(s_ids, cout, scope)

@@ -119,18 +119,19 @@ class Netlist:
 
 class NetlistBuilder:
     """Append-only constructor with structural hashing: a node equal to an
-    earlier one (kind, inputs, value and name) gets the earlier node's id.
-
-    The builder only interns nodes; every netlist checks itself when it is
-    made, so misuse is a DocumentError at ``finish``, as at document import.
+    earlier one (kind, inputs, value and name) gets the earlier node's id, and
+    ``add(..., group=g)`` lists only a new node's id in ``groups[g]``.  It does
+    not check nodes: every netlist checks itself when it is made, so misuse is
+    a DocumentError at ``finish``, as at document import.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.nodes: list[Node] = []
+        self.groups: dict[str, list[int]] = {}
         self._memo: dict = {}   # node -> id
 
-    def _intern(self, node: Node) -> int:
+    def _intern(self, node: Node, group: str | None = None) -> int:
         new = len(self.nodes)
         try:
             nid = self._memo.setdefault(node, new)
@@ -138,6 +139,8 @@ class NetlistBuilder:
             nid = new
         if nid == new:
             self.nodes.append(node)
+            if group is not None:
+                self.groups.setdefault(group, []).append(nid)
         return nid
 
     def add_input(self, name: str) -> int:
@@ -146,8 +149,8 @@ class NetlistBuilder:
     def add_const(self, value: int) -> int:
         return self._intern(Node(CONST, (), value, None))
 
-    def add(self, kind: str, *inputs: int) -> int:
-        return self._intern(tuple.__new__(Node, (kind, inputs, None, None)))   # skips Node.__new__
+    def add(self, kind: str, *inputs: int, group: str | None = None) -> int:
+        return self._intern(tuple.__new__(Node, (kind, inputs, None, None)), group)
 
     def finish(
         self,
@@ -256,16 +259,17 @@ def _check_ids(ids, n: int, what: str) -> None:
 
 
 def _check_qudit(digit) -> int:
-    try:
-        value = index(digit)
-    except TypeError:
-        raise ValueError(f"not a qudit: {digit!r}") from None
+    if not hasattr(digit, "__index__") or type(digit) is bool:   # index(True) would be 1
+        raise ValueError(f"not a qudit: {digit!r}")
+    value = index(digit)
     if not 0 <= value <= 3:
         raise ValueError(f"not a qudit: {value}")
     return value
 
 
 def _check_word(word, width: int) -> tuple[int, ...]:
+    if not isinstance(word, Iterable):
+        raise ValueError(f"not a word: {word!r}")
     digits = tuple(map(_check_qudit, word))
     if not digits:
         raise ValueError("empty word")
@@ -834,12 +838,12 @@ def lower_fanin2(nl: Netlist) -> Netlist:
             hit = memo[kind, ids] = nid, (*made_left, *made_right, nid)
         return hit
 
-    for node in nl.nodes:
-        ins = tuple(map(remap.__getitem__, node.inputs))
-        if node.kind in MULTI_KINDS:
-            new, made = split(node.kind, ins)
+    for kind, inputs, value, name in nl.nodes:
+        ins = tuple(map(remap.__getitem__, inputs))
+        if kind in MULTI_KINDS:
+            new, made = split(kind, ins)
         else:
-            new = nb._intern(node._replace(inputs=ins))
+            new = nb._intern(tuple.__new__(Node, (kind, ins, value, name)))
             made = (new,)
         remap.append(new)
         produced.append(made)

@@ -206,14 +206,17 @@ def check_exhaustive(nl: Netlist) -> VerifyReport:
         raise ValueError(f"width {n} exceeds the exhaustive bound {EXHAUSTIVE_WIDTH_BOUND}; "
                          "check it with random trials instead")
     words = (np.arange(4**n)[:, None] >> 2 * np.arange(n) & 3).astype(np.uint8)
+    # a is fixed over each period of 2 * 4^n cases, which runs (b, cin) through every value once
+    period, count = 2 * 4**n, 2 * 16**n
+    k = np.arange(min(CHUNK_CASES + period, count))   # a chunk's (b, cin) start at lo mod period
+    b, cin = np.take(words, (k >> 1) & (4**n - 1), axis=0), (k & 1).astype(np.uint8)
 
-    def chunk(lo: int, hi: int) -> tuple:   # np.take: several times faster than words[k]
-        k = np.arange(lo, hi)
-        return (np.take(words, k >> (2 * n + 1), axis=0),
-                np.take(words, (k >> 1) & (4**n - 1), axis=0), (k & 1).astype(np.uint8))
+    def chunk(lo: int, hi: int):
+        rows = slice(lo % period, lo % period + hi - lo)
+        return words[lo // period:-(-hi // period)].repeat(period, axis=0)[rows], b[rows], cin[rows]
 
-    records = _check(nl, chunk, 2 * 16**n)
-    return VerifyReport("exhaustive", 2 * 16**n, records, kind=nl.meta.get("kind"), width=n)
+    records = _check(nl, chunk, count)
+    return VerifyReport("exhaustive", count, records, kind=nl.meta.get("kind"), width=n)
 
 
 def _corner_vectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

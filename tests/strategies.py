@@ -6,11 +6,12 @@ from quadder.netlist import AND, MULTI_KINDS, UNARY_KINDS, NetlistBuilder
 
 
 class RepeatingBuilder(NetlistBuilder):
-    """A builder that keeps repeated gates: every add appends a new node."""
+    """A builder that keeps repeated gates: it forgets every earlier node
+    before it interns the next, so every add appends a new node."""
 
-    def _intern(self, node):
-        self.nodes.append(node)
-        return len(self.nodes) - 1
+    def _intern(self, node, group=None):
+        self._memo.clear()
+        return super()._intern(node, group)
 
 
 @st.composite

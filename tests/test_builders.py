@@ -13,6 +13,7 @@ from quadder.builders import (
     build,
     ceil_log2,
     floor_log2,
+    spec_for,
 )
 from quadder.verify import check_exhaustive, check_random
 
@@ -295,3 +296,47 @@ def test_builders_are_deterministic():
         one = netlist.to_json(build(spec))
         two = netlist.to_json(build(spec))
         assert one == two
+
+
+def _group_specs():
+    for kind in KINDS:
+        for n in range(1, 17):
+            yield spec_for(kind, n)
+    for s in range(2, 6):
+        for n in range(1, 17):
+            yield AdderSpec("sparse", n, sparsity=s)
+    for n in range(1, 9):
+        for block in range(1, n + 1):
+            yield AdderSpec("hybrid", n, block=block)
+
+
+def test_groups_partition_the_gates():
+    """Every gate of a built netlist is in exactly one group, and each group
+    lists its ids in ascending order."""
+    for spec in _group_specs():
+        nl = build(spec)
+        groups = nl.meta["groups"].values()
+        gates = [nid for nid, node in enumerate(nl.nodes) if node.kind not in netlist.LEAF_KINDS]
+        assert sorted(nid for ids in groups for nid in ids) == gates, spec
+        assert all(ids == sorted(set(ids)) for ids in groups), spec
+
+
+def test_every_gate_goes_through_add(monkeypatch):
+    """The benchmark counts builder calls with a ``*args, **kwargs`` wrapper
+    on ``NetlistBuilder.add``; under it every build writes the same document,
+    and every gate id is the result of some ``add`` call."""
+    plain = {spec: netlist.to_json(build(spec)) for spec in all_specs(6)}
+    returned = []
+    add = netlist.NetlistBuilder.add
+
+    def counted(*args, **kwargs):
+        returned.append(add(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(netlist.NetlistBuilder, "add", counted)
+    for spec, doc in plain.items():
+        returned.clear()
+        nl = build(spec)
+        assert netlist.to_json(nl) == doc, spec
+        gates = {nid for nid, node in enumerate(nl.nodes) if node.kind not in netlist.LEAF_KINDS}
+        assert set(returned) == gates, spec

@@ -87,6 +87,27 @@ def test_deduplication_returns_same_id():
     a2 = nodup.add_input("A[1]")
     b2 = nodup.add_input("B[1]")
     assert nodup.add(AND, a2, b2) != nodup.add(AND, a2, b2)
+    # every repeat is a new node, so the strategies built on it cannot start interning
+    ones = [nodup.add_const(1), nodup.add_const(1)]
+    masks = [nodup.add(AND, a2, ones[0], group="masks") for _ in range(2)]
+    assert len(set(ones + masks)) == 4 and len(nodup.nodes) == 9
+    assert nodup.groups == {"masks": masks}
+
+
+def test_add_groups_only_new_nodes():
+    """A new node joins its group, made on first use; a node that interns to
+    an earlier one keeps the earlier one's group, or none; no group lists a
+    node added without one."""
+    nb, cin, a, b = _two_input_fixture()
+    x = nb.add(AND, a, b)
+    y = nb.add(XOR, a, b, group="pg")
+    assert nb.add(XOR, a, b, group="sum") == y   # a hit keeps its first group
+    assert nb.add(AND, a, b, group="pg") == x    # and a node made without one stays out
+    one = nb.add_const(1)
+    m = nb.add(AND, x, one, group="masks")
+    z = nb.add(OR, y, m, group="pg")
+    assert nb.groups == {"pg": [y, z], "masks": [m]}
+    assert list(nb.groups) == ["pg", "masks"]   # in order of first use
 
 
 @pytest.mark.parametrize("kind", sorted(netlist.MULTI_KINDS))
@@ -131,12 +152,21 @@ def test_evaluate_table_i_example_and_missing_port():
         netlist.evaluate_words(nl, (1,), (2,), 4)
 
 
-@pytest.mark.parametrize("bad", [1.0, "1", None])
+@pytest.mark.parametrize("bad", [1.0, "1", None, True, False])
 def test_a_digit_that_is_not_an_integer_is_a_value_error(bad):
+    """A bool is an int to ``operator.index``, but not a digit."""
     nl = build(AdderSpec("ripple", 2))
     for a, b, cin in [((bad, 0), (0, 0), 0), ((0, 0), (0, bad), 0), ((0, 0), (0, 0), bad)]:
         with pytest.raises(ValueError, match=f"^not a qudit: {re.escape(repr(bad))}$"):
             netlist.evaluate_words(nl, a, b, cin)
+
+
+@pytest.mark.parametrize("bad", [5, None])
+def test_a_word_that_is_not_iterable_is_a_value_error(bad):
+    nl = build(AdderSpec("ripple", 1))
+    for a, b in [(bad, (0,)), ((0,), bad)]:
+        with pytest.raises(ValueError, match=f"^not a word: {bad!r}$"):
+            netlist.evaluate_words(nl, a, b)
 
 
 def test_every_gate_kind_has_a_reference():

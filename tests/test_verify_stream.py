@@ -115,6 +115,36 @@ def test_exhaustive_reports_do_not_depend_on_the_chunk_size(monkeypatch, kind):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("chunk", [4, 12, verify.CHUNK_CASES])
+def test_exhaustive_chunks_hold_the_indexed_cases(monkeypatch, chunk):
+    """Every chunk holds cases lo..hi-1, case k being (a word k >> (2n + 1),
+    b word (k >> 1) mod 4^n, cin k & 1).  The shipped chunk size is a whole
+    number of the 2 * 4^n-case periods of (b, cin) at every exhaustive width,
+    so each chunk starts a period; chunks of 4 and 12 split them (widths 1
+    and 2 only: every chunk is one ``add_batch`` call)."""
+    widths = range(1, verify.EXHAUSTIVE_WIDTH_BOUND + 1)
+    if chunk == verify.CHUNK_CASES:
+        assert all(chunk % (2 * 4**n) == 0 for n in widths)
+    else:
+        widths = range(1, 3)
+    monkeypatch.setattr(verify, "CHUNK_CASES", chunk)
+    check = verify._check
+
+    def indexed(nl, make, count):
+        n = nl.width
+        words = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.uint8)[:, ::-1]
+        for lo in range(0, count, chunk):
+            k = np.arange(lo, min(lo + chunk, count))
+            want = (words[k >> (2 * n + 1)], words[(k >> 1) % 4**n], (k & 1).astype(np.uint8))
+            for got, part in zip(make(lo, k[-1] + 1), want):
+                assert got.dtype == np.uint8 and np.array_equal(got, part), (n, lo)
+        return check(nl, make, count)
+
+    monkeypatch.setattr(verify, "_check", indexed)
+    for n in widths:
+        assert verify.check_exhaustive(builders.build(builders.spec_for("ripple", n))).passed
+
+
 def _peak(nl, trials) -> int:
     tracemalloc.start()
     try:
