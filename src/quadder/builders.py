@@ -33,6 +33,8 @@ __all__ = [
     "ceil_log2",
 ]
 
+TAKES = {"sparse": ("sparsity",), "hybrid": ("block",)}   # each kind's parameters beside width
+
 
 def floor_log2(x: int) -> int:
     if x < 1:
@@ -76,23 +78,23 @@ class AdderSpec:
     @property
     def params(self) -> dict:
         """The parameters its kind takes, as a built netlist's meta records them."""
-        taken = {"sparse": ("width", "sparsity"), "hybrid": ("width", "block")}
-        return {name: getattr(self, name) for name in taken.get(self.kind, ("width",))}
+        return {name: getattr(self, name) for name in ("width", *TAKES.get(self.kind, ()))}
 
 
 def spec_for(kind: str, width: int, sparsity: int | None = None,
              block: int | None = None) -> AdderSpec:
-    """The spec for a kind, keeping only the parameters that kind takes.
+    """The spec for a kind; a parameter that kind does not take is a ValueError.
 
     A sparse adder without an explicit sparsity gets AdderSpec's 4, and a
     hybrid without an explicit block gets min(4, width); an explicit value
     is validated as given.
     """
-    if kind == "hybrid":
-        return AdderSpec(kind, width, block=min(4, width) if block is None else block)
-    if kind == "sparse" and sparsity is not None:
-        return AdderSpec(kind, width, sparsity=sparsity)
-    return AdderSpec(kind, width)
+    for name, value in (("sparsity", sparsity), ("block", block)):
+        if value is not None and name not in TAKES.get(kind, ()):
+            raise ValueError(f"a {kind} adder takes no {name}")
+    if kind == "hybrid" and block is None:
+        block = min(4, width)
+    return AdderSpec(kind, width, AdderSpec.sparsity if sparsity is None else sparsity, block)
 
 
 def build(spec: AdderSpec) -> Netlist:

@@ -27,11 +27,11 @@ def _canonical_kind(text: str) -> str:
 
 def _spec_from_args(args) -> builders.AdderSpec:
     """The spec of the flags; a flag its kind does not take is an error, not dropped."""
-    spec = builders.spec_for(_canonical_kind(args.kind), args.width, args.sparsity, args.block)
-    for name in ("sparsity", "block"):
-        if getattr(args, name) is not None and name not in spec.params:
-            raise ValueError(f"a {spec.kind} adder takes no --{name}")
-    return spec
+    kind = _canonical_kind(args.kind)
+    for name in ("sparsity", "block"):   # checked here to name the flag, not the parameter
+        if getattr(args, name) is not None and name not in builders.TAKES.get(kind, ()):
+            raise ValueError(f"a {kind} adder takes no --{name}")
+    return builders.spec_for(kind, args.width, args.sparsity, args.block)
 
 
 def _parse_digits(text: str, width: int, flag: str) -> tuple[int, ...]:

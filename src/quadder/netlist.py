@@ -8,6 +8,7 @@ timing uses a unit-delay model (every gate costs 1, wires cost 0).
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from dataclasses import dataclass, field
@@ -259,11 +260,12 @@ def _check_ids(ids, n: int, what: str) -> None:
 
 
 def _check_qudit(digit) -> int:
-    if not hasattr(digit, "__index__") or type(digit) is bool:   # index(True) would be 1
-        raise ValueError(f"not a qudit: {digit!r}")
-    value = index(digit)
+    try:
+        value = -1 if type(digit) is bool else index(digit)   # index(True) would be 1
+    except TypeError:   # no __index__, or an array that is not one integer
+        value = -1
     if not 0 <= value <= 3:
-        raise ValueError(f"not a qudit: {value}")
+        raise ValueError(f"not a qudit: {digit!r}")
     return value
 
 
@@ -708,8 +710,9 @@ def to_json(nl: Netlist) -> str:
     """
     records = []
     sep = ",\n        "   # between a record's input ids
-    for nid, (kind, ins, value, name) in enumerate(nl.nodes):
-        ins = f"[\n        {sep.join(map(str, ins))}\n      ]" if ins else "[]"
+    ids = list(map(str, range(len(nl.nodes))))   # each id's text, made once
+    for nid, (kind, ins, value, name) in zip(ids, nl.nodes):
+        ins = f"[\n        {sep.join(map(ids.__getitem__, ins))}\n      ]" if ins else "[]"
         record = f'    {{\n      "id": {nid},\n      "kind": "{kind}",\n      "inputs": {ins}'
         if value is not None:
             record += f',\n      "value": {value}'
@@ -738,6 +741,16 @@ def _reject_unknown(obj: dict, known: frozenset, where: str) -> None:
 
 
 def from_json(text: str | bytes) -> Netlist:
+    enabled = gc.isenabled()
+    gc.disable()   # the parse tree is in no cycle and dies here: a collector pass would only walk it
+    try:
+        return _parse(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str | bytes) -> Netlist:
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deeply
@@ -777,7 +790,7 @@ def from_json(text: str | bytes) -> Netlist:
             raise DocumentError("malformed", f"node ids must be dense, got {nid} at {i}")
         if len(entry) > 3:   # id, kind and a stray field: no inputs, value or name, so invalid
             _reject_unknown(entry, _RECORD_FIELDS, f"node {i}")
-        nodes.append(Node(kind, inputs, entry.get("value"), entry.get("name")))
+        nodes.append(tuple.__new__(Node, (kind, inputs, entry.get("value"), entry.get("name"))))
 
     try:
         a_ports, b_ports, s_ports = tuple(ports["A"]), tuple(ports["B"]), tuple(ports["S"])

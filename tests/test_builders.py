@@ -62,6 +62,18 @@ def test_spec_validation():
             AdderSpec(kind, width, **extra)
 
 
+def test_spec_for_rejects_a_parameter_its_kind_does_not_take():
+    for kind, name in (("ripple", "sparsity"), ("single_stage", "block"), ("tree", "block"),
+                       ("sparse", "block"), ("hybrid", "sparsity")):
+        with pytest.raises(ValueError, match=f"^a {kind} adder takes no {name}$"):
+            spec_for(kind, 4, **{name: 2})
+    assert spec_for("sparse", 8, sparsity=3) == AdderSpec("sparse", 8, sparsity=3)
+    assert spec_for("sparse", 8) == AdderSpec("sparse", 8, sparsity=4)
+    assert spec_for("hybrid", 8, block=2) == AdderSpec("hybrid", 8, block=2)
+    assert spec_for("hybrid", 2) == AdderSpec("hybrid", 2, block=2)
+    assert spec_for("tree", 4) == AdderSpec("tree", 4)
+
+
 def test_kinds_order():
     # hypothesis draws and test ids depend on this order
     assert KINDS == ("ripple", "single_stage", "tree", "sparse", "hybrid")

@@ -1,6 +1,9 @@
 """Netlist IR: construction rules, evaluation, timing, serialization."""
 
+import gc
+import inspect
 import itertools
+import json
 import re
 import types
 
@@ -10,7 +13,7 @@ import reference
 from strategies import RepeatingBuilder
 
 from quadder import netlist
-from quadder.builders import AdderSpec, build
+from quadder.builders import KINDS, AdderSpec, build, spec_for
 from quadder.netlist import (
     AND,
     BITSWAP,
@@ -152,7 +155,7 @@ def test_evaluate_table_i_example_and_missing_port():
         netlist.evaluate_words(nl, (1,), (2,), 4)
 
 
-@pytest.mark.parametrize("bad", [1.0, "1", None, True, False])
+@pytest.mark.parametrize("bad", [1.0, "1", None, True, False, np.array([1, 2]), np.array([1])])
 def test_a_digit_that_is_not_an_integer_is_a_value_error(bad):
     """A bool is an int to ``operator.index``, but not a digit."""
     nl = build(AdderSpec("ripple", 2))
@@ -321,6 +324,57 @@ def test_import_rejects_bad_documents():
     with pytest.raises(DocumentError) as err:
         netlist.from_json(json.dumps(broken))
     assert err.value.reason == "dangling"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_import_leaves_the_collector_as_it_found_it(enabled):
+    """Import pauses the cyclic collector and turns it back on only if it was
+    on, after a document and after a rejection of each reason."""
+    doc = json.loads(netlist.to_json(build(AdderSpec("ripple", 2))))
+    cyclic, dangling = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+    gate = next(n for n in cyclic["nodes"] if n["kind"] == "and")
+    gate["inputs"][0] = gate["id"]
+    dangling["ports"]["cout"] = 10_000
+    cases = [(json.dumps(doc), None), ("{not json", "malformed"),
+             (json.dumps({**doc, "version": 99}), "version"),
+             (json.dumps(cyclic), "acyclicity"), (json.dumps(dangling), "dangling")]
+    was_enabled = gc.isenabled()
+    try:
+        for text, reason in cases:
+            gc.enable() if enabled else gc.disable()
+            if reason is None:
+                assert netlist.to_json(netlist.from_json(text)) == json.dumps(doc, indent=2) + "\n"
+            else:
+                with pytest.raises(DocumentError) as err:
+                    netlist.from_json(text)
+                assert err.value.reason == reason
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert str(inspect.signature(netlist.from_json)) == "(text: 'str | bytes') -> 'Netlist'"
+
+
+def test_import_leaves_no_cyclic_garbage():
+    """The pause's premise: an imported netlist, the parse tree it came from,
+    its analysis, its plan and its export are all freed by refcounting, so a
+    collection after import finds nothing.  (Building a tree or sparse adder
+    and ``lower_fanin2`` each leave one recursive closure, a cycle, so they
+    run before the first collection.)"""
+    built = [build(spec_for(kind, 16)) for kind in KINDS]
+    documents = [netlist.to_json(nl) for nl in built + list(map(netlist.lower_fanin2, built))]
+    del built
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()   # so no automatic pass collects a cycle before the check
+    try:
+        for text in documents:
+            nl = netlist.from_json(text)
+            nl._analysis, nl._plan
+            assert netlist.to_json(nl) == text
+        del nl
+        assert gc.collect() == 0
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_dot_export_has_one_edge_per_fanin():
