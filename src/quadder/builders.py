@@ -122,6 +122,9 @@ class _Scaffold:
         self.g: list = [None] * (n + 1)
         # P*[i] and bitswapped P*[i] at 2i and 2i + 1, so a product's literals are one slice
         self.literals: list = [None] * (2 * n + 2)
+        self.pmemo: dict = {}   # (i, j) -> the id of p(i, j), for tree_carries
+        self.qmemo: dict = {}   # (i, j) -> the id of q(i, j)
+        self.q_keys: list = []  # [i, j, id] of each q node, in the order made
 
     def mask(self, x: int) -> int:
         if self.one is None:
@@ -175,6 +178,44 @@ class _Scaffold:
                 terms.append(add(AND, seed, self.prod(lo, t, group), group=group))
             out[t] = add(OR, *terms, group=group) if len(terms) > 1 else terms[0]
         return out
+
+    def tree_carries(self, positions) -> dict:
+        """The raw carry out of each position i, q(i + 1, 1), from the memoized tree.
+
+        q(i, j) is the carry into qudit i accumulated from positions j..i-1
+        (plus the external carry-in when j = 1); each internal node costs one
+        And and one Or.  p(i, j) is the propagate product over i..j; each
+        internal node is one 2-input And.  Leaves are the pg-stage signals and
+        the carry-in.  Methods, not closures: a recursive closure is a cycle.
+        """
+        self.nb.groups.update(product_tree=[], carry_tree=[])   # listed even when empty, in order
+        return {i: self.qnode(i + 1, 1) for i in positions}
+
+    def pnode(self, i: int, j: int) -> int:
+        if i == j:
+            return self.p[i]
+        key = (i, j)
+        if key not in self.pmemo:
+            m = 1 << floor_log2(j - i)
+            left = self.pnode(i, j - m)
+            right = self.pnode(j - m + 1, j)
+            self.pmemo[key] = self.nb.add(AND, left, right, group="product_tree")
+        return self.pmemo[key]
+
+    def qnode(self, i: int, j: int) -> int:
+        if i == j:
+            return self.cin if i == 1 else self.g[i - 1]
+        key = (i, j)
+        if key not in self.qmemo:
+            m = 1 << floor_log2(i - j)
+            upper = self.qnode(i, i - m + 1)
+            lower = self.qnode(i - m, j)
+            pr = self.pnode(i - m, i - 1)
+            t = self.nb.add(AND, lower, pr, group="carry_tree")
+            nid = self.nb.add(OR, upper, t, group="carry_tree")
+            self.qmemo[key] = nid
+            self.q_keys.append([i, j, nid])
+        return self.qmemo[key]
 
     def full_cell(self, i: int, cin_i: int, group: str, want_cout: bool):
         """One ripple full-adder cell; returns (sum id, masked cout id)."""
@@ -235,49 +276,6 @@ class _Scaffold:
         )
 
 
-def _tree_nodes(sc: _Scaffold):
-    """Memoized carry/product tree recursion.
-
-    q(i, j) is the carry into qudit i accumulated from positions j..i-1
-    (plus the external carry-in when j = 1); each internal node costs one
-    And and one Or.  p(i, j) is the propagate product over i..j; each
-    internal node is one 2-input And.  Leaves are the pg-stage signals and
-    the carry-in.
-    """
-    sc.nb.groups.update(product_tree=[], carry_tree=[])   # listed even when empty, in this order
-    pmemo: dict = {}
-    qmemo: dict = {}
-    q_keys: list = []
-
-    def pnode(i: int, j: int) -> int:
-        if i == j:
-            return sc.p[i]
-        key = (i, j)
-        if key not in pmemo:
-            m = 1 << floor_log2(j - i)
-            left = pnode(i, j - m)
-            right = pnode(j - m + 1, j)
-            pmemo[key] = sc.nb.add(AND, left, right, group="product_tree")
-        return pmemo[key]
-
-    def qnode(i: int, j: int) -> int:
-        if i == j:
-            return sc.cin if i == 1 else sc.g[i - 1]
-        key = (i, j)
-        if key not in qmemo:
-            m = 1 << floor_log2(i - j)
-            upper = qnode(i, i - m + 1)
-            lower = qnode(i - m, j)
-            pr = pnode(i - m, i - 1)
-            t = sc.nb.add(AND, lower, pr, group="carry_tree")
-            nid = sc.nb.add(OR, upper, t, group="carry_tree")
-            qmemo[key] = nid
-            q_keys.append([i, j, nid])
-        return qmemo[key]
-
-    return qnode, q_keys
-
-
 # --- architectures ---
 
 
@@ -309,14 +307,13 @@ def _tree(spec: AdderSpec) -> Netlist:
     sc = _Scaffold(spec)
     n = sc.n
     sc.build_pg(range(1, n + 1))
-    qnode, q_keys = _tree_nodes(sc)
-    s_ids, cout = sc.sum_stage({i: qnode(i + 1, 1) for i in range(1, n + 1)})
+    s_ids, cout = sc.sum_stage(sc.tree_carries(range(1, n + 1)))
     scope = (
         [f"P[{i}]" for i in range(1, n + 1)]
         + [f"G[{i}]" for i in range(1, n + 1)]
         + [f"cin[{i}]" for i in range(2, n + 1)]
     )
-    return sc.finish(s_ids, cout, scope, extra_meta={"q_nodes": q_keys})
+    return sc.finish(s_ids, cout, scope, extra_meta={"q_nodes": sc.q_keys})
 
 
 def _sparse(spec: AdderSpec) -> Netlist:
@@ -326,9 +323,8 @@ def _sparse(spec: AdderSpec) -> Netlist:
     sc = _Scaffold(spec)
     n, sparsity = sc.n, spec.sparsity
     sc.build_pg(range(1, n + 1))
-    qnode, q_keys = _tree_nodes(sc)
     boundaries = list(range(1 + sparsity, n + 2, sparsity))
-    carry = {p - 1: qnode(p, 1) for p in boundaries}
+    carry = sc.tree_carries([p - 1 for p in boundaries])
     for lo in range(1, n + 1, sparsity):
         hi = min(lo + sparsity - 1, n)
         seed = sc.cin if lo == 1 else sc.mask(carry[lo - 1])
@@ -346,7 +342,8 @@ def _sparse(spec: AdderSpec) -> Netlist:
         + [f"cin[{i}]" for i in range(2, n + 1)]
         + ["cout"]
     )
-    return sc.finish(s_ids, cout, scope, extra_meta={"q_nodes": q_keys, "boundaries": boundaries})
+    return sc.finish(s_ids, cout, scope,
+                     extra_meta={"q_nodes": sc.q_keys, "boundaries": boundaries})
 
 
 def _hybrid(spec: AdderSpec) -> Netlist:

@@ -742,7 +742,7 @@ def _reject_unknown(obj: dict, known: frozenset, where: str) -> None:
 
 def from_json(text: str | bytes) -> Netlist:
     enabled = gc.isenabled()
-    gc.disable()   # the parse tree is in no cycle and dies here: a collector pass would only walk it
+    gc.disable()   # the parse tree is acyclic and dies here: a collector pass would only walk it
     try:
         return _parse(text)
     finally:
@@ -826,6 +826,24 @@ def to_dot(nl: Netlist) -> str:
 # --- rewrites ---
 
 
+def _split(nb: NetlistBuilder, memo: dict, kind: str, ids: tuple) -> tuple:
+    """(root id, gate ids) of a balanced 2-input tree over ids, made once per (kind, ids).
+    Not a closure: a recursive closure is a reference cycle, kept until a collection."""
+    if len(ids) == 1:
+        return ids[0], ()
+    if len(ids) == 2:
+        nid = nb.add(kind, *ids)
+        return nid, (nid,)
+    hit = memo.get((kind, ids))
+    if hit is None:
+        mid = len(ids) // 2
+        left, made_left = _split(nb, memo, kind, ids[:mid])
+        right, made_right = _split(nb, memo, kind, ids[mid:])
+        nid = nb.add(kind, left, right)
+        hit = memo[kind, ids] = nid, (*made_left, *made_right, nid)
+    return hit
+
+
 def lower_fanin2(nl: Netlist) -> Netlist:
     """Split every wide And/Or/Xor into a balanced tree of 2-input gates.
 
@@ -836,25 +854,10 @@ def lower_fanin2(nl: Netlist) -> Netlist:
     remap: list = []     # old id -> new id
     produced: list = []  # old id -> new ids of the gates made for it
     memo: dict = {}      # (kind, new input ids) -> (new id, new ids of its gates)
-
-    def split(kind: str, ids: tuple) -> tuple:
-        if len(ids) == 1:
-            return ids[0], ()
-        if len(ids) == 2:
-            nid = nb.add(kind, *ids)
-            return nid, (nid,)
-        hit = memo.get((kind, ids))
-        if hit is None:
-            mid = len(ids) // 2
-            (left, made_left), (right, made_right) = split(kind, ids[:mid]), split(kind, ids[mid:])
-            nid = nb.add(kind, left, right)
-            hit = memo[kind, ids] = nid, (*made_left, *made_right, nid)
-        return hit
-
     for kind, inputs, value, name in nl.nodes:
         ins = tuple(map(remap.__getitem__, inputs))
         if kind in MULTI_KINDS:
-            new, made = split(kind, ins)
+            new, made = _split(nb, memo, kind, ins)
         else:
             new = nb._intern(tuple.__new__(Node, (kind, ins, value, name)))
             made = (new,)

@@ -355,23 +355,20 @@ def test_import_leaves_the_collector_as_it_found_it(enabled):
 
 
 def test_import_leaves_no_cyclic_garbage():
-    """The pause's premise: an imported netlist, the parse tree it came from,
-    its analysis, its plan and its export are all freed by refcounting, so a
-    collection after import finds nothing.  (Building a tree or sparse adder
-    and ``lower_fanin2`` each leave one recursive closure, a cycle, so they
-    run before the first collection.)"""
-    built = [build(spec_for(kind, 16)) for kind in KINDS]
-    documents = [netlist.to_json(nl) for nl in built + list(map(netlist.lower_fanin2, built))]
-    del built
+    """The pause's premise: a built netlist, its document, its import and its
+    lowering, with their analysis and plan, are all freed by refcounting, so
+    a collection after import finds nothing."""
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()   # so no automatic pass collects a cycle before the check
     try:
-        for text in documents:
-            nl = netlist.from_json(text)
-            nl._analysis, nl._plan
-            assert netlist.to_json(nl) == text
-        del nl
+        for kind in KINDS:
+            built = build(spec_for(kind, 16))
+            imported = netlist.from_json(netlist.to_json(built))
+            lowered = netlist.lower_fanin2(imported)
+            for nl in (built, imported, lowered):
+                nl._analysis, nl._plan
+        del built, imported, lowered, nl
         assert gc.collect() == 0
     finally:
         gc.enable() if was_enabled else gc.disable()

@@ -29,6 +29,7 @@ ALLOWED = {
     "netlist.cone": "documented library API (README, Library)",
     "verify.VerifyReport.mismatches": "documented library API (README, Library)",
     "netlist.lower_fanin2": "run by the benchmark's document workload (bench/workloads.py)",
+    "netlist._split": "lower_fanin2's balanced split, reached only through it",
     "verify.MismatchTable.__eq__": "VerifyReport's == compares its records with it",
 }
 
