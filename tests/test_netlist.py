@@ -310,8 +310,6 @@ def test_import_rejects_bad_documents():
         netlist.from_json(doc.replace('"version": 1', '"version": 99'))
     assert err.value.reason == "version"
 
-    import json
-
     broken = json.loads(doc)
     gate = next(n for n in broken["nodes"] if n["kind"] == "and")
     gate["inputs"][0] = gate["id"]  # self-reference: input id >= own id
