@@ -25,7 +25,6 @@ from .builders import (
     KINDS,
     AdderSpec,
     build,
-    spec_for,
 )
 from .analysis import ClosedForm, ComparisonRow, closed_form, compare, rows_to_csv, sweep
 from .verify import (

@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass, field
 
 from . import netlist
-from .builders import AdderSpec, build, ceil_log2, floor_log2, spec_for
+from .builders import AdderSpec, build, ceil_log2, floor_log2
 
 __all__ = [
     "ClosedForm",
@@ -69,11 +69,10 @@ class ClosedForm:
     detail: dict = field(default_factory=dict)
 
 
-def closed_form(kind: str, n: int) -> ClosedForm | None:
-    """Published delay/gate/input formulas; None where the source gives
-    none (sparse, hybrid)."""
-    if n < 1:
-        raise ValueError("width must be >= 1")
+def closed_form(spec: AdderSpec) -> ClosedForm | None:
+    """Published delay/gate/input formulas for a spec's kind and width;
+    None where the source gives none (sparse, hybrid)."""
+    kind, n = spec.kind, spec.width
     s = floor_log2(n)
     if kind == "ripple":
         return ClosedForm("ripple", n, s, 5 * n, 9 * n, 19 * n,
@@ -102,9 +101,7 @@ def closed_form(kind: str, n: int) -> ClosedForm | None:
                 "carry_tree_inputs": 2 * carry_gates,
             },
         )
-    if kind in ("sparse", "hybrid"):
-        return None
-    raise ValueError(f"unknown adder kind: {kind!r}")
+    return None
 
 
 @dataclass
@@ -180,7 +177,7 @@ def compare(spec: AdderSpec, mask_counting: str = "excluded") -> ComparisonRow:
     pair the numbers with the closed forms.  Mismatches are reported, never
     reconciled."""
     nl = build(spec)
-    cf = closed_form(spec.kind, spec.width)
+    cf = closed_form(spec)
     scope = [name for name in nl.signals if name.startswith("carry[")]
     rep = netlist.measure(nl, scope, mask_counting)
     gates, inputs, max_fan_in = _measure_counts(nl, rep, mask_counting)
@@ -208,7 +205,8 @@ def sweep(kinds, widths, mask_counting: str = "excluded") -> list:
     widths = list(widths)
     if not kinds or not widths:
         raise ValueError("kinds and widths must be non-empty")
-    return [compare(spec_for(kind, n), mask_counting) for kind in kinds for n in widths]
+    specs = [AdderSpec(kind, n) for kind in kinds for n in widths]   # all checked before a build
+    return [compare(spec, mask_counting) for spec in specs]
 
 
 CSV_HEADER = (

@@ -27,7 +27,6 @@ from .netlist import AND, BITSWAP, INWARD, OR, XOR, Netlist, NetlistBuilder
 __all__ = [
     "KINDS",
     "AdderSpec",
-    "spec_for",
     "build",
     "floor_log2",
     "ceil_log2",
@@ -51,50 +50,45 @@ def ceil_log2(x: int) -> int:
 @dataclass(frozen=True)
 class AdderSpec:
     """Architecture selector plus its width, sparsity and block: the one
-    place they are checked, so a construction takes its spec as given."""
+    place a spec is made and checked, so a construction takes it as given.
+
+    A kind takes only its own parameters beside width (``TAKES``); another
+    is a ValueError.  A sparse adder without a sparsity gets 4 and a hybrid
+    without a block gets min(4, width).
+    """
 
     kind: str
     width: int
-    sparsity: int = 4      # sparse only
-    block: int | None = None  # hybrid only
+    sparsity: int | None = None   # sparse only
+    block: int | None = None      # hybrid only
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown adder kind: {self.kind!r}")
-        for name in ("width", "sparsity", "block"):
-            value = getattr(self, name)
-            if type(value) is not int and not (name == "block" and value is None):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        takes = TAKES.get(self.kind, ())
+        for name in ("sparsity", "block"):
+            if getattr(self, name) is not None and name not in takes:
+                raise ValueError(f"a {self.kind} adder takes no {name}")
+        if type(self.width) is not int:
+            raise ValueError(f"width must be an int, got {self.width!r}")
         if self.width < 1:
             raise ValueError("width must be >= 1")
+        defaults = {"sparsity": 4, "block": min(4, self.width)}
+        for name in takes:
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, defaults[name])   # frozen: set once, here
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.kind == "sparse" and self.sparsity < 2:
             raise ValueError("sparsity must be >= 2")
-        if self.kind == "hybrid":
-            if self.block is None:
-                raise ValueError("hybrid adder needs a block size")
-            if not 1 <= self.block <= self.width:
-                raise ValueError("block must satisfy 1 <= block <= width")
+        if self.kind == "hybrid" and not 1 <= self.block <= self.width:
+            raise ValueError("block must satisfy 1 <= block <= width")
 
     @property
     def params(self) -> dict:
         """The parameters its kind takes, as a built netlist's meta records them."""
         return {name: getattr(self, name) for name in ("width", *TAKES.get(self.kind, ()))}
-
-
-def spec_for(kind: str, width: int, sparsity: int | None = None,
-             block: int | None = None) -> AdderSpec:
-    """The spec for a kind; a parameter that kind does not take is a ValueError.
-
-    A sparse adder without an explicit sparsity gets AdderSpec's 4, and a
-    hybrid without an explicit block gets min(4, width); an explicit value
-    is validated as given.
-    """
-    for name, value in (("sparsity", sparsity), ("block", block)):
-        if value is not None and name not in TAKES.get(kind, ()):
-            raise ValueError(f"a {kind} adder takes no {name}")
-    if kind == "hybrid" and block is None:
-        block = min(4, width)
-    return AdderSpec(kind, width, AdderSpec.sparsity if sparsity is None else sparsity, block)
 
 
 def build(spec: AdderSpec) -> Netlist:

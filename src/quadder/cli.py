@@ -31,7 +31,7 @@ def _spec_from_args(args) -> builders.AdderSpec:
     for name in ("sparsity", "block"):   # checked here to name the flag, not the parameter
         if getattr(args, name) is not None and name not in builders.TAKES.get(kind, ()):
             raise ValueError(f"a {kind} adder takes no --{name}")
-    return builders.spec_for(kind, args.width, args.sparsity, args.block)
+    return builders.AdderSpec(kind, args.width, args.sparsity, args.block)
 
 
 def _parse_digits(text: str, width: int, flag: str) -> tuple[int, ...]:

@@ -753,7 +753,7 @@ def from_json(text: str | bytes) -> Netlist:
 def _parse(text: str | bytes) -> Netlist:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:   # bad JSON, bad UTF-8, a huge int; too deep
         raise DocumentError("malformed", f"invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DocumentError("malformed", "document is not an object")

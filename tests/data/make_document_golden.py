@@ -29,12 +29,12 @@ def cases():
     """(key, spec) for every pinned case, keyed as in the reference file."""
     for kind in KINDS:
         for n in WIDTHS:
-            yield f"{kind} {n}", builders.spec_for(kind, n)
+            yield f"{kind} {n}", builders.AdderSpec(kind, n)
     for n in PARAM_WIDTHS:
         for sparsity in (2, 3):
-            yield f"sparse {n} sparsity={sparsity}", builders.spec_for("sparse", n, sparsity)
+            yield f"sparse {n} sparsity={sparsity}", builders.AdderSpec("sparse", n, sparsity)
         for block in sorted({1, 2, 3, n} & set(range(1, n + 1))):
-            yield f"hybrid {n} block={block}", builders.spec_for("hybrid", n, block=block)
+            yield f"hybrid {n} block={block}", builders.AdderSpec("hybrid", n, block=block)
 
 
 def sha(text: str) -> str:

@@ -63,7 +63,7 @@ def faulty_doc(kind: str, n: int, fault: str) -> dict:
     """The built document with one gate's kind changed: S[j]'s XOR (j = n//2 + 1)
     or the carry-out mask's AND becomes an OR; a named carry signal's OR
     becomes an AND; the k-th AND of the product tree becomes an OR."""
-    doc = json.loads(netlist.to_json(builders.build(builders.spec_for(kind, n))))
+    doc = json.loads(netlist.to_json(builders.build(builders.AdderSpec(kind, n))))
     if fault == "S":
         nid, want, new = doc["ports"]["S"][n // 2], "xor", "or"
     elif fault == "cout":

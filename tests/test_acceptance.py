@@ -125,23 +125,23 @@ def test_criterion_4_delay_formulas_exact():
 
 def test_criterion_5_closed_forms_exact():
     bad = []
-    ss3 = closed_form("single_stage", 3)
+    ss3 = closed_form(AdderSpec("single_stage", 3))
     if (ss3.gates, ss3.inputs) != (33, 77):
         bad.append(("single_stage n=3", ss3.gates, ss3.inputs))
     for n in range(1, 257):
         gates = sum(analysis.single_stage_gates_per_qudit(i) for i in range(1, n + 1))
         inputs = sum(analysis.single_stage_inputs_per_qudit(i) for i in range(1, n + 1))
-        cf = closed_form("single_stage", n)
+        cf = closed_form(AdderSpec("single_stage", n))
         if gates != cf.gates or inputs != cf.inputs:
             bad.append(("per-qudit sum identity", n))
             break
-    t7 = closed_form("tree", 7).detail
+    t7 = closed_form(AdderSpec("tree", 7)).detail
     if (t7["product_tree_gates"], t7["product_tree_inputs"]) != (10, 20):
         bad.append(("tree n=7 product", t7))
     if (t7["carry_tree_gates"], t7["carry_tree_inputs"]) != (34, 68):
         bad.append(("tree n=7 carry", t7))
     for n in (1, 5, 40):
-        cf = closed_form("ripple", n)
+        cf = closed_form(AdderSpec("ripple", n))
         if cf.gates != 9 * n or cf.inputs != 19 * n:
             bad.append(("ripple per-carry", n))
     _report(5, not bad, "single-stage 33/77 at n=3 (+sums to n=256), "
@@ -170,16 +170,16 @@ def test_criterion_6_measured_counts_within_25_percent():
 def test_criterion_7_curve_properties():
     bad = []
     for n in range(2, 65):
-        ss = closed_form("single_stage", n).delay
-        tr = closed_form("tree", n).delay
-        ri = closed_form("ripple", n).delay
+        ss = closed_form(AdderSpec("single_stage", n)).delay
+        tr = closed_form(AdderSpec("tree", n)).delay
+        ri = closed_form(AdderSpec("ripple", n)).delay
         if not (ss <= tr < ri):
             bad.append(("ordering", n, ss, tr, ri))
         if (ss == tr) != (n == 2):
             bad.append(("equality-only-at-2", n))
     # tree gate totals grow as n log n
     for n in range(2, 65):
-        gates = closed_form("tree", n).gates
+        gates = closed_form(AdderSpec("tree", n)).gates
         ref = n * floor_log2(n)
         if not (0.5 * ref <= gates <= 4 * ref):
             bad.append(("tree theta(n log n)", n, gates, ref))

@@ -16,33 +16,33 @@ from quadder.builders import AdderSpec, ceil_log2
 
 
 def test_closed_form_spot_values():
-    assert closed_form("ripple", 4).delay == 20
-    assert closed_form("ripple", 4).gates == 36
-    assert closed_form("ripple", 4).inputs == 76
+    assert closed_form(AdderSpec("ripple", 4)).delay == 20
+    assert closed_form(AdderSpec("ripple", 4)).gates == 36
+    assert closed_form(AdderSpec("ripple", 4)).inputs == 76
 
-    ss = closed_form("single_stage", 3)
+    ss = closed_form(AdderSpec("single_stage", 3))
     assert ss.delay == 6 and ss.gates == 33 and ss.inputs == 77
 
-    tr = closed_form("tree", 7)
+    tr = closed_form(AdderSpec("tree", 7))
     assert tr.delay == 10
     assert tr.detail["product_tree_gates"] == 10
     assert tr.detail["product_tree_inputs"] == 20
     assert tr.detail["carry_tree_gates"] == 34
     assert tr.detail["carry_tree_inputs"] == 68
 
-    assert closed_form("sparse", 8) is None
-    assert closed_form("hybrid", 8) is None
+    assert closed_form(AdderSpec("sparse", 8)) is None
+    assert closed_form(AdderSpec("hybrid", 8)) is None
     with pytest.raises(ValueError):
-        closed_form("nonesuch", 4)
+        closed_form(AdderSpec("nonesuch", 4))
     with pytest.raises(ValueError):
-        closed_form("ripple", 0)
+        closed_form(AdderSpec("ripple", 0))
 
 
 def test_single_stage_sum_identities_up_to_256():
     for n in range(1, 257):
         gates = sum(single_stage_gates_per_qudit(i) for i in range(1, n + 1))
         inputs = sum(single_stage_inputs_per_qudit(i) for i in range(1, n + 1))
-        cf = closed_form("single_stage", n)
+        cf = closed_form(AdderSpec("single_stage", n))
         assert gates == n * n + 8 * n == cf.gates
         assert (n**3 + 9 * n**2 + 41 * n) % 3 == 0
         assert inputs == (n**3 + 9 * n**2 + 41 * n) // 3 == cf.inputs
@@ -57,7 +57,7 @@ def test_delay_dominance():
 
 def test_tree_inputs_double_gates():
     for n in range(1, 129):
-        cf = closed_form("tree", n)
+        cf = closed_form(AdderSpec("tree", n))
         assert cf.inputs == 2 * cf.gates
         assert cf.detail["product_tree_inputs"] == 2 * cf.detail["product_tree_gates"]
         assert cf.detail["carry_tree_inputs"] == 2 * cf.detail["carry_tree_gates"]
@@ -110,11 +110,19 @@ def test_sweep_shape_and_order():
         sweep(["nonesuch"], [2])
 
 
+def test_sweep_checks_every_spec_before_the_first_build(monkeypatch):
+    built = []
+    monkeypatch.setattr(analysis, "build", lambda spec: built.append(spec))
+    with pytest.raises(ValueError, match="unknown adder kind: 'bogus'"):
+        analysis.sweep(["tree", "bogus"], range(1, 65))
+    assert built == []
+
+
 def test_delay_ordering_over_sweep():
     for n in range(2, 65):
-        ss = closed_form("single_stage", n).delay
-        tr = closed_form("tree", n).delay
-        ri = closed_form("ripple", n).delay
+        ss = closed_form(AdderSpec("single_stage", n)).delay
+        tr = closed_form(AdderSpec("tree", n)).delay
+        ri = closed_form(AdderSpec("ripple", n)).delay
         assert ss <= tr < ri
         assert (ss == tr) == (n == 2)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from strategies import netlists
 
 from quadder import analysis, netlist
-from quadder.builders import KINDS, build, spec_for
+from quadder.builders import KINDS, AdderSpec, build
 from quadder.netlist import AND, CONST, INPUT
 
 MODES = ("included", "excluded")
@@ -113,7 +113,7 @@ def test_signal_depths_agree_with_measure(kind):
     """Over the delay scope, the masked carries cin[2..n] with cout, and cout
     alone, under both conventions, widths 1-16."""
     for n in range(1, 17):
-        nl = build(spec_for(kind, n))
+        nl = build(AdderSpec(kind, n))
         masked = [f"cin[{i}]" for i in range(2, n + 1)] + ["cout"]
         for scope in (nl.meta["delay_scope"], masked, ["cout"]):
             for mode in MODES:
@@ -129,5 +129,5 @@ def test_compare_measures_the_carry_cone_once_per_convention(monkeypatch, mode):
     real = netlist.measure
     monkeypatch.setattr(netlist, "measure",
                         lambda nl, scope, how: seen.append(how) or real(nl, scope, how))
-    analysis.compare(spec_for("single_stage", 8), mask_counting=mode)
+    analysis.compare(AdderSpec("single_stage", 8), mask_counting=mode)
     assert sorted(seen) == ["excluded", "included"]

@@ -13,7 +13,6 @@ from quadder.builders import (
     build,
     ceil_log2,
     floor_log2,
-    spec_for,
 )
 from quadder.verify import check_exhaustive, check_random
 
@@ -44,8 +43,7 @@ def test_spec_validation():
         AdderSpec("sparse", 4, sparsity=1)
     with pytest.raises(ValueError):
         AdderSpec("hybrid", 4, block=5)
-    with pytest.raises(ValueError):
-        AdderSpec("hybrid", 4)
+    assert AdderSpec("hybrid", 4).block == 4   # a missing block is min(4, width)
     with pytest.raises(ValueError):
         AdderSpec("carry_skip", 4)
     # width, sparsity and a given block must be exact ints (a bool is not)
@@ -62,16 +60,23 @@ def test_spec_validation():
             AdderSpec(kind, width, **extra)
 
 
-def test_spec_for_rejects_a_parameter_its_kind_does_not_take():
+def test_spec_rejects_a_parameter_its_kind_does_not_take():
     for kind, name in (("ripple", "sparsity"), ("single_stage", "block"), ("tree", "block"),
                        ("sparse", "block"), ("hybrid", "sparsity")):
         with pytest.raises(ValueError, match=f"^a {kind} adder takes no {name}$"):
-            spec_for(kind, 4, **{name: 2})
-    assert spec_for("sparse", 8, sparsity=3) == AdderSpec("sparse", 8, sparsity=3)
-    assert spec_for("sparse", 8) == AdderSpec("sparse", 8, sparsity=4)
-    assert spec_for("hybrid", 8, block=2) == AdderSpec("hybrid", 8, block=2)
-    assert spec_for("hybrid", 2) == AdderSpec("hybrid", 2, block=2)
-    assert spec_for("tree", 4) == AdderSpec("tree", 4)
+            AdderSpec(kind, 4, **{name: 2})
+
+
+def test_spec_defaults():
+    """A sparse adder without a sparsity gets 4, a hybrid without a block
+    min(4, width); every other kind's parameters stay None."""
+    assert AdderSpec("hybrid", 2) == AdderSpec("hybrid", 2, block=2)
+    assert AdderSpec("hybrid", 9).block == 4
+    assert AdderSpec("sparse", 8).sparsity == 4
+    assert AdderSpec("sparse", 8) == AdderSpec("sparse", 8, sparsity=4)
+    assert AdderSpec("tree", 4).sparsity is None
+    assert AdderSpec("tree", 4).block is None
+    assert AdderSpec("hybrid", 8).sparsity is None
 
 
 def test_kinds_order():
@@ -313,7 +318,7 @@ def test_builders_are_deterministic():
 def _group_specs():
     for kind in KINDS:
         for n in range(1, 17):
-            yield spec_for(kind, n)
+            yield AdderSpec(kind, n)
     for s in range(2, 6):
         for n in range(1, 17):
             yield AdderSpec("sparse", n, sparsity=s)

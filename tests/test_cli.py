@@ -381,6 +381,8 @@ _VERSION = "version: expected version 1, got "
     (lambda doc: doc.update(version=1.0), _VERSION + "1.0"),
     (lambda doc: doc.update(version="1"), _VERSION + "'1'"),
     (lambda doc: "[" * 100000 + "]" * 100000, _MALFORMED),
+    (lambda doc: json.dumps({**doc, "width": "W"}).replace('"W"', "9" * 5000),
+     _MALFORMED + " invalid JSON"),
     (lambda doc: _first(doc, "xor").update(value=3), _MALFORMED + " xor node"),
     (lambda doc: _first(doc, "xor").update(name="A[1]"), _MALFORMED + " xor node"),
     (lambda doc: _first(doc, "and").update(valeu=3), _MALFORMED + " unknown field 'valeu'"),
@@ -394,7 +396,8 @@ _VERSION = "version: expected version 1, got "
         "bool-cout-port", "bool-signal-id", "const-without-value", "const-value-5",
         "const-value-negative", "const-value-bool", "input-node-not-a-port", "width-zero",
         "and-fan-in-1", "bitswap-fan-in-2", "const-with-input", "input-with-input",
-        "bool-version", "float-version", "str-version", "nested-100000-deep", "gate-with-value",
+        "bool-version", "float-version", "str-version", "nested-100000-deep",
+        "width-5000-digits", "gate-with-value",
         "gate-with-name", "misspelt-record-key", "extra-port", "extra-top-level-key",
         "signals-pairs", "signals-strings", "meta-pairs", "meta-kind"])
 def test_document_type_holes_are_rejected(tmp_path, capsys, mutate, error):

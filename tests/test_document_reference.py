@@ -24,7 +24,7 @@ VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
 
 @functools.cache
 def _built(kind: str, n: int) -> netlist.Netlist:
-    return builders.build(builders.spec_for(kind, n))
+    return builders.build(builders.AdderSpec(kind, n))
 
 
 @pytest.mark.parametrize("kind", builders.KINDS)

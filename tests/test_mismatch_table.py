@@ -84,7 +84,7 @@ def check_against_reference(nl, mode, trials=0, seed=0):
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(kind=st.sampled_from(builders.KINDS), width=st.integers(1, 12), data=st.data())
 def test_reports_match_reference(kind, width, data):
-    nl = builders.build(builders.spec_for(kind, width))
+    nl = builders.build(builders.AdderSpec(kind, width))
     gates = sorted({nid for group in CARRY_GROUPS for nid in nl.meta["groups"].get(group, ())})
     faults = data.draw(st.lists(st.sampled_from(gates), min_size=1, max_size=3, unique=True)
                        if gates else st.just([]))
@@ -97,7 +97,7 @@ def test_one_case_mismatches_at_many_signals():
     """A wrong carry out of digit 1 runs through the corner case 33..3 + 00..0,
     so that case mismatches at every signal, S[1], S[10] and cout among
     them, and the records follow the name order S[10] < S[1] < S[2]."""
-    nl = builders.build(builders.spec_for("ripple", 12))
+    nl = builders.build(builders.AdderSpec("ripple", 12))
     assert check_against_reference(nl, "random", 20, 5) == []
     a1, b1 = nl.a_ports[0], nl.b_ports[0]
     ab = nl.nodes.index(netlist.Node("and", (a1, b1)))
@@ -110,7 +110,7 @@ def test_one_case_mismatches_at_many_signals():
 
 def test_duplicate_cases_keep_their_records():
     """At width 1 the random cases repeat, and so do their records."""
-    nl = builders.build(builders.spec_for("ripple", 1))
+    nl = builders.build(builders.AdderSpec("ripple", 1))
     records = check_against_reference(faulted(nl, nl.meta["groups"]["cells"][:1]), "random", 60, 3)
     keys = [(tuple(r["a"]), tuple(r["b"]), r["cin"], r["signal"]) for r in records]
     assert len(set(keys)) < len(keys)
@@ -119,7 +119,7 @@ def test_duplicate_cases_keep_their_records():
 def test_signal_order_past_255_signals():
     """At width 256 there are 257 signal names, more ranks than a byte holds;
     the corner case 33..3 + 00..0 still lists S[100] first and cout last."""
-    nl = builders.build(builders.spec_for("ripple", 256))
+    nl = builders.build(builders.AdderSpec("ripple", 256))
     a1, b1 = nl.a_ports[0], nl.b_ports[0]
     ab = nl.nodes.index(netlist.Node("and", (a1, b1)))
     records = check_against_reference(faulted(nl, [ab]), "random", 2, 5)
@@ -130,7 +130,7 @@ def test_signal_order_past_255_signals():
 
 
 def test_equal_checks_give_equal_reports():
-    nl = builders.build(builders.spec_for("ripple", 4))
+    nl = builders.build(builders.AdderSpec("ripple", 4))
     bad = faulted(nl, nl.meta["groups"]["cells"][:1])
     assert verify.check_random(bad, 30, 4) == verify.check_random(bad, 30, 4)
     assert verify.check_exhaustive(bad) == verify.check_exhaustive(bad)
@@ -191,7 +191,7 @@ def test_empty_and_one_record_tables():
 def test_report_text_peak_memory():
     """A failing report of about 20,000 records at width 16 is written with
     at most three times its text allocated at the peak."""
-    nl = builders.build(builders.spec_for("ripple", 16))
+    nl = builders.build(builders.AdderSpec("ripple", 16))
     ab = nl.nodes.index(netlist.Node("and", (nl.a_ports[0], nl.b_ports[0])))
     report = verify.check_random(faulted(nl, [ab]), 33500, 1)
     assert 19_000 < len(report.records) < 21_000

@@ -13,7 +13,7 @@ import reference
 from strategies import RepeatingBuilder
 
 from quadder import netlist
-from quadder.builders import KINDS, AdderSpec, build, spec_for
+from quadder.builders import KINDS, AdderSpec, build
 from quadder.netlist import (
     AND,
     BITSWAP,
@@ -302,9 +302,11 @@ def test_import_rejects_bad_documents():
     nl = build(AdderSpec("ripple", 2))
     doc = netlist.to_json(nl)
 
-    with pytest.raises(DocumentError) as err:
-        netlist.from_json("{not json")
-    assert err.value.reason == "malformed"
+    huge = doc.replace('"width": 2,', '"width": ' + "9" * 5000 + ",", 1)   # past int's digit limit
+    for text in ("{not json", huge, b"\xff{}"):
+        with pytest.raises(DocumentError, match=r"^malformed: invalid JSON \(") as err:
+            netlist.from_json(text)
+        assert err.value.reason == "malformed"
 
     with pytest.raises(DocumentError) as err:
         netlist.from_json(doc.replace('"version": 1', '"version": 99'))
@@ -361,7 +363,7 @@ def test_import_leaves_no_cyclic_garbage():
     gc.disable()   # so no automatic pass collects a cycle before the check
     try:
         for kind in KINDS:
-            built = build(spec_for(kind, 16))
+            built = build(AdderSpec(kind, 16))
             imported = netlist.from_json(netlist.to_json(built))
             lowered = netlist.lower_fanin2(imported)
             for nl in (built, imported, lowered):

@@ -83,7 +83,7 @@ def test_limb_oracle_matches_oracle_add_on_random_cases(n):
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(kind=st.sampled_from(builders.KINDS), width=st.integers(1, 12), data=st.data())
 def test_reports_do_not_depend_on_the_chunk_size(kind, width, data):
-    nl = builders.build(builders.spec_for(kind, width))
+    nl = builders.build(builders.AdderSpec(kind, width))
     gates = sorted({nid for group in CARRY_GROUPS for nid in nl.meta["groups"].get(group, ())})
     faults = data.draw(st.lists(st.sampled_from(gates), max_size=3, unique=True)
                        if gates else st.just([]))
@@ -105,7 +105,7 @@ def test_reports_do_not_depend_on_the_chunk_size(kind, width, data):
 @pytest.mark.parametrize("kind", builders.KINDS)
 def test_exhaustive_reports_do_not_depend_on_the_chunk_size(monkeypatch, kind):
     """Width 2 has 512 cases, 32 for each a word: chunks of 12 straddle them."""
-    nl = builders.build(builders.spec_for(kind, 2))
+    nl = builders.build(builders.AdderSpec(kind, 2))
     gates = sorted(nid for group in CARRY_GROUPS for nid in nl.meta["groups"].get(group, ()))
     for checked in (nl, faulted(nl, gates[:1])):
         want = verify.check_exhaustive(checked).to_json()
@@ -142,7 +142,7 @@ def test_exhaustive_chunks_hold_the_indexed_cases(monkeypatch, chunk):
 
     monkeypatch.setattr(verify, "_check", indexed)
     for n in widths:
-        assert verify.check_exhaustive(builders.build(builders.spec_for("ripple", n))).passed
+        assert verify.check_exhaustive(builders.build(builders.AdderSpec("ripple", n))).passed
 
 
 def _peak(nl, trials) -> int:
@@ -155,7 +155,7 @@ def _peak(nl, trials) -> int:
 
 
 def test_random_check_memory_does_not_grow_with_trials():
-    nl = builders.build(builders.spec_for("tree", 64))
+    nl = builders.build(builders.AdderSpec("tree", 64))
     verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
     small, large = _peak(nl, 10**5), _peak(nl, 4 * 10**5)
     assert large <= 1.1 * small, f"{small / 2**20:.1f} -> {large / 2**20:.1f} MiB"
