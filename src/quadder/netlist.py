@@ -320,6 +320,21 @@ def evaluate_words(nl: Netlist, a, b, cin: int = 0) -> tuple[tuple[int, ...], in
 # output plane from one input plane, copied or inverted, by its rule in _KINDS.
 
 
+def _holder(latest: dict, nodes: Sequence[Node], nid: int, ins: tuple) -> int:
+    """The prefix rule of the plan and the analysis, for wide gate ``nid``
+    (fan-in 3 or more), the wide gates of its kind taken in id order: the id
+    of the latest earlier one with first input ``ins[0]`` if its inputs are a
+    strict prefix of ``ins``, else -1.  ``latest`` maps a first input to that
+    gate of this kind, and from now on to ``nid``."""
+    head = latest.get(ins[0], -1)
+    latest[ins[0]] = nid
+    if head >= 0:
+        prefix = nodes[head][1]
+        if len(prefix) < len(ins) and ins[:len(prefix)] == prefix:
+            return head
+    return -1
+
+
 class _Plan(NamedTuple):
     """A netlist compiled for the bit-plane kernel.
 
@@ -343,16 +358,12 @@ class _Plan(NamedTuple):
         nodes = nl.nodes
         n = len(nodes)
         reads = [node[1] for node in nodes]   # the ids each node's step reads
-        latest = {}   # (kind, first input) -> the latest wide gate of that kind reading it first
+        latest = {kind: {} for kind in MULTI_KINDS}
         for nid in [nid for nid, ins in enumerate(reads) if len(ins) > 2]:
             ins = reads[nid]
-            key = (nodes[nid][0], ins[0])
-            head = latest.get(key)
-            if head is not None:
-                prefix = nodes[head][1]
-                if len(prefix) < len(ins) and ins[:len(prefix)] == prefix:
-                    reads[nid] = (head, *ins[len(prefix):])
-            latest[key] = nid
+            head = _holder(latest[nodes[nid][0]], nodes, nid, ins)
+            if head >= 0:
+                reads[nid] = (head, *ins[len(nodes[head][1]):])
         last = [-1] * n          # id of the last live node reading each node
         for nid in (*nl.s_ports, nl.cout_port):
             last[nid] = n
@@ -531,11 +542,15 @@ class _Analysis:
     gates when masks are excluded), and its unit-delay depth under each
     convention (an excluded mask sits at its data input's depth).  Both are
     (included, excluded) pairs, indexed by ``mask_counting == "excluded"``.
-    Cones are memoized per signal-id set.  Netlists are immutable, so each
-    one computes its analysis on first use and keeps it.
+    A wide gate with a holder (``_holder``, the plan's prefix rule) is read
+    through it: its depth is the larger of the holder's and one more than its
+    remaining inputs', and its cone step reads its remaining inputs and
+    ``n + holder`` (n nodes), which stands for the holder's own reads and is
+    never in a cone.  Cones are memoized per signal-id set.  Netlists are
+    immutable, so each one computes its analysis on first use and keeps it.
     """
 
-    __slots__ = ("inputs", "fan_in", "depths", "_cones")
+    __slots__ = ("reads", "_hidden", "fan_in", "depths", "_cones")
 
     def __init__(self, nodes: tuple[Node, ...]):
         n = len(nodes)
@@ -543,6 +558,9 @@ class _Analysis:
         fan_exc = [0] * n
         inc = [0] * n
         exc = [0] * n
+        reads = [node[1] for node in nodes]
+        hidden = []   # n + holder, for each holder
+        latest = {kind: {} for kind in MULTI_KINDS}
         ones = set()   # ids of Const 1 nodes
         for i, (kind, ins, value, _) in enumerate(nodes):
             k = len(ins)
@@ -561,14 +579,34 @@ class _Analysis:
                 inc[i] = inc[ins[0]] + 1
                 exc[i] = exc[ins[0]] + 1
                 fan_inc[i] = fan_exc[i] = 1
+            elif k == 3:   # a holder is a wide strict prefix, so none here: only _holder's record
+                x, y, z = ins
+                latest[kind][x] = i
+                inc[i] = 1 + max(inc[x], inc[y], inc[z])
+                exc[i] = 1 + max(exc[x], exc[y], exc[z])
+                fan_inc[i] = fan_exc[i] = 3
             elif k:
-                get = itemgetter(*ins)
-                inc[i] = 1 + max(get(inc))
-                exc[i] = 1 + max(get(exc))
+                h = _holder(latest[kind], nodes, i, ins)
+                if h < 0:
+                    get = itemgetter(*ins)
+                    inc[i] = 1 + max(get(inc))
+                    exc[i] = 1 + max(get(exc))
+                else:   # a mask is never wide, so the holder's depth is 1 + its inputs'
+                    rest = ins[len(nodes[h][1]):]
+                    reads[i] = (*rest, n + h)
+                    hidden.append(n + h)
+                    di, de = inc[h] - 1, exc[h] - 1   # the deepest input, each convention
+                    for r in rest:
+                        if inc[r] > di:
+                            di = inc[r]
+                        if exc[r] > de:
+                            de = exc[r]
+                    inc[i], exc[i] = 1 + di, 1 + de
                 fan_inc[i] = fan_exc[i] = k
             elif kind == CONST and value == 1:
                 ones.add(i)
-        self.inputs = [node.inputs for node in nodes]
+        self.reads = reads + reads if hidden else reads   # reads[n + h] is reads[h]
+        self._hidden = frozenset(hidden)
         self.fan_in = (fan_inc, fan_exc)
         self.depths = (inc, exc)
         self._cones: dict = {}
@@ -581,9 +619,10 @@ class _Analysis:
             seen = set(key)
             frontier = seen
             while frontier:
-                frontier = set(chain.from_iterable(map(self.inputs.__getitem__, frontier)))
+                frontier = set(chain.from_iterable(map(self.reads.__getitem__, frontier)))
                 frontier -= seen
                 seen |= frontier
+            seen -= self._hidden
             hit = self._cones[key] = frozenset(seen)
         return hit
 

@@ -14,7 +14,7 @@ from strategies import netlists
 
 from quadder import analysis, netlist
 from quadder.builders import KINDS, AdderSpec, build
-from quadder.netlist import AND, CONST, INPUT
+from quadder.netlist import AND, CONST, INPUT, NOT, OR, NetlistBuilder
 
 MODES = ("included", "excluded")
 
@@ -35,7 +35,8 @@ def _depth(nl, nid, mode, memo):
             data = node.inputs[1] if one.kind == CONST and one.value == 1 else node.inputs[0]
             memo[nid] = _depth(nl, data, mode, memo)
         else:
-            memo[nid] = 1 + max(_depth(nl, i, mode, memo) for i in node.inputs)
+            memo[nid] = 1 + max(memo[i] if i in memo else _depth(nl, i, mode, memo)
+                                for i in node.inputs)
     return memo[nid]
 
 
@@ -131,3 +132,62 @@ def test_compare_measures_the_carry_cone_once_per_convention(monkeypatch, mode):
                         lambda nl, scope, how: seen.append(how) or real(nl, scope, how))
     analysis.compare(AdderSpec("single_stage", 8), mask_counting=mode)
     assert sorted(seen) == ["excluded", "included"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_adders_match_definitions(kind):
+    """Depths under both conventions and the carry cone, read through the
+    holders, equal the definitions' at widths 1-64, and for sparse and
+    hybrid at every sparsity and block up to 8 at width 32."""
+    specs = [AdderSpec(kind, n) for n in range(1, 65)]
+    if kind == "sparse":
+        specs += [AdderSpec(kind, 32, sparsity=sparsity) for sparsity in range(2, 9)]
+    if kind == "hybrid":
+        specs += [AdderSpec(kind, 32, block=block) for block in range(1, 9)]
+    for spec in specs:
+        nl = build(spec)
+        for mode in MODES:
+            assert netlist.node_depths(nl, mode) == ref_depths(nl, mode), (spec, mode)
+        carries = [nid for name, nid in nl.signals.items() if name.startswith("carry[")]
+        assert netlist.cone(nl, carries) == ref_cone(nl, carries), spec
+
+
+def test_holders_outside_the_cone():
+    """A chain of wide Ands, each holding the next one's prefix, outside the
+    cone of the last: the cone holds every input of the chain and no holder
+    until a gate reads one.  The chain's first input is a mask of a deep
+    signal, so each gate's depth is its holder's, under both conventions."""
+    nb = NetlistBuilder(2)
+    a1, b1, a2, b2, cin = (nb.add_input(name) for name in ("A[1]", "B[1]", "A[2]", "B[2]", "cin"))
+    deep = nb.add(NOT, nb.add(NOT, nb.add(NOT, a1)))
+    mask = nb.add(AND, deep, nb.add_const(1))
+    inner = nb.add(AND, mask, b1, a2)
+    holder = nb.add(AND, mask, b1, a2, b2)
+    top = nb.add(AND, mask, b1, a2, b2, cin)
+    reader = nb.add(OR, holder, a1, b2)
+    nl = nb.finish([a1, a2], [b1, b2], cin, [top, reader], top)
+    for ids in ([top], [reader], [top, reader], [holder], [inner, top]):
+        assert netlist.cone(nl, ids) == ref_cone(nl, ids), ids
+    assert inner not in netlist.cone(nl, [top]) and holder not in netlist.cone(nl, [top])
+    for mode in MODES:
+        assert netlist.node_depths(nl, mode) == ref_depths(nl, mode)
+        signals = {"top": top}
+        assert _report(netlist.measure(nl, signals, mode)) == ref_measure(nl, signals, mode)
+    assert [netlist.node_depths(nl, mode)[top] for mode in MODES] == [5, 4]
+    n = len(nl.nodes)   # the chain is read through its holders
+    assert nl._analysis.reads[holder] == (b2, n + inner)
+    assert nl._analysis.reads[top] == (cin, n + holder)
+
+
+@pytest.mark.parametrize("kind, n, most", [("single_stage", 64, 15_000),
+                                           ("single_stage", 32, 4_100), ("tree", 256, 17_468)])
+def test_analysis_input_reads(kind, n, most):
+    """The analysis reads each propagate product of single_stage through the
+    product over one fewer position, as the plan does (14,335 ids at n=64 and
+    4,095 at n=32, not 99,616 and 14,480).  Tree has no wide gate holding
+    another's prefix: 17,468 is one read per gate input."""
+    nl = build(AdderSpec(kind, n))
+    reads = sum(map(len, nl._analysis.reads[:len(nl.nodes)]))
+    assert reads <= most
+    if kind == "tree":
+        assert reads == most == sum(len(node.inputs) for node in nl.nodes)
