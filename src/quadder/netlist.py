@@ -61,6 +61,7 @@ _DOC_FIELDS = frozenset({"version", "kind", "width", "params", "nodes", "ports",
 _PORT_FIELDS = frozenset({"A", "B", "cin", "S", "cout"})
 _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
+SLICE_DIGITS = 2**20   # digits per slice when a batch is packed, unpacked or made into limbs
 _ONES = np.uint64(2**64 - 1)
 _BIT_SWAPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (   # 8 x 8 transpose
     (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
@@ -425,8 +426,22 @@ def _transpose_bits(words: np.ndarray) -> None:
         words ^= t
 
 
+def slice_cases(width: int) -> int:
+    """Cases per slice of a batch of ``width`` digits: about SLICE_DIGITS
+    digits, a multiple of 64 cases (one plane word) and at least 64."""
+    return max(64, SLICE_DIGITS // width // 64 * 64)
+
+
 def _pack(planes: np.ndarray, digits: np.ndarray) -> None:
-    """Case-major qudits (cases, rows) into the hi and lo planes of rows.
+    """Case-major qudits (cases, rows) into the hi and lo planes of rows,
+    a slice of cases at a time."""
+    step = slice_cases(digits.shape[1])
+    for lo in range(0, len(digits), step):
+        _pack_slice(planes[:, :, lo // 8:], digits[lo:lo + step])
+
+
+def _pack_slice(planes: np.ndarray, digits: np.ndarray) -> None:
+    """One slice of ``_pack``.
 
     Each case's bits are packed 8 rows to a byte; 8 cases' bytes then make
     one uint64 whose bit matrix is transposed into 8 rows' bytes of 8 cases.
@@ -452,27 +467,35 @@ def _pack(planes: np.ndarray, digits: np.ndarray) -> None:
     planes[:, :, :blocks] = words.transpose(1, 3, 0, 2).reshape(8 * groups, 2, blocks)[:rows]
 
 
-def _unpack(buf: np.ndarray, slots: list, cases: int) -> np.ndarray:
-    """The qudits of the given plane rows as a C-contiguous (cases, rows)
-    matrix: the steps of ``_pack`` in reverse."""
-    rows, words = len(slots), buf.shape[2]
-    groups, blocks = -(-rows // 8), -(-cases // 8)
-    planes = np.empty((8 * groups, 2, words), dtype=np.uint64)
-    np.take(buf, slots, axis=0, out=planes[:rows])
+def _unpack(planes: np.ndarray, cases: int) -> np.ndarray:
+    """The qudits of plane rows (rows, 2, words) as a C-contiguous (cases,
+    rows) matrix, a slice of cases at a time."""
+    digits = np.empty((cases, len(planes)), dtype=np.uint8)
+    step = slice_cases(len(planes))
+    for lo in range(0, cases, step):
+        _unpack_slice(planes[:, :, lo // 64:(lo + step) // 64], digits[lo:lo + step])
+    return digits
+
+
+def _unpack_slice(planes: np.ndarray, digits: np.ndarray) -> None:
+    """The steps of ``_pack_slice`` in reverse, into ``digits``."""
+    cases, rows = digits.shape
     if rows < 8:
-        bits = np.unpackbits(planes[:rows].view(np.uint8), axis=2, count=cases, bitorder="little")
-        digits = np.empty((cases, rows), dtype=np.uint8)
+        bits = np.unpackbits(planes.view(np.uint8), axis=2, count=cases, bitorder="little")
         np.bitwise_or(bits[:, 0] + bits[:, 0], bits[:, 1], out=digits.T)
-        return digits
+        return
+    groups, blocks = -(-rows // 8), -(-cases // 8)
+    if rows % 8:   # whole groups of 8 rows; the rows past the last are cut off below
+        planes = np.concatenate((planes, planes[:-rows % 8]))
     by_case = np.ascontiguousarray(
-        planes.view(np.uint8).reshape(groups, 8, 2, 8 * words)[..., :blocks].transpose(2, 0, 3, 1))
+        planes.view(np.uint8).reshape(groups, 8, 2, -1)[..., :blocks].transpose(2, 0, 3, 1))
     _transpose_bits(by_case.view(np.uint64))
     packed = np.ascontiguousarray(
         by_case.reshape(2, groups, 8 * blocks)[..., :cases].transpose(0, 2, 1))
-    digits = np.unpackbits(packed[0], bitorder="little").reshape(cases, 8 * groups)
-    digits += digits   # a left shift of uint8 is several times slower
-    digits |= np.unpackbits(packed[1], bitorder="little").reshape(cases, 8 * groups)
-    return digits if rows == 8 * groups else np.ascontiguousarray(digits[:, :rows])
+    hi = np.unpackbits(packed[0], bitorder="little").reshape(cases, 8 * groups)
+    hi += hi   # a left shift of uint8 is several times slower
+    lo = np.unpackbits(packed[1], bitorder="little").reshape(cases, 8 * groups)
+    np.bitwise_or(hi[:, :rows], lo[:, :rows], out=digits)
 
 
 def _run(plan: _Plan, buf: np.ndarray) -> None:
@@ -517,7 +540,9 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
     _pack(as_bytes[n:2 * n], b_digits)
     _pack(as_bytes[2 * n:2 * n + 1], cin[:, None])
     _run(plan, buf)
-    return _unpack(buf, list(plan.s_slots), cases), _unpack(buf, [plan.cout_slot], cases)[:, 0]
+    out = buf[[*plan.s_slots, plan.cout_slot]]   # S[1..n], then cout
+    del buf, as_bytes   # the plane buffer is freed before the outputs are unpacked
+    return _unpack(out[:n], cases), _unpack(out[n:], cases)[:, 0]
 
 
 # --- timing and cost ---

@@ -10,10 +10,14 @@
   adders, propagate/generate and the carry recurrences, the printed Tables I
   and II with their check, and a scalar integer oracle.  The builders are
   checked against the cells, and the batch oracle against ``oracle_add``.
+
+It also holds ``traced_peak``, the memory probe of the tests that bound a
+call's allocations.
 """
 
 import json
 import operator
+import tracemalloc
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -442,3 +446,17 @@ def deviation(row, metric: str) -> tuple[int, float] | None:
     if cf is None:
         return None
     return meas - cf, (meas - cf) / cf if cf else 0.0
+
+
+# --- memory ---
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` under ``tracemalloc``: (peak bytes allocated during the
+    call, its result).  What was allocated before the call does not count."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

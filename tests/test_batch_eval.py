@@ -1,12 +1,12 @@
 """The bit-plane batch evaluator behind add_batch.
 
 Gate kernels are checked against the reference digit algebra, random
-netlists against the scalar evaluator case by case, and one large batch
-against a memory bound.
+netlists against the scalar evaluator case by case, one large batch
+against memory bounds, and sums made in the smallest slices against those
+made in one.
 """
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,16 +192,43 @@ def test_digits_are_checked_before_they_are_cast(bad, place):
         netlist.add_batch(nl, *args)
 
 
+def _batch_of_20000(n):
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 4, size=(20000, n), dtype=np.uint8)
+    b = rng.integers(0, 4, size=(20000, n), dtype=np.uint8)
+    cin = rng.integers(0, 2, size=20000, dtype=np.uint8)
+    return a, b, cin
+
+
 def test_tree_256_batch_of_20000_stays_under_48_mib():
     nl = build(AdderSpec("tree", 256))
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, 4, size=(20000, 256), dtype=np.uint8)
-    b = rng.integers(0, 4, size=(20000, 256), dtype=np.uint8)
-    cin = rng.integers(0, 2, size=20000, dtype=np.uint8)
-    tracemalloc.start()
-    try:
-        netlist.add_batch(nl, a, b, cin)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    a, b, cin = _batch_of_20000(256)
+    peak, _ = reference.traced_peak(netlist.add_batch, nl, a, b, cin)
     assert peak <= 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_tree_256_batch_of_20000_takes_under_14_mib_beyond_its_plan():
+    """With the plan compiled, the batch holds the plane buffer and one
+    slice's temporaries, then the output rows and the sums: never the buffer
+    beside full-size temporaries."""
+    nl = build(AdderSpec("tree", 256))
+    a, b, cin = _batch_of_20000(256)
+    netlist.add_batch(nl, a[:1], b[:1], cin[:1])   # compiles the plan outside the trace
+    peak, _ = reference.traced_peak(netlist.add_batch, nl, a, b, cin)
+    assert peak <= 14 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("n", [9, 17, 64])
+def test_sums_do_not_depend_on_the_slice_size(monkeypatch, n):
+    """A batch that is one slice at the shipped size gives, byte for byte, the
+    sums it gives in 64-case slices with a short last one, in either layout."""
+    nl = build(AdderSpec("tree", n))
+    a, b, cin = (x[:1000 + n] for x in _batch_of_20000(n))
+    assert netlist.slice_cases(n) >= len(cin)
+    want = netlist.add_batch(nl, a, b, cin)
+    monkeypatch.setattr(netlist, "SLICE_DIGITS", 0)
+    assert netlist.slice_cases(n) == 64
+    for order in "CF":
+        s, cout = netlist.add_batch(nl, np.asarray(a, order=order), np.asarray(b, order=order), cin)
+        assert s.flags.c_contiguous and s.dtype == want[0].dtype and cout.dtype == want[1].dtype
+        assert np.array_equal(s, want[0]) and np.array_equal(cout, want[1])

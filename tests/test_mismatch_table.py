@@ -12,9 +12,9 @@ alone, on tables drawn with no netlist.
 import dataclasses
 import itertools
 import json
-import tracemalloc
 
 import numpy as np
+import pytest
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,10 +195,19 @@ def test_report_text_peak_memory():
     ab = nl.nodes.index(netlist.Node("and", (nl.a_ports[0], nl.b_ports[0])))
     report = verify.check_random(faulted(nl, [ab]), 33500, 1)
     assert 19_000 < len(report.records) < 21_000
-    tracemalloc.start()
-    try:
-        text = report.to_json()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, text = reference.traced_peak(report.to_json)
     assert peak <= 3 * len(text)
+
+
+@pytest.mark.parametrize("n", [17, 64])
+def test_failing_reports_do_not_depend_on_the_slice_size(monkeypatch, n):
+    """Packing, unpacking and the oracle's limbs in 64-case slices give the
+    report of one slice a chunk, byte for byte."""
+    nl = builders.build(builders.AdderSpec("ripple", n))
+    ab = nl.nodes.index(netlist.Node("and", (nl.a_ports[0], nl.b_ports[0])))
+    bad = faulted(nl, [ab])
+    want = verify.check_random(bad, 3000, 4).to_json()
+    monkeypatch.setattr(netlist, "SLICE_DIGITS", 0)
+    report = verify.check_random(bad, 3000, 4)
+    same = report.to_json() == want   # apart: pytest's diff of two long texts takes minutes
+    assert not report.passed and same

@@ -3,11 +3,11 @@
 ``check_random`` reads digits from whole 32-bit PCG64 words and runs its
 cases in chunks, each drawn by jumping ahead in the stream.  These tests pin
 the draws to ``Generator.integers``, the limb oracle to ``oracle_add``, the
-reports to the chunk size, and the memory to the chunk, not the trial count.
+reports to the chunk size, and the memory to the chunk, not the trial count,
+and the plane buffer to its budget.
 """
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_mismatch_table import CARRY_GROUPS, faulted
 
-from quadder import builders, verify
+from quadder import builders, cli, netlist, verify
+from quadder.netlist import OR, XOR, NetlistBuilder
 
 SEEDS = range(30)
 # (trials, width): trials 1, width 1, and trials x width = 1, 2, 3 (mod 4)
@@ -146,12 +147,9 @@ def test_exhaustive_chunks_hold_the_indexed_cases(monkeypatch, chunk):
 
 
 def _peak(nl, trials) -> int:
-    tracemalloc.start()
-    try:
-        assert verify.check_random(nl, trials, 1).passed
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, report = reference.traced_peak(verify.check_random, nl, trials, 1)
+    assert report.passed
+    return peak
 
 
 def test_random_check_memory_does_not_grow_with_trials():
@@ -159,3 +157,49 @@ def test_random_check_memory_does_not_grow_with_trials():
     verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
     small, large = _peak(nl, 10**5), _peak(nl, 4 * 10**5)
     assert large <= 1.1 * small, f"{small / 2**20:.1f} -> {large / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("kind", ["tree", "hybrid"])
+def test_random_check_at_256_digits_stays_under_24_mib(kind):
+    nl = builders.build(builders.AdderSpec(kind, 256))
+    verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
+    peak = _peak(nl, 20000)
+    assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _or_of_xor_chain(length: int):
+    """Width 1: S[1] is an Or over a chain of Xor gates, each reading the
+    one before, and cout the chain's last gate.  The Or reads every link, so
+    the plan keeps a plane row for each."""
+    nb = NetlistBuilder(1)
+    ports = a, b, cin = nb.add_input("A[1]"), nb.add_input("B[1]"), nb.add_input("cin")
+    links = [nb.add(XOR, a, b)]
+    for k in range(length - 1):
+        links.append(nb.add(XOR, links[-1], ports[k % 3]))
+    return nb.finish([a], [b], cin, [nb.add(OR, *links)], links[-1])
+
+
+def test_plane_buffer_stays_within_the_chunk_budget(monkeypatch):
+    nl = _or_of_xor_chain(1000)
+    verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
+    want = verify.check_random(nl, 40000, 3)
+    assert 16 * nl._plan.slots * verify.CHUNK_CASES // 64 > 6 * 2**20   # the shipped chunk's buffer
+    monkeypatch.setattr(verify, "PLANE_BUDGET", 6 * 2**20)
+    assert verify._chunk_cases(nl) < verify.CHUNK_CASES
+    peak, report = reference.traced_peak(verify.check_random, nl, 40000, 3)
+    assert peak <= 1.1 * verify.PLANE_BUDGET, f"peak {peak / 2**20:.2f} MiB"
+    same = report.to_json() == want.to_json()   # apart: pytest diffs long texts slowly
+    assert not report.passed and same
+
+
+def test_a_plan_past_the_chunk_budget_is_refused(monkeypatch, tmp_path, capsys):
+    nl = _or_of_xor_chain(100)
+    monkeypatch.setattr(verify, "PLANE_BUDGET", 16 * nl._plan.slots - 1)   # 64 cases do not fit
+    for check in (verify.check_exhaustive, lambda nl: verify.check_random(nl, 10, 1)):
+        with pytest.raises(ValueError, match="PLANE_BUDGET"):
+            check(nl)
+    path = tmp_path / "chain.json"
+    path.write_text(netlist.to_json(nl))
+    assert cli.main(["verify", "--netlist", str(path), "--random", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "PLANE_BUDGET" in err
