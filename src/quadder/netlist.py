@@ -62,6 +62,7 @@ _PORT_FIELDS = frozenset({"A", "B", "cin", "S", "cout"})
 _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
 SLICE_DIGITS = 2**20   # digits per slice when a batch is packed, unpacked or made into limbs
+PLANE_BUDGET = 2**25   # bytes of plane buffer per add_batch run
 _ONES = np.uint64(2**64 - 1)
 _BIT_SWAPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (   # 8 x 8 transpose
     (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
@@ -523,7 +524,8 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
     """Batch addition: digit matrices of shape (cases, width), cin (cases,).
 
     Returns (sum digit matrix, carry-out vector), the sums C-contiguous of
-    shape (cases, width).
+    shape (cases, width).  The cases run in runs of whole plane words whose
+    plane buffer, 16 bytes a plan row per 64 cases, fits PLANE_BUDGET bytes.
     """
     n = nl.width
     a_digits = _qudits(a_digits, "a_digits")
@@ -534,14 +536,23 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
         raise ValueError(f"expected digit matrices of shape (cases, {n}) and cin of shape "
                          f"(cases,), got {a_digits.shape}, {b_digits.shape}, {cin.shape}")
     plan = nl._plan
-    buf = np.empty((plan.slots, 2, (cases + 63) // 64), dtype=np.uint64)
-    as_bytes = buf.view(np.uint8)
-    _pack(as_bytes[:n], a_digits)
-    _pack(as_bytes[n:2 * n], b_digits)
-    _pack(as_bytes[2 * n:2 * n + 1], cin[:, None])
-    _run(plan, buf)
-    out = buf[[*plan.s_slots, plan.cout_slot]]   # S[1..n], then cout
-    del buf, as_bytes   # the plane buffer is freed before the outputs are unpacked
+    step = 64 * (PLANE_BUDGET // (16 * plan.slots))
+    if not step:
+        raise ValueError(f"the plan's {plan.slots} plane rows take {16 * plan.slots} bytes per "
+                         f"64 cases, over the plane budget PLANE_BUDGET = {PLANE_BUDGET} bytes")
+    runs = []
+    for lo in range(0, max(cases, 1), step):
+        hi = min(lo + step, cases)
+        buf = np.empty((plan.slots, 2, (hi - lo + 63) // 64), dtype=np.uint64)
+        as_bytes = buf.view(np.uint8)
+        _pack(as_bytes[:n], a_digits[lo:hi])
+        _pack(as_bytes[n:2 * n], b_digits[lo:hi])
+        _pack(as_bytes[2 * n:2 * n + 1], cin[lo:hi, None])
+        _run(plan, buf)
+        runs.append(buf[[*plan.s_slots, plan.cout_slot]])   # S[1..n], then cout
+        del buf, as_bytes   # before the next run, and before the outputs are unpacked
+    out = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=2)
+    del runs
     return _unpack(out[:n], cases), _unpack(out[n:], cases)[:, 0]
 
 

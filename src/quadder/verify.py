@@ -6,8 +6,8 @@ algebra cannot hide a matching defect in a netlist.  Exhaustive checks
 cover every assignment at small widths; randomized checks use a seeded
 PCG64 generator plus a fixed set of corner vectors.  Both run over chunks
 of at most ``CHUNK_CASES`` cases, each chunk made from its case indices, so
-a check's memory does not grow with its case count; a plan with many rows
-gets fewer cases a chunk, so its plane buffer stays within ``PLANE_BUDGET``.
+a check's memory does not grow with its case count.  Each chunk is one
+``add_batch`` call, which bounds its own plane buffer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .netlist import Netlist
 
 EXHAUSTIVE_WIDTH_BOUND = 4
 CHUNK_CASES = 2**15            # cases per add_batch call of a check; a multiple of 4
-PLANE_BUDGET = 2**25           # bytes of plane buffer per add_batch call of a check
 RANDOM_DIGITS_CAP = 2**34      # trials x width; at ~50M digit-adds/s, about six minutes
 _FOUR_DIGITS = np.uint32(0x01041040)   # a word's 4 byte digits, base 4, into its top byte
 
@@ -178,28 +177,16 @@ def _collect_mismatches(a, b, cin, want, got) -> MismatchTable:
                          expected=want[case, signal], actual=got[case, signal])
 
 
-def _chunk_cases(nl: Netlist) -> int:
-    """Cases per add_batch call of a check: CHUNK_CASES, or fewer whole
-    plane words when the plan's buffer would pass PLANE_BUDGET bytes."""
-    slots = nl._plan.slots
-    cases = min(CHUNK_CASES, 64 * (PLANE_BUDGET // (16 * slots)))   # 16 bytes a slot per word
-    if not cases:
-        raise ValueError(f"the plan's {slots} plane rows take {16 * slots} bytes per 64 cases, "
-                         f"over the chunk budget PLANE_BUDGET = {PLANE_BUDGET} bytes")
-    return cases
-
-
 def _check(nl: Netlist, chunk, count: int) -> MismatchTable:
     """The mismatch records of ``count`` cases, a chunk of cases at a time:
     ``chunk(lo, hi)`` gives the (a, b, cin) of cases lo..hi-1.  Outputs are
     compared with the oracle as limbs; only the failing cases are kept, each
     with its outputs as one row, and their records get one sort at the end."""
     n = nl.width
-    step = _chunk_cases(nl)
     top, shift = divmod(2 * n, 64)   # where the carry out sits in the limbs
     kept = []
-    for lo in range(0, count, step):
-        a, b, cin = chunk(lo, min(lo + step, count))
+    for lo in range(0, count, CHUNK_CASES):
+        a, b, cin = chunk(lo, min(lo + CHUNK_CASES, count))
         got_s, got_c = netlist.add_batch(nl, a, b, cin)
         want = _oracle_batch(a, b, cin)
         got = _limbs(got_s)
@@ -223,11 +210,10 @@ def check_exhaustive(nl: Netlist) -> VerifyReport:
     if n > EXHAUSTIVE_WIDTH_BOUND:
         raise ValueError(f"width {n} exceeds the exhaustive bound {EXHAUSTIVE_WIDTH_BOUND}; "
                          "check it with random trials instead")
-    step = _chunk_cases(nl)
     words = (np.arange(4**n)[:, None] >> 2 * np.arange(n) & 3).astype(np.uint8)
     # a is fixed over each period of 2 * 4^n cases, which runs (b, cin) through every value once
     period, count = 2 * 4**n, 2 * 16**n
-    k = np.arange(min(step + period, count))   # a chunk's (b, cin) start at lo mod period
+    k = np.arange(min(CHUNK_CASES + period, count))   # a chunk's (b, cin) start at lo mod period
     b, cin = np.take(words, (k >> 1) & (4**n - 1), axis=0), (k & 1).astype(np.uint8)
 
     def chunk(lo: int, hi: int):

@@ -4,7 +4,7 @@
 cases in chunks, each drawn by jumping ahead in the stream.  These tests pin
 the draws to ``Generator.integers``, the limb oracle to ``oracle_add``, the
 reports to the chunk size, and the memory to the chunk, not the trial count,
-and the plane buffer to its budget.
+and ``add_batch``'s plane buffer to its budget.
 """
 
 import itertools
@@ -179,22 +179,30 @@ def _or_of_xor_chain(length: int):
     return nb.finish([a], [b], cin, [nb.add(OR, *links)], links[-1])
 
 
+def _count_runs(monkeypatch) -> list:
+    """Wraps the bit-plane kernel: the returned list gets an entry a run."""
+    runs, run = [], netlist._run
+    monkeypatch.setattr(netlist, "_run", lambda plan, buf: runs.append(run(plan, buf)))
+    return runs
+
+
 def test_plane_buffer_stays_within_the_chunk_budget(monkeypatch):
     nl = _or_of_xor_chain(1000)
     verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
     want = verify.check_random(nl, 40000, 3)
     assert 16 * nl._plan.slots * verify.CHUNK_CASES // 64 > 6 * 2**20   # the shipped chunk's buffer
-    monkeypatch.setattr(verify, "PLANE_BUDGET", 6 * 2**20)
-    assert verify._chunk_cases(nl) < verify.CHUNK_CASES
+    monkeypatch.setattr(netlist, "PLANE_BUDGET", 6 * 2**20)
+    runs = _count_runs(monkeypatch)
     peak, report = reference.traced_peak(verify.check_random, nl, 40000, 3)
-    assert peak <= 1.1 * verify.PLANE_BUDGET, f"peak {peak / 2**20:.2f} MiB"
+    assert len(runs) > -(-40000 // verify.CHUNK_CASES)   # more kernel runs than add_batch calls
+    assert peak <= 1.1 * netlist.PLANE_BUDGET, f"peak {peak / 2**20:.2f} MiB"
     same = report.to_json() == want.to_json()   # apart: pytest diffs long texts slowly
     assert not report.passed and same
 
 
 def test_a_plan_past_the_chunk_budget_is_refused(monkeypatch, tmp_path, capsys):
     nl = _or_of_xor_chain(100)
-    monkeypatch.setattr(verify, "PLANE_BUDGET", 16 * nl._plan.slots - 1)   # 64 cases do not fit
+    monkeypatch.setattr(netlist, "PLANE_BUDGET", 16 * nl._plan.slots - 1)   # 64 cases do not fit
     for check in (verify.check_exhaustive, lambda nl: verify.check_random(nl, 10, 1)):
         with pytest.raises(ValueError, match="PLANE_BUDGET"):
             check(nl)
@@ -203,3 +211,52 @@ def test_a_plan_past_the_chunk_budget_is_refused(monkeypatch, tmp_path, capsys):
     assert cli.main(["verify", "--netlist", str(path), "--random", "10"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and "PLANE_BUDGET" in err
+
+
+def _random_batch(n: int, cases: int):
+    rng = np.random.default_rng(cases)
+    return (rng.integers(0, 4, size=(cases, n), dtype=np.uint8),
+            rng.integers(0, 4, size=(cases, n), dtype=np.uint8),
+            rng.integers(0, 2, size=cases, dtype=np.uint8))
+
+
+def test_add_batch_runs_its_cases_within_the_plane_budget(monkeypatch):
+    """60,017 cases of a 1,001-row plan at a 6 MiB budget: three runs of
+    392 plane words, the last one ragged, give the sums of one run while the
+    peak stays within one run's buffer plus the outputs."""
+    nl = _or_of_xor_chain(1000)
+    a, b, cin = _random_batch(1, 60017)
+    want = netlist.add_batch(nl, a, b, cin)   # one run; compiles the plan outside the trace
+    monkeypatch.setattr(netlist, "PLANE_BUDGET", 6 * 2**20)
+    runs = _count_runs(monkeypatch)
+    for order in "CF":
+        runs.clear()
+        peak, (s, cout) = reference.traced_peak(
+            netlist.add_batch, nl, np.asarray(a, order=order), np.asarray(b, order=order), cin)
+        assert len(runs) == 3
+        assert np.array_equal(s, want[0]) and np.array_equal(cout, want[1])
+        assert peak <= 1.1 * netlist.PLANE_BUDGET + s.nbytes + cout.nbytes, \
+            f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("n", [9, 64])
+def test_runs_give_the_sums_of_one_run_in_either_layout(monkeypatch, n):
+    """Runs of two plane words, the last one short, across a wide batch."""
+    nl = builders.build(builders.AdderSpec("tree", n))
+    a, b, cin = _random_batch(n, 1000 + n)
+    want = netlist.add_batch(nl, a, b, cin)
+    monkeypatch.setattr(netlist, "PLANE_BUDGET", 2 * 16 * nl._plan.slots + 15)
+    runs = _count_runs(monkeypatch)
+    for order in "CF":
+        s, cout = netlist.add_batch(nl, np.asarray(a, order=order), np.asarray(b, order=order), cin)
+        assert s.flags.c_contiguous and np.array_equal(s, want[0]) and np.array_equal(cout, want[1])
+    assert len(runs) == 2 * -(-len(cin) // 128)
+
+
+def test_add_batch_refuses_a_plan_past_the_plane_budget(monkeypatch):
+    nl = _or_of_xor_chain(100)
+    monkeypatch.setattr(netlist, "PLANE_BUDGET", 16 * nl._plan.slots - 1)   # 64 cases do not fit
+    runs = _count_runs(monkeypatch)
+    with pytest.raises(ValueError, match="PLANE_BUDGET"):
+        netlist.add_batch(nl, [[1]], [[2]], [1])
+    assert not runs
