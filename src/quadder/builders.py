@@ -10,9 +10,10 @@ Shared conventions:
   low bit of a digit pair carries the arithmetic value, the high bit may
   float); a single And-with-1 mask cleans each carry where it is consumed.
   Ripple cells mask their carry inside the cell.
-* There are two constructions: a chain of ripple cells in blocks (ripple
-  is the hybrid with one block), and the pg stage, a carry network and one
-  shared sum stage (single_stage, tree and sparse).
+* There are two constructions: ``_block_chain``, a chain of ripple cells
+  in blocks (ripple is the hybrid with one block), and ``_lookahead``, the
+  pg stage, a carry network and one shared sum stage (single_stage, tree
+  and sparse are its carry networks).
 * Builders record node-id groups in ``meta["groups"]`` so cost reports can
   attribute gates to the propagate/generate stage, the carry network, the
   trees, masks and the sum stage.
@@ -273,50 +274,40 @@ class _Scaffold:
 # --- architectures ---
 
 
-def _ripple(spec: AdderSpec) -> Netlist:
-    """Chain of full-adder cells; carry out of cell i feeds cell i+1.  This
-    is the hybrid adder with a single block."""
-    return _block_chain(spec, spec.width)
+def _lookahead(spec: AdderSpec, network) -> Netlist:
+    """The pg stage for positions 1..n, a carry network and the shared sum
+    stage.  ``network(sc)`` returns the raw carry out of every qudit, the
+    delay-scope signals that follow P[1..n] and G[1..n], and extra meta."""
+    sc = _Scaffold(spec)
+    n = sc.n
+    sc.build_pg(range(1, n + 1))
+    carry, scope, extra_meta = network(sc)
+    s_ids, cout = sc.sum_stage(carry)
+    head = [f"P[{i}]" for i in range(1, n + 1)] + [f"G[{i}]" for i in range(1, n + 1)]
+    return sc.finish(s_ids, cout, head + scope, extra_meta)
 
 
-def _single_stage(spec: AdderSpec) -> Netlist:
+def _single_stage(sc: _Scaffold):
     """Flat carry-lookahead: every carry is one Or over generate terms and
     propagate products, all available two gate levels after the pg stage."""
-    sc = _Scaffold(spec)
     n = sc.n
-    sc.build_pg(range(1, n + 1))
     carry = sc.lookahead_carries(1, n, sc.cin, range(1, n + 1), "carry_network")
-    s_ids, cout = sc.sum_stage(carry)
-    scope = (
-        [f"P[{i}]" for i in range(1, n + 1)]
-        + [f"G[{i}]" for i in range(1, n + 1)]
-        + [f"carry[{i}]" for i in range(1, n + 1)]
-    )
-    return sc.finish(s_ids, cout, scope)
+    return carry, [f"carry[{i}]" for i in range(1, n + 1)], None
 
 
-def _tree(spec: AdderSpec) -> Netlist:
+def _tree(sc: _Scaffold):
     """Logarithmic carry tree (Kogge-Stone style recursion) with a product
     tree evaluated in parallel; the carry into qudit i is q(i, 1)."""
-    sc = _Scaffold(spec)
     n = sc.n
-    sc.build_pg(range(1, n + 1))
-    s_ids, cout = sc.sum_stage(sc.tree_carries(range(1, n + 1)))
-    scope = (
-        [f"P[{i}]" for i in range(1, n + 1)]
-        + [f"G[{i}]" for i in range(1, n + 1)]
-        + [f"cin[{i}]" for i in range(2, n + 1)]
-    )
-    return sc.finish(s_ids, cout, scope, extra_meta={"q_nodes": sc.q_keys})
+    carry = sc.tree_carries(range(1, n + 1))
+    return carry, [f"cin[{i}]" for i in range(2, n + 1)], {"q_nodes": sc.q_keys}
 
 
-def _sparse(spec: AdderSpec) -> Netlist:
+def _sparse(sc: _Scaffold):
     """Sparse carry tree: the tree materializes only every ``sparsity``-th
     carry (the block boundaries); a flat lookahead network fills each block,
     seeded by the masked boundary carry."""
-    sc = _Scaffold(spec)
-    n, sparsity = sc.n, spec.sparsity
-    sc.build_pg(range(1, n + 1))
+    n, sparsity = sc.n, sc.spec.sparsity
     boundaries = list(range(1 + sparsity, n + 2, sparsity))
     carry = sc.tree_carries([p - 1 for p in boundaries])
     for lo in range(1, n + 1, sparsity):
@@ -329,27 +320,15 @@ def _sparse(spec: AdderSpec) -> Netlist:
         carry.update(local)
         for q in range(lo + 1, hi + 1):
             sc.mask(local[q - 1])  # the sum stage's cin[q], emitted in block order
-    s_ids, cout = sc.sum_stage(carry)
-    scope = (
-        [f"P[{i}]" for i in range(1, n + 1)]
-        + [f"G[{i}]" for i in range(1, n + 1)]
-        + [f"cin[{i}]" for i in range(2, n + 1)]
-        + ["cout"]
-    )
-    return sc.finish(s_ids, cout, scope,
-                     extra_meta={"q_nodes": sc.q_keys, "boundaries": boundaries})
-
-
-def _hybrid(spec: AdderSpec) -> Netlist:
-    """Serial/parallel hybrid: ripple cells inside each block, lookahead
-    steps across blocks (block propagate = And of the block's P terms,
-    block generate = flat lookahead with no carry-in term)."""
-    return _block_chain(spec, spec.block)
+    scope = [f"cin[{i}]" for i in range(2, n + 1)] + ["cout"]
+    return carry, scope, {"q_nodes": sc.q_keys, "boundaries": boundaries}
 
 
 def _block_chain(spec: AdderSpec, block: int) -> Netlist:
-    """Ripple cells in blocks of ``block`` qudits, joined by the block-level
-    carry chain; one block is the ripple adder."""
+    """Ripple cells in blocks of ``block`` qudits; the carry out of cell i
+    feeds cell i+1.  Lookahead steps join the blocks (block propagate = And
+    of the block's P terms, block generate = flat lookahead with no carry-in
+    term): the serial/parallel hybrid.  One block is the ripple adder."""
     sc = _Scaffold(spec)
     n = sc.n
     starts = list(range(1, n + 1, block))
@@ -391,6 +370,11 @@ def _block_chain(spec: AdderSpec, block: int) -> Netlist:
 
 
 # The one table of kinds: each kind's construction, in the order KINDS lists them.
-_CONSTRUCTIONS = {"ripple": _ripple, "single_stage": _single_stage, "tree": _tree,
-                  "sparse": _sparse, "hybrid": _hybrid}
+_CONSTRUCTIONS = {
+    "ripple": lambda spec: _block_chain(spec, spec.width),
+    "single_stage": lambda spec: _lookahead(spec, _single_stage),
+    "tree": lambda spec: _lookahead(spec, _tree),
+    "sparse": lambda spec: _lookahead(spec, _sparse),
+    "hybrid": lambda spec: _block_chain(spec, spec.block),
+}
 KINDS = tuple(_CONSTRUCTIONS)

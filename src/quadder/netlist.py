@@ -407,6 +407,8 @@ class _Plan(NamedTuple):
 
 def _qudits(values, what: str) -> np.ndarray:
     values = np.asarray(values)
+    if values.dtype.kind not in "biuf":   # object, complex, str, ...: no cast can be trusted
+        raise ValueError(f"{what} holds non-qudit values")
     with np.errstate(invalid="ignore"):   # a copy must equal its input (256, -1, 2.5, NaN do not)
         digits = values.astype(np.uint8, copy=False)
     if digits.size and (digits.max() > 3 or digits is not values and (digits != values).any()):
@@ -590,11 +592,11 @@ class _Analysis:
 
     def __init__(self, nodes: tuple[Node, ...]):
         n = len(nodes)
-        fan_inc = [0] * n
-        fan_exc = [0] * n
         inc = [0] * n
         exc = [0] * n
         reads = [node[1] for node in nodes]
+        fan_inc = list(map(len, reads))   # before a holder rewrites its reader's reads
+        fan_exc = fan_inc.copy()
         hidden = []   # n + holder, for each holder
         latest = {kind: {} for kind in MULTI_KINDS}
         ones = set()   # ids of Const 1 nodes
@@ -602,25 +604,22 @@ class _Analysis:
             k = len(ins)
             if k == 2:
                 x, y = ins
-                fan_inc[i] = 2
                 dx, dy = inc[x], inc[y]
                 inc[i] = 1 + (dx if dx > dy else dy)
                 if kind == AND and (x in ones or y in ones):
                     exc[i] = exc[y if x in ones else x]
+                    fan_exc[i] = 0
                 else:
                     dx, dy = exc[x], exc[y]
                     exc[i] = 1 + (dx if dx > dy else dy)
-                    fan_exc[i] = 2
             elif k == 1:
                 inc[i] = inc[ins[0]] + 1
                 exc[i] = exc[ins[0]] + 1
-                fan_inc[i] = fan_exc[i] = 1
             elif k == 3:   # a holder is a wide strict prefix, so none here: only _holder's record
                 x, y, z = ins
                 latest[kind][x] = i
                 inc[i] = 1 + max(inc[x], inc[y], inc[z])
                 exc[i] = 1 + max(exc[x], exc[y], exc[z])
-                fan_inc[i] = fan_exc[i] = 3
             elif k:
                 h = _holder(latest[kind], nodes, i, ins)
                 if h < 0:
@@ -638,7 +637,6 @@ class _Analysis:
                         if exc[r] > de:
                             de = exc[r]
                     inc[i], exc[i] = 1 + di, 1 + de
-                fan_inc[i] = fan_exc[i] = k
             elif kind == CONST and value == 1:
                 ones.add(i)
         self.reads = reads + reads if hidden else reads   # reads[n + h] is reads[h]

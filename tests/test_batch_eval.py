@@ -192,6 +192,20 @@ def test_digits_are_checked_before_they_are_cast(bad, place):
         netlist.add_batch(nl, *args)
 
 
+@pytest.mark.parametrize("bad", [2**70, None, 1 + 0j, 1], ids=["huge", "none", "complex", "object"])
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_non_numeric_digit_arrays_are_refused(bad, place):
+    """An object array of 2**70 would overflow the cast, one of None would
+    fail it, and a complex array would be cast with a ComplexWarning; an
+    object array of small ints is refused with them."""
+    nl = build(AdderSpec("tree", 2))
+    args = [np.ones((4, 2)), np.ones((4, 2), dtype=np.int64), np.ones(4)]
+    dtype = complex if type(bad) is complex else object
+    args[place] = np.full(args[place].shape, bad, dtype=dtype)
+    with pytest.raises(ValueError, match="non-qudit"):
+        netlist.add_batch(nl, *args)
+
+
 def _batch_of_20000(n):
     rng = np.random.default_rng(0)
     a = rng.integers(0, 4, size=(20000, n), dtype=np.uint8)
