@@ -61,7 +61,7 @@ _DOC_FIELDS = frozenset({"version", "kind", "width", "params", "nodes", "ports",
 _PORT_FIELDS = frozenset({"A", "B", "cin", "S", "cout"})
 _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
-SLICE_DIGITS = 2**20   # digits per slice when a batch is packed, unpacked or made into limbs
+SLICE_DIGITS = 2**20   # digits per slice when a batch is packed or unpacked
 PLANE_BUDGET = 2**25   # bytes of plane buffer per add_batch run
 _ONES = np.uint64(2**64 - 1)
 _BIT_SWAPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (   # 8 x 8 transpose
@@ -502,10 +502,7 @@ def _unpack_slice(planes: np.ndarray, digits: np.ndarray) -> None:
 
 
 def _run(plan: _Plan, buf: np.ndarray) -> None:
-    rows = list(buf.reshape(plan.slots, -1))
-    his = list(buf[:, _HI])
-    los = list(buf[:, _LO])
-    planes = (his, los)
+    rows = list(buf)   # a row is its (hi, lo) planes; a gate acts on both in one call
     for kind, out, ins, value in plan.steps:
         gate = _PLANE_GATE.get(kind)
         if gate is not None:
@@ -515,19 +512,28 @@ def _run(plan: _Plan, buf: np.ndarray) -> None:
                 gate(row, rows[i], out=row)
         elif value is None:   # unary; the output slot aliases no input, so the order is free
             (hi, hi_inv), (lo, lo_inv) = _RULES[kind]
-            (np.invert if hi_inv else np.positive)(planes[hi][ins[0]], out=his[out])
-            (np.invert if lo_inv else np.positive)(planes[lo][ins[0]], out=los[out])
+            src, row = rows[ins[0]], rows[out]
+            (np.invert if hi_inv else np.positive)(src[hi], out=row[_HI])
+            (np.invert if lo_inv else np.positive)(src[lo], out=row[_LO])
         else:  # CONST
-            his[out].fill(_ONES if value >> 1 else 0)
-            los[out].fill(_ONES if value & 1 else 0)
+            rows[out][_HI].fill(_ONES if value >> 1 else 0)
+            rows[out][_LO].fill(_ONES if value & 1 else 0)
 
 
-def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray):
+def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray,
+              oracle=None):
     """Batch addition: digit matrices of shape (cases, width), cin (cases,).
 
     Returns (sum digit matrix, carry-out vector), the sums C-contiguous of
     shape (cases, width).  The cases run in runs of whole plane words whose
     plane buffer, 16 bytes a plan row per 64 cases, fits PLANE_BUDGET bytes.
+
+    With an ``oracle``, each run is checked in plane space instead.  The
+    oracle gets the run's packed inputs, a (2n + 1, 2, words) uint64 array
+    (rows A[1..n], B[1..n], cin; a row is its hi plane, then its lo plane;
+    lane j of word w is case 64w + j), and returns the (n + 1, 2, words)
+    planes S[1..n] and cout should hold.  The result is then the failing
+    cases' indices and their expected and actual digits, S[1..n] then cout.
     """
     n = nl.width
     a_digits = _qudits(a_digits, "a_digits")
@@ -550,12 +556,31 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
         _pack(as_bytes[:n], a_digits[lo:hi])
         _pack(as_bytes[n:2 * n], b_digits[lo:hi])
         _pack(as_bytes[2 * n:2 * n + 1], cin[lo:hi, None])
+        want = None if oracle is None else oracle(buf[:2 * n + 1])   # _run reuses input rows
         _run(plan, buf)
-        runs.append(buf[[*plan.s_slots, plan.cout_slot]])   # S[1..n], then cout
+        got = buf[[*plan.s_slots, plan.cout_slot]]   # S[1..n], then cout
         del buf, as_bytes   # before the next run, and before the outputs are unpacked
+        runs.append(got if oracle is None else _failures(want, got, lo, hi - lo))
+    if oracle is not None:
+        return tuple(map(np.concatenate, zip(*runs)))
     out = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=2)
     del runs
     return _unpack(out[:n], cases), _unpack(out[n:], cases)[:, 0]
+
+
+def _failures(want: np.ndarray, got: np.ndarray, lo: int, cases: int) -> tuple:
+    """The failing cases of a run from case lo and their want and got digits,
+    unpacked from the failing words only; of want, from the rows that differ."""
+    diff = np.bitwise_or.reduce(want ^ got, axis=1)   # (rows, words)
+    wrong = np.bitwise_or.reduce(diff, axis=0)
+    wrong[-1:] &= np.uint64(2**((cases - 1) % 64 + 1) - 1)   # no lane past the run's last case
+    words, rows = np.flatnonzero(wrong), np.flatnonzero(diff.any(axis=1))
+    lanes = np.flatnonzero(np.unpackbits(wrong[words].view(np.uint8), bitorder="little"))
+    part = [planes.take(words, axis=2) for planes in (want[rows], got)]   # the failing words
+    digits = _unpack(np.concatenate(part), 64 * len(words))[lanes]
+    expected, actual = digits[:, len(rows):].copy(), digits[:, len(rows):]
+    expected[:, rows] = digits[:, :len(rows)]
+    return lo + 64 * words[lanes // 64] + lanes % 64, expected, actual
 
 
 # --- timing and cost ---

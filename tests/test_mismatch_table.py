@@ -201,8 +201,8 @@ def test_report_text_peak_memory():
 
 @pytest.mark.parametrize("n", [17, 64])
 def test_failing_reports_do_not_depend_on_the_slice_size(monkeypatch, n):
-    """Packing, unpacking and the oracle's limbs in 64-case slices give the
-    report of one slice a chunk, byte for byte."""
+    """Packing and unpacking in 64-case slices give the report of one slice
+    a chunk, byte for byte."""
     nl = builders.build(builders.AdderSpec("ripple", n))
     ab = nl.nodes.index(netlist.Node("and", (nl.a_ports[0], nl.b_ports[0])))
     bad = faulted(nl, [ab])

@@ -2,11 +2,13 @@
 
 ``check_random`` reads digits from whole 32-bit PCG64 words and runs its
 cases in chunks, each drawn by jumping ahead in the stream.  These tests pin
-the draws to ``Generator.integers``, the limb oracle to ``oracle_add``, the
-reports to the chunk size, and the memory to the chunk, not the trial count,
-and ``add_batch``'s plane buffer to its budget.
+the draws to ``Generator.integers``, the bit-sliced oracle to
+``oracle_add``, the reports to the chunk size and to the cases run, the
+memory to the chunk, not the trial count, and ``add_batch``'s plane buffer
+to its budget.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from test_mismatch_table import CARRY_GROUPS, faulted
 
 from quadder import builders, cli, netlist, verify
-from quadder.netlist import OR, XOR, NetlistBuilder
+from quadder.netlist import NOT, OR, XOR, NetlistBuilder
 
 SEEDS = range(30)
 # (trials, width): trials 1, width 1, and trials x width = 1, 2, 3 (mod 4)
@@ -52,15 +54,26 @@ def test_chunked_draws_reproduce_the_one_shot_draws(monkeypatch, chunk):
             assert (np.concatenate(got) == np.concatenate([head, want])).all()
 
 
-def _value(digits) -> int:
-    return sum(int(d) << (2 * i) for i, d in enumerate(digits))
+def _planes(digits):
+    """Case-major qudits (cases, rows) laid out as ``add_batch`` documents
+    its packed planes: (rows, 2, words) uint64, each row its hi plane and
+    then its lo plane, lane j of word w holding case 64 * w + j."""
+    cases, rows = digits.shape
+    bits = np.zeros((rows, 2, -(-cases // 64) * 64), dtype=np.uint8)
+    bits[:, 0, :cases], bits[:, 1, :cases] = digits.T >> 1, digits.T & 1
+    return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
 
 
 def _assert_oracle_matches(a, b, cin):
-    limbs = verify._oracle_batch(a, b, cin)
-    for x, y, c, got in zip(a, b, cin, limbs):
+    """The bit-sliced oracle's S and cout planes, read back lane by lane,
+    against the integer oracle."""
+    out = verify._oracle_batch(_planes(np.column_stack((a, b, cin))))
+    assert out.shape == (a.shape[1] + 1, 2, -(-len(cin) // 64)) and out.dtype == np.uint64
+    bits = np.unpackbits(out.view(np.uint8), axis=2, count=len(cin), bitorder="little")
+    got = (2 * bits[:, 0] + bits[:, 1]).T   # (cases, S[1..n] then cout)
+    for x, y, c, row in zip(a, b, cin, got):
         s, cout = reference.oracle_add(x.tolist(), y.tolist(), int(c))
-        assert int.from_bytes(got.tobytes(), "little") == _value(s) + (cout << (2 * len(s)))
+        assert row.tolist() == [*s, cout]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -79,6 +92,34 @@ def test_limb_oracle_matches_oracle_add_on_random_cases(n):
     a[:2], b[:2], cin[:2] = 3, 3, 1   # all 3s with cin 1
     a[2], b[2], cin[2] = 3, 0, 1      # a carry through every digit
     _assert_oracle_matches(a, b, cin)
+
+
+def _inverted_s1(nl):
+    """``nl`` with its S[1] port reading a Not of the true S[1]: S[1] is
+    wrong in every case and cout right."""
+    nodes = (*nl.nodes, netlist.Node(NOT, (nl.s_ports[0],)))
+    return dataclasses.replace(nl, nodes=nodes, s_ports=(len(nl.nodes), *nl.s_ports[1:]))
+
+
+@pytest.mark.parametrize("check", [verify.check_exhaustive,
+                                   lambda nl: verify.check_random(nl, 100, 3)],
+                         ids=["exhaustive", "random"])
+def test_lanes_past_the_last_case_give_no_records(check):
+    """Width 1: the 32 exhaustive cases fill half a plane word, and the 18
+    corner vectors and 100 trials end 54 lanes into the second word.  Every
+    case gives one record, and no lane past the last case adds one, also
+    when a batch has no case."""
+    nl = _inverted_s1(builders.build(builders.AdderSpec("ripple", 1)))
+    report = check(nl)
+    records = report.records
+    assert report.cases_run % 64 and len(records) == report.cases_run
+    assert (records.signal == 0).all() and (records.actual == 3 - records.expected).all()
+    a, b, cin = _random_batch(1, report.cases_run)
+    bad, want, got = netlist.add_batch(nl, a, b, cin, verify._oracle_batch)
+    assert np.array_equal(bad, np.arange(len(cin)))
+    assert want.shape == got.shape == (len(cin), 2) and (want[:, 1] == got[:, 1]).all()
+    none = netlist.add_batch(nl, a[:0], b[:0], cin[:0], verify._oracle_batch)   # no lane at all
+    assert [x.shape for x in none] == [(0,), (0, 2), (0, 2)]
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
