@@ -891,12 +891,14 @@ def _parse(text: str | bytes) -> Netlist:
         nodes.append(tuple.__new__(Node, (kind, inputs, entry.get("value"), entry.get("name"))))
 
     try:
-        a_ports, b_ports, s_ports = tuple(ports["A"]), tuple(ports["B"]), tuple(ports["S"])
+        vectors = ports["A"], ports["B"], ports["S"]
         cin_port, cout_port = ports["cin"], ports["cout"]
     except KeyError as exc:
         raise DocumentError("malformed", f"missing port field {exc}") from exc
-    except TypeError as exc:
-        raise DocumentError("malformed", str(exc)) from exc
+    for name, ids in zip("ABS", vectors):
+        if type(ids) is not list:
+            raise DocumentError("malformed", f"port {name} is not a list of ids")
+    a_ports, b_ports, s_ports = map(tuple, vectors)
     return Netlist(width, tuple(nodes), a_ports, b_ports, cin_port, s_ports, cout_port, signals,
                    {**meta, "kind": doc.get("kind", "custom"), "params": doc.get("params", {})})
 

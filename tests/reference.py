@@ -11,8 +11,9 @@
   and II with their check, and a scalar integer oracle.  The builders are
   checked against the cells, and the batch oracle against ``oracle_add``.
 
-It also holds ``traced_peak``, the memory probe of the tests that bound a
-call's allocations.
+It also holds ``mismatches``, a verify report's records as dicts, and
+``traced_peak``, the memory probe of the tests that bound a call's
+allocations.
 """
 
 import json
@@ -436,6 +437,12 @@ def check_truth_tables() -> tuple[list, list]:
         check(a, b, cin, "S", want_s, got.sum)
         check(a, b, cin, "C", want_c, got.carry)
     return mismatches, divergences
+
+
+def mismatches(report) -> list:
+    """A ``VerifyReport``'s mismatch records as dicts, read back from its
+    text, so they cannot differ from what the report writes."""
+    return json.loads(report.to_json())["mismatches"]
 
 
 def deviation(row, metric: str) -> tuple[int, float] | None:

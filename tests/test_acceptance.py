@@ -58,12 +58,12 @@ def test_criterion_2_exhaustive_functional_correctness():
             rep = verify.check_exhaustive(build(spec))
             cases += rep.cases_run
             if not rep.passed:
-                failures.append((spec, rep.mismatches[:2]))
+                failures.append((spec, reference.mismatches(rep)[:2]))
     for kind in ("ripple", "tree"):
         rep = verify.check_exhaustive(build(AdderSpec(kind, 4)))
         cases += rep.cases_run
         if not rep.passed:
-            failures.append((kind, rep.mismatches[:2]))
+            failures.append((kind, reference.mismatches(rep)[:2]))
         if rep.cases_run != 131072:
             failures.append((kind, "case count", rep.cases_run))
     elapsed = time.monotonic() - start
@@ -86,7 +86,7 @@ def test_criterion_3_randomized_correctness():
         for spec in specs:
             rep = verify.check_random(build(spec), 10_000, seed=20_240_000 + n)
             if not rep.passed:
-                failures.append((spec, rep.mismatches[:2]))
+                failures.append((spec, reference.mismatches(rep)[:2]))
     elapsed = time.monotonic() - start
     ok = not failures and elapsed < 30.0
     _report(3, ok, f"20 configurations x (10^4 random + corner vectors), "

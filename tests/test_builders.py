@@ -32,7 +32,7 @@ def all_specs(n):
 def test_every_architecture_exhaustively_correct(n):
     for spec in all_specs(n):
         report = check_exhaustive(build(spec))
-        assert report.passed, (spec, report.mismatches[:3])
+        assert report.passed, (spec, reference.mismatches(report)[:3])
         assert report.cases_run == 4**n * 4**n * 2
 
 
@@ -58,6 +58,12 @@ def test_spec_validation():
     ):
         with pytest.raises(ValueError, match=f"^{name} must be an int"):
             AdderSpec(kind, width, **extra)
+
+
+def test_log2_needs_a_positive_integer():
+    for fn in (floor_log2, ceil_log2):
+        with pytest.raises(ValueError, match=f"^{fn.__name__} needs a positive integer$"):
+            fn(0)
 
 
 def test_spec_rejects_a_parameter_its_kind_does_not_take():

@@ -72,6 +72,10 @@ def test_eval_flow(tmp_path, capsys):
                        "--a", "123", "--b", "21", "--cin", "0")
     assert code == 2 and "digits" in err
 
+    code, stdout, err = run(capsys, "eval", "--netlist", str(out), "--a", "14", "--b", "21")
+    assert code == 2 and stdout == ""
+    assert err == "error: --a must contain only digits 0..3\n"
+
 
 def test_verify_exhaustive_and_bound(tmp_path, capsys):
     code, stdout, _ = run(capsys, "verify", "--kind", "single", "--width", "3",
@@ -355,6 +359,10 @@ def _width_zero(doc):
     doc["ports"].update(A=[], B=[], S=[])
 
 
+def _without_cin_port(doc):
+    del doc["ports"]["cin"]
+
+
 _MALFORMED = "malformed:"
 _VERSION = "version: expected version 1, got "
 
@@ -392,6 +400,15 @@ _VERSION = "version: expected version 1, got "
     (lambda doc: doc.update(signals=["ab"]), _MALFORMED + " signals is not an object"),
     (lambda doc: doc.update(meta=[["note", 1]]), _MALFORMED + " meta is not an object"),
     (lambda doc: doc["meta"].update(kind="tree"), _MALFORMED + " meta holds kind"),
+    (lambda doc: doc["ports"].update(A=[5, 2]),
+     _MALFORMED + " input port id 5 is not an input node"),
+    (lambda doc: doc["meta"].update(groups={"pg": 5}),
+     _MALFORMED + " group 'pg' is not a list of ids"),
+    (_without_cin_port, _MALFORMED + " missing port field 'cin'"),
+    (lambda doc: doc["ports"].update(S=5), _MALFORMED + " port S is not a list of ids"),
+    (lambda doc: doc["ports"].update(S=None), _MALFORMED + " port S is not a list of ids"),
+    (lambda doc: doc["ports"].update(A="ab"), _MALFORMED + " port A is not a list of ids"),
+    (lambda doc: doc["ports"].update(B={"0": 3}), _MALFORMED + " port B is not a list of ids"),
 ], ids=["str-input-id", "float-input-id", "bool-input-id", "unhashable-kind", "nodes-not-list",
         "bool-cout-port", "bool-signal-id", "const-without-value", "const-value-5",
         "const-value-negative", "const-value-bool", "input-node-not-a-port", "width-zero",
@@ -399,7 +416,9 @@ _VERSION = "version: expected version 1, got "
         "bool-version", "float-version", "str-version", "nested-100000-deep",
         "width-5000-digits", "gate-with-value",
         "gate-with-name", "misspelt-record-key", "extra-port", "extra-top-level-key",
-        "signals-pairs", "signals-strings", "meta-pairs", "meta-kind"])
+        "signals-pairs", "signals-strings", "meta-pairs", "meta-kind", "gate-as-input-port",
+        "group-not-list", "missing-cin-port", "int-port-vector", "null-port-vector",
+        "string-port-vector", "object-port-vector"])
 def test_document_type_holes_are_rejected(tmp_path, capsys, mutate, error):
     path, doc = _stored_ripple(tmp_path, capsys)
     text = mutate(doc)   # a mutation that returns text replaces the whole document

@@ -77,7 +77,6 @@ def check_against_reference(nl, mode, trials=0, seed=0):
     assert len(report.records) == len(records)
     assert report.passed is (not records)
     assert report.to_json() == json.dumps(doc, indent=2) + "\n"
-    assert report.mismatches == records
     return records
 
 
@@ -132,10 +131,10 @@ def test_signal_order_past_255_signals():
 def test_equal_checks_give_equal_reports():
     nl = builders.build(builders.AdderSpec("ripple", 4))
     bad = faulted(nl, nl.meta["groups"]["cells"][:1])
-    assert verify.check_random(bad, 30, 4) == verify.check_random(bad, 30, 4)
-    assert verify.check_exhaustive(bad) == verify.check_exhaustive(bad)
-    assert verify.check_random(bad, 30, 4) != verify.check_random(bad, 30, 5)
-    assert verify.check_random(nl, 30, 4) == verify.check_random(nl, 30, 4)
+    assert verify.check_random(bad, 30, 4).to_json() == verify.check_random(bad, 30, 4).to_json()
+    assert verify.check_exhaustive(bad).to_json() == verify.check_exhaustive(bad).to_json()
+    assert verify.check_random(bad, 30, 4).to_json() != verify.check_random(bad, 30, 5).to_json()
+    assert verify.check_random(nl, 30, 4).to_json() == verify.check_random(nl, 30, 4).to_json()
 
 
 def reference_text(table):

@@ -244,6 +244,8 @@ def test_ripple_carry_cone_measurements():
     assert inc.input_count == 19
     with pytest.raises(ValueError, match="unknown signal"):
         netlist.measure(nl, ["nonesuch"])
+    with pytest.raises(ValueError, match="^netlist has no group 'nonesuch'$"):
+        netlist.count_group(nl, "nonesuch")
 
 
 @pytest.mark.parametrize("query", [

@@ -145,7 +145,7 @@ def test_corrupted_netlist_is_reported_with_replay_inputs():
     bad = _mutate(nl, and_id, "or")
     report = verify.check_exhaustive(bad)
     assert not report.passed
-    m = report.mismatches[0]
+    m = reference.mismatches(report)[0]
     assert set(m) == {"a", "b", "cin", "signal", "expected", "actual"}
     # the recorded inputs replay to the recorded wrong value
     s, c = netlist.evaluate_words(bad, m["a"], m["b"], m["cin"])
