@@ -347,7 +347,8 @@ class _Plan(NamedTuple):
     kind with the same first input reads that gate's slot in place of them
     (wide: fan-in 3 or more).  A slot is reused once the last step reading
     it has run; nodes outside the cone of S and cout get no step unless a
-    step reads them as its prefix, and the output slots are never reused.
+    step reads them as its prefix.  The input and output slots are never
+    reused, so a run's inputs can still be read once its outputs are made.
     """
 
     steps: tuple
@@ -366,20 +367,20 @@ class _Plan(NamedTuple):
             head = _holder(latest[nodes[nid][0]], nodes, nid, ins)
             if head >= 0:
                 reads[nid] = (head, *ins[len(nodes[head][1]):])
+        ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
         last = [-1] * n          # id of the last live node reading each node
-        for nid in (*nl.s_ports, nl.cout_port):
+        for nid in (*nl.s_ports, nl.cout_port, *ports):
             last[nid] = n
         for nid, ins in zip(range(n - 1, -1, -1), reversed(reads)):
             if last[nid] >= 0:
                 for i in ins:
                     if last[i] < 0:
                         last[i] = nid
-        ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
         slot = [0] * n
         get = slot.__getitem__
         for k, pid in enumerate(ports):
             slot[pid] = k
-        free = [slot[pid] for pid in reversed(ports) if last[pid] < 0]
+        free = []
         size = len(ports)
         steps = []
         for nid, (kind, _, value, _), ins in zip(range(n), nodes, reads):
@@ -435,15 +436,16 @@ def slice_cases(width: int) -> int:
     return max(64, SLICE_DIGITS // width // 64 * 64)
 
 
-def _pack(planes: np.ndarray, digits: np.ndarray) -> None:
-    """Case-major qudits (cases, rows) into the hi and lo planes of rows,
-    a slice of cases at a time."""
-    step = slice_cases(digits.shape[1])
-    for lo in range(0, len(digits), step):
-        _pack_slice(planes[:, :, lo // 8:], digits[lo:lo + step])
+def _pack(planes: np.ndarray, data: np.ndarray, hi: int, lo: int) -> None:
+    """Case-major bytes (cases, rows) into the hi and lo planes of rows, a
+    slice of cases at a time: a plane's bit is set where its mask ``hi`` or
+    ``lo`` has a bit of the byte (2 and 1 for qudits)."""
+    step = slice_cases(data.shape[1])
+    for start in range(0, len(data), step):
+        _pack_slice(planes[:, :, start // 8:], data[start:start + step], hi, lo)
 
 
-def _pack_slice(planes: np.ndarray, digits: np.ndarray) -> None:
+def _pack_slice(planes: np.ndarray, data: np.ndarray, hi: int, lo: int) -> None:
     """One slice of ``_pack``.
 
     Each case's bits are packed 8 rows to a byte; 8 cases' bytes then make
@@ -451,20 +453,20 @@ def _pack_slice(planes: np.ndarray, digits: np.ndarray) -> None:
     Cases past the last in a byte are left as they come: lanes never mix.
     Fewer than 8 rows are cheaper to transpose whole than to pad to 8.
     """
-    cases, rows = digits.shape
+    cases, rows = data.shape
     groups, blocks = -(-rows // 8), -(-cases // 8)
     if rows < 8:
-        t = np.ascontiguousarray(digits.T)
-        planes[:, 0, :blocks] = np.packbits(t >> 1, axis=1, bitorder="little")
-        planes[:, 1, :blocks] = np.packbits(t & 1, axis=1, bitorder="little")
+        t = np.ascontiguousarray(data.T)
+        planes[:, 0, :blocks] = np.packbits(t & hi, axis=1, bitorder="little")
+        planes[:, 1, :blocks] = np.packbits(t & lo, axis=1, bitorder="little")
         return
-    if rows % 8 or not digits.flags.c_contiguous:
+    if rows % 8 or not data.flags.c_contiguous:
         padded = np.zeros((cases, 8 * groups), dtype=np.uint8)
-        padded[:, :rows] = digits
-        digits = padded
+        padded[:, :rows] = data
+        data = padded
     packed = np.empty((2, 8 * blocks, groups), dtype=np.uint8)
-    packed[0, :cases] = np.packbits(digits >> 1, bitorder="little").reshape(cases, groups)
-    packed[1, :cases] = np.packbits(digits & 1, bitorder="little").reshape(cases, groups)
+    packed[0, :cases] = np.packbits(data & hi, bitorder="little").reshape(cases, groups)
+    packed[1, :cases] = np.packbits(data & lo, bitorder="little").reshape(cases, groups)
     words = np.ascontiguousarray(packed.reshape(2, blocks, 8, groups).transpose(0, 3, 1, 2))
     _transpose_bits(words.view(np.uint64))
     planes[:, :, :blocks] = words.transpose(1, 3, 0, 2).reshape(8 * groups, 2, blocks)[:rows]
@@ -522,19 +524,10 @@ def _run(plan: _Plan, buf: np.ndarray) -> None:
 
 def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray,
               oracle=None):
-    """Batch addition: digit matrices of shape (cases, width), cin (cases,).
-
-    Returns (sum digit matrix, carry-out vector), the sums C-contiguous of
-    shape (cases, width).  The cases run in runs of whole plane words whose
-    plane buffer, 16 bytes a plan row per 64 cases, fits PLANE_BUDGET bytes.
-
-    With an ``oracle``, each run is checked in plane space instead.  The
-    oracle gets the run's packed inputs, a (2n + 1, 2, words) uint64 array
-    (rows A[1..n], B[1..n], cin; a row is its hi plane, then its lo plane;
-    lane j of word w is case 64w + j), and returns the (n + 1, 2, words)
-    planes S[1..n] and cout should hold.  The result is then the failing
-    cases' indices and their expected and actual digits, S[1..n] then cout.
-    """
+    """Batch addition: digit matrices of shape (cases, width), cin (cases,),
+    checked once and packed run by run by ``add_cases``, which gives the
+    result: (sum digit matrix, carry-out vector), the sums C-contiguous of
+    shape (cases, width), or with an ``oracle`` the failing cases."""
     n = nl.width
     a_digits = _qudits(a_digits, "a_digits")
     b_digits = _qudits(b_digits, "b_digits")
@@ -543,6 +536,27 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
     if a_digits.shape != (cases, n) or b_digits.shape != (cases, n):
         raise ValueError(f"expected digit matrices of shape (cases, {n}) and cin of shape "
                          f"(cases,), got {a_digits.shape}, {b_digits.shape}, {cin.shape}")
+    rows = ((0, a_digits), (n, b_digits), (2 * n, cin[:, None]))   # (first row, digits)
+    return add_cases(nl, cases, lambda lo, hi: ((r, lo, x[lo:hi], 2, 1) for r, x in rows), oracle)
+
+
+def add_cases(nl: Netlist, cases: int, source, oracle=None):
+    """Batch addition of ``cases`` cases, run in runs of whole plane words
+    whose plane buffer, 16 bytes a plan row per 64 cases, fits PLANE_BUDGET.
+    ``source(lo, hi)`` gives cases lo..hi-1 as slices (row, case, data,
+    hi_mask, lo_mask): case-major uint8 ``data`` of the input rows from
+    ``row`` (A[1..n], B[1..n], cin) and the cases from ``case``, a multiple
+    of 8 past lo, which ``_pack`` packs by the masks.  Returns (sum digit
+    matrix, carry-out vector).
+
+    With an ``oracle``, each run is checked in plane space instead: it gets
+    the run's packed inputs, (2n + 1, 2, words) uint64 (a row is its hi
+    plane, then its lo plane; lane j of word w is case 64w + j), and returns
+    the (n + 1, 2, words) planes S[1..n] and cout should hold, a new array
+    that the check overwrites.  The result is the failing cases' indices,
+    a, b, cin, expected and actual digits.
+    """
+    n = nl.width
     plan = nl._plan
     step = 64 * (PLANE_BUDGET // (16 * plan.slots))
     if not step:
@@ -552,15 +566,15 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
     for lo in range(0, max(cases, 1), step):
         hi = min(lo + step, cases)
         buf = np.empty((plan.slots, 2, (hi - lo + 63) // 64), dtype=np.uint64)
-        as_bytes = buf.view(np.uint8)
-        _pack(as_bytes[:n], a_digits[lo:hi])
-        _pack(as_bytes[n:2 * n], b_digits[lo:hi])
-        _pack(as_bytes[2 * n:2 * n + 1], cin[lo:hi, None])
-        want = None if oracle is None else oracle(buf[:2 * n + 1])   # _run reuses input rows
+        for row, case, data, *masks in source(lo, hi):
+            _pack(buf[row:row + data.shape[1]].view(np.uint8)[..., (case - lo) // 8:], data, *masks)
         _run(plan, buf)
+        ins = buf[:2 * n + 1]   # the plan never reuses an input row
+        want = None if oracle is None else oracle(ins)
         got = buf[[*plan.s_slots, plan.cout_slot]]   # S[1..n], then cout
-        del buf, as_bytes   # before the next run, and before the outputs are unpacked
-        runs.append(got if oracle is None else _failures(want, got, lo, hi - lo))
+        got = got if oracle is None else _failing_words(ins, want, got, hi - lo)
+        del buf, ins, want   # before the next run, and before anything is unpacked
+        runs.append(got if oracle is None else _failures(lo, n, *got))
     if oracle is not None:
         return tuple(map(np.concatenate, zip(*runs)))
     out = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=2)
@@ -568,19 +582,26 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
     return _unpack(out[:n], cases), _unpack(out[n:], cases)[:, 0]
 
 
-def _failures(want: np.ndarray, got: np.ndarray, lo: int, cases: int) -> tuple:
-    """The failing cases of a run from case lo and their want and got digits,
-    unpacked from the failing words only; of want, from the rows that differ."""
-    diff = np.bitwise_or.reduce(want ^ got, axis=1)   # (rows, words)
+def _failing_words(ins: np.ndarray, want: np.ndarray, got: np.ndarray, cases: int) -> tuple:
+    """A run's words with a failing lane: their lane masks and indices, the
+    rows where want differs, and the planes there of ins, those rows and got."""
+    want ^= got   # in place: now where the two differ
+    diff = np.bitwise_or.reduce(want, axis=1)   # (rows, words)
     wrong = np.bitwise_or.reduce(diff, axis=0)
     wrong[-1:] &= np.uint64(2**((cases - 1) % 64 + 1) - 1)   # no lane past the run's last case
     words, rows = np.flatnonzero(wrong), np.flatnonzero(diff.any(axis=1))
-    lanes = np.flatnonzero(np.unpackbits(wrong[words].view(np.uint8), bitorder="little"))
-    part = [planes.take(words, axis=2) for planes in (want[rows], got)]   # the failing words
-    digits = _unpack(np.concatenate(part), 64 * len(words))[lanes]
+    outs = [planes.take(words, axis=2) for planes in (want[rows] ^ got[rows], got)]
+    return wrong[words], words, rows, ins.take(words, axis=2), np.concatenate(outs)
+
+
+def _failures(lo: int, n: int, wrong, words, rows, ins, outs) -> tuple:
+    """The failing cases of a run from case lo, unpacked from its failing words."""
+    lanes = np.flatnonzero(np.unpackbits(wrong.view(np.uint8), bitorder="little"))
+    inputs, digits = (_unpack(planes, 64 * len(words))[lanes] for planes in (ins, outs))
     expected, actual = digits[:, len(rows):].copy(), digits[:, len(rows):]
     expected[:, rows] = digits[:, :len(rows)]
-    return lo + 64 * words[lanes // 64] + lanes % 64, expected, actual
+    return (lo + 64 * words[lanes // 64] + lanes % 64, inputs[:, :n], inputs[:, n:2 * n],
+            inputs[:, 2 * n], expected, actual)
 
 
 # --- timing and cost ---

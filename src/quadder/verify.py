@@ -1,14 +1,14 @@
 """Independent arithmetic oracle and equivalence harness.
 
 The oracle, ``_oracle_batch``, is a bit-sliced binary ripple adder on the
-bit planes ``add_batch`` packs; it never touches the quaternary operators,
+bit planes ``add_cases`` packs; it never touches the quaternary operators,
 so a defect in the algebra cannot hide a matching defect in a netlist.
-Exhaustive checks cover every assignment at small widths; randomized checks
-use a seeded PCG64 generator plus a fixed set of corner vectors.  Both run
-over chunks of at most ``CHUNK_CASES`` cases, each made from its case
-indices, so a check's memory does not grow with its case count.  Each chunk
-is one ``add_batch`` call, which bounds its plane buffer, compares in plane
-space and unpacks only the failing cases.
+Exhaustive checks cover every assignment at small widths, a chunk of digits
+made from its case indices at a time (``add_batch``); randomized checks pack
+a chunk's bytes of a seeded PCG64 stream and a fixed set of corner vectors
+straight into the plane buffer (``add_cases``).  A chunk has at most
+``CHUNK_CASES`` cases, so memory does not grow with the case count; it is
+compared in plane space, and only failing cases are unpacked, inputs too.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import netlist
 from .netlist import Netlist
 
 EXHAUSTIVE_WIDTH_BOUND = 4
-CHUNK_CASES = 2**15            # cases per add_batch call of a check; a multiple of 4
+CHUNK_CASES = 2**15            # cases per add_batch/add_cases call of a check; bounds its buffer
 RANDOM_DIGITS_CAP = 2**34      # trials x width; at ~65M digit-adds/s, about 4.5 minutes
 
 
@@ -142,7 +142,7 @@ def _collect_mismatches(a, b, cin, want, got) -> MismatchTable:
     width + 1), S[1..n] then cout.  Each wrong signal of a case is a record.
     """
     n = a.shape[1]
-    case, signal = np.nonzero(want != got)
+    case, signal = np.divmod(np.flatnonzero(want != got), n + 1)   # 2-D nonzero is slower
     rank = np.empty(n + 1, dtype=np.intp)   # each signal's place in name order
     names = _signal_names(n)
     rank[sorted(range(n + 1), key=names.__getitem__)] = np.arange(n + 1)
@@ -154,17 +154,17 @@ def _collect_mismatches(a, b, cin, want, got) -> MismatchTable:
                          expected=want[case, signal], actual=got[case, signal])
 
 
-def _check(nl: Netlist, chunk, count: int) -> MismatchTable:
+def _records(count: int, run) -> MismatchTable:
     """The mismatch records of ``count`` cases, a chunk of cases at a time:
-    ``chunk(lo, hi)`` gives the (a, b, cin) of cases lo..hi-1.  ``add_batch``
-    gives back the cases failing the oracle; their records get one sort."""
-    kept = []
-    for lo in range(0, count, CHUNK_CASES):
-        a, b, cin = chunk(lo, min(lo + CHUNK_CASES, count))
-        bad, want, got = netlist.add_batch(nl, a, b, cin, _oracle_batch)
-        kept.append((a[bad], b[bad], cin[bad], want, got))
-        del a, b   # before the next chunk is made
+    ``run(lo, hi)`` checks cases lo..hi-1 and gives back the failing ones as
+    ``add_cases`` does; their records get one sort."""
+    kept = [run(lo, min(lo + CHUNK_CASES, count))[1:] for lo in range(0, count, CHUNK_CASES)]
     return _collect_mismatches(*map(np.concatenate, zip(*kept)))
+
+
+def _check(nl: Netlist, chunk, count: int) -> MismatchTable:
+    """``_records`` of the (a, b, cin) digits ``chunk(lo, hi)``, each one ``add_batch`` call."""
+    return _records(count, lambda lo, hi: netlist.add_batch(nl, *chunk(lo, hi), _oracle_batch))
 
 
 def check_exhaustive(nl: Netlist) -> VerifyReport:
@@ -174,15 +174,16 @@ def check_exhaustive(nl: Netlist) -> VerifyReport:
     if n > EXHAUSTIVE_WIDTH_BOUND:
         raise ValueError(f"width {n} exceeds the exhaustive bound {EXHAUSTIVE_WIDTH_BOUND}; "
                          "check it with random trials instead")
-    words = (np.arange(4**n)[:, None] >> 2 * np.arange(n) & 3).astype(np.uint8)
+    words = (np.arange(4**n) >> 2 * np.arange(n)[:, None] & 3).astype(np.uint8)   # digit-major
     # a is fixed over each period of 2 * 4^n cases, which runs (b, cin) through every value once
     period, count = 2 * 4**n, 2 * 16**n
     k = np.arange(min(CHUNK_CASES + period, count))   # a chunk's (b, cin) start at lo mod period
-    b, cin = np.take(words, (k >> 1) & (4**n - 1), axis=0), (k & 1).astype(np.uint8)
+    b, cin = np.take(words, (k >> 1) & (4**n - 1), axis=1), (k & 1).astype(np.uint8)
 
     def chunk(lo: int, hi: int):
         rows = slice(lo % period, lo % period + hi - lo)
-        return words[lo // period:-(-hi // period)].repeat(period, axis=0)[rows], b[rows], cin[rows]
+        a = words[:, lo // period:-(-hi // period)].repeat(period, axis=1)
+        return a[:, rows].T, b[:, rows].T, cin[rows]
 
     records = _check(nl, chunk, count)
     return VerifyReport("exhaustive", count, records, kind=nl.meta.get("kind"), width=n)
@@ -199,31 +200,38 @@ def _corner_vectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, np.tile(np.uint8([0, 1]), len(pairs))
 
 
-def _draw(seed: int, word: int, out: np.ndarray, shift: int) -> None:
-    """Fill ``out`` from 32-bit word ``word`` on of the PCG64 stream of
-    ``seed`` (a 64-bit output is two words, low half first), keeping the top
-    8 - shift bits of each little-endian byte.  With shift 6 (7) this is what
-    ``default_rng(seed).integers(0, 4 (2), dtype=uint8)`` draws from that
-    word on, as Lemire's method on a byte rejects nothing for those ranges."""
-    skip = 4 * (word % 2)
-    raw = np.random.PCG64(seed).advance(word // 2).random_raw(-(-(skip + out.size) // 8))
-    np.right_shift(raw.view(np.uint8)[skip:skip + out.size], shift, out=out.reshape(-1))
+def _draw(seed: int, byte: int, count: int) -> np.ndarray:
+    """Bytes byte..byte + count - 1 of the PCG64 stream of ``seed``, read
+    little-endian.  default_rng's uint8 ``integers(0, 4 (2))`` draws a byte's
+    top 2 (1) bits: Lemire's method on a byte rejects nothing there."""
+    skip = byte % 8
+    raw = np.random.PCG64(seed).advance(byte // 8).random_raw(-(-(skip + count) // 8))
+    return raw.view(np.uint8)[skip:skip + count]
 
 
-def _random_cases(n: int, trials: int, seed: int, lo: int, hi: int) -> tuple:
-    """Trials lo..hi-1 of check_random as (a, b, cin), after the corner
-    vectors when lo is 0.  ``default_rng(seed)`` draws all a digits, then all
-    b digits, then all cin bits, each draw from a fresh 32-bit word, so lo
-    must be a multiple of 4 for every part to start on a word."""
-    words = -(-trials * n // 4)   # 32-bit words behind the a digits
-    parts = []
-    for start, corner, shift in zip((0, words, 2 * words), _corner_vectors(n), (6, 6, 7)):
-        head = corner.reshape(len(corner), -1)[:len(corner) * (lo == 0)]
-        part = np.empty((len(head) + hi - lo, head.shape[1]), dtype=np.uint8)
-        part[:len(head)] = head
-        _draw(seed, start + lo * head.shape[1] // 4, part[len(head):], shift)
-        parts.append(part)
-    return parts[0], parts[1], parts[2][:, 0]
+def _random_source(n: int, trials: int, seed: int, first: int):
+    """``add_cases``' source of check_random's cases from case ``first``: the
+    corner vectors, then trial t as case 18 + t.  default_rng draws all a
+    digits, all b digits, then all cin bits, each part from a fresh 32-bit
+    word; a slice of cases reads its bytes of each part at their offset."""
+    a, b, cin = _corner_vectors(n)
+    skip, words = len(cin), -(-trials * n // 4)   # 32-bit words behind the a digits
+    parts = ((0, 0, a, 0x80, 0x40), (n, 4 * words, b, 0x80, 0x40),
+             (2 * n, 8 * words, cin[:, None], 0, 0x80))   # (row, byte, corners, masks)
+    step = netlist.slice_cases(n)
+
+    def source(lo: int, hi: int):
+        for case in range(lo, hi, step):
+            start, stop = first + case, first + min(case + step, hi)   # cases of the check
+            trial, end = max(start - skip, 0), max(stop - skip, 0)
+            for row, byte, corner, hi_mask, lo_mask in parts:
+                width = corner.shape[1]
+                data = _draw(seed, byte + trial * width, (end - trial) * width).reshape(-1, width)
+                if start < skip:   # the corner vectors' digits, put in the same bits
+                    data = np.concatenate((corner[start:stop] * lo_mask, data))
+                yield row, case, data, hi_mask, lo_mask
+
+    return source
 
 
 def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
@@ -240,6 +248,7 @@ def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
     if trials * n > RANDOM_DIGITS_CAP:
         raise ValueError(f"{trials} trials x width {n} exceeds the random-check cap "
                          f"RANDOM_DIGITS_CAP = {RANDOM_DIGITS_CAP} digits")
-    records = _check(nl, lambda lo, hi: _random_cases(n, trials, seed, lo, hi), trials)
-    return VerifyReport("random", len(_corner_vectors(n)[2]) + trials, records, seed,
-                        nl.meta.get("kind"), n)
+    count = len(_corner_vectors(n)[2]) + trials
+    records = _records(count, lambda lo, hi: netlist.add_cases(
+        nl, hi - lo, _random_source(n, trials, seed, lo), _oracle_batch))
+    return VerifyReport("random", count, records, seed, nl.meta.get("kind"), n)

@@ -74,9 +74,10 @@ def test_random_check_takes_exact_ints(wrong, trials, seed):
 
 
 def test_checks_reach_the_layers_by_module_lookup(monkeypatch):
-    """The kernel, the oracle and the mismatch collector are looked up on
-    their modules at call time, so a wrapper put in their place sees every
-    check's calls."""
+    """The kernel's run loop, the oracle and the mismatch collector are
+    looked up on their modules at call time, so a wrapper put in their place
+    sees every check's calls: a random check packs its draws through
+    ``add_cases``, an exhaustive check its digits through ``add_batch``."""
     calls = {}
 
     def counting(module, name):
@@ -87,14 +88,15 @@ def test_checks_reach_the_layers_by_module_lookup(monkeypatch):
             return inner(*args)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((netlist, "add_batch"), (verify, "_oracle_batch"),
-                         (verify, "_collect_mismatches")):
+    for module, name in ((netlist, "add_batch"), (netlist, "add_cases"),
+                         (verify, "_oracle_batch"), (verify, "_collect_mismatches")):
         counting(module, name)
     nl = build(AdderSpec("tree", 2))
-    for check in (lambda: verify.check_random(nl, 100, 1), lambda: verify.check_exhaustive(nl)):
+    for check, batches in ((lambda: verify.check_random(nl, 100, 1), {}),
+                           (lambda: verify.check_exhaustive(nl), {"add_batch": 1})):
         calls.clear()
         check()
-        assert calls == {"add_batch": 1, "_oracle_batch": 1, "_collect_mismatches": 1}
+        assert calls == {**batches, "add_cases": 1, "_oracle_batch": 1, "_collect_mismatches": 1}
 
 
 def test_all_threes_plus_carry_corner():

@@ -1,11 +1,12 @@
 """The streamed random check: its digits, its chunks, its oracle, its memory.
 
-``check_random`` reads digits from whole 32-bit PCG64 words and runs its
-cases in chunks, each drawn by jumping ahead in the stream.  These tests pin
-the draws to ``Generator.integers``, the bit-sliced oracle to
-``oracle_add``, the reports to the chunk size and to the cases run, the
-memory to the chunk, not the trial count, and ``add_batch``'s plane buffer
-to its budget.
+``check_random`` runs its cases in chunks; each chunk's source reads its
+bytes of the PCG64 stream at their byte offset and packs them into the plane
+buffer by bit mask.  These tests pin the draws and the packed planes to
+``Generator.integers``, the bit-sliced oracle to ``oracle_add``, the reports
+to the chunk size and to the cases run, the memory to the chunk and the
+plane buffer, not the trial count, and ``add_batch``'s plane buffer to its
+budget.
 """
 
 import dataclasses
@@ -33,27 +34,6 @@ def _one_shot(seed, trials, n):
             rng.integers(0, 2, size=trials, dtype=np.uint8))
 
 
-@pytest.mark.parametrize("trials, n", SHAPES)
-def test_word_digits_equal_integer_draws(trials, n):
-    for seed, (shape, high, shift) in itertools.product(SEEDS, (((trials, n), 4, 6),
-                                                              ((trials,), 2, 7))):
-        out = np.empty(shape, dtype=np.uint8)
-        verify._draw(seed, 0, out, shift)
-        want = np.random.default_rng(seed).integers(0, high, size=shape, dtype=np.uint8)
-        assert (out == want).all()
-
-
-@pytest.mark.parametrize("chunk", [4, 64, verify.CHUNK_CASES])
-def test_chunked_draws_reproduce_the_one_shot_draws(monkeypatch, chunk):
-    monkeypatch.setattr(verify, "CHUNK_CASES", chunk)
-    for (trials, n), seed in itertools.product([*SHAPES, (130, 3), (67, 33)], SEEDS[:5]):
-        parts = [verify._random_cases(n, trials, seed, lo, min(lo + chunk, trials))
-                 for lo in range(0, trials, chunk)]
-        corners = verify._corner_vectors(n)
-        for got, head, want in zip(zip(*parts), corners, _one_shot(seed, trials, n)):
-            assert (np.concatenate(got) == np.concatenate([head, want])).all()
-
-
 def _planes(digits):
     """Case-major qudits (cases, rows) laid out as ``add_batch`` documents
     its packed planes: (rows, 2, words) uint64, each row its hi plane and
@@ -64,14 +44,56 @@ def _planes(digits):
     return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
 
 
+def _lanes(planes, cases):
+    """The inverse of ``_planes``, lane by lane: the first ``cases`` lanes of
+    (rows, 2, words) planes as case-major qudits (cases, rows)."""
+    bits = np.unpackbits(planes.view(np.uint8), axis=2, count=cases, bitorder="little")
+    return (2 * bits[:, 0] + bits[:, 1]).T
+
+
+@pytest.mark.parametrize("trials, n", SHAPES)
+def test_word_digits_equal_integer_draws(trials, n):
+    """From any byte offset into the a, b or cin part of the stream, the top
+    two bits (a digit) or the top bit (a cin) of each byte are what
+    ``default_rng`` draws from there on."""
+    words = -(-trials * n // 4)   # 32-bit words behind the a digits, and the b digits
+    for seed in SEEDS:
+        parts = zip((0, 4 * words, 8 * words), _one_shot(seed, trials, n), (6, 6, 7))
+        for start, want, shift in parts:
+            want = want.reshape(-1)
+            for skip in sorted({0, 1, seed % want.size, want.size - 1}):
+                got = verify._draw(seed, start + skip, want.size - skip) >> shift
+                assert np.array_equal(got, want[skip:]), (seed, start, skip)
+
+
+@pytest.mark.parametrize("chunk", [4, 5, 13, 17, 64, verify.CHUNK_CASES])
+def test_chunked_draws_reproduce_the_one_shot_draws(monkeypatch, chunk):
+    """The input planes of every chunk, read back lane by lane, are the 18
+    corner vectors and then the one-shot ``default_rng`` draws, wherever the
+    chunks start: on a stream byte that is not a word's, before the corner
+    vectors end inside a plane byte, on the last one (17) or past them."""
+    monkeypatch.setattr(verify, "CHUNK_CASES", chunk)
+    packed, oracle = [], verify._oracle_batch   # the oracle sees each run's input planes
+    monkeypatch.setattr(verify, "_oracle_batch", lambda x: packed.append(x.copy()) or oracle(x))
+    for (trials, n), seed in itertools.product([*SHAPES, (130, 3), (67, 33)], SEEDS[:5]):
+        packed.clear()
+        nl = builders.build(builders.AdderSpec("ripple", n))
+        assert verify.check_random(nl, trials, seed).passed
+        count = len(verify._corner_vectors(n)[2]) + trials
+        assert len(packed) == -(-count // chunk)   # one run a chunk
+        got = np.concatenate([_lanes(p, min(chunk, count - lo))
+                              for p, lo in zip(packed, range(0, count, chunk))])
+        want = [np.concatenate([head.reshape(len(head), -1), part.reshape(trials, -1)])
+                for head, part in zip(verify._corner_vectors(n), _one_shot(seed, trials, n))]
+        assert np.array_equal(got, np.hstack(want)), (trials, n, seed)
+
+
 def _assert_oracle_matches(a, b, cin):
     """The bit-sliced oracle's S and cout planes, read back lane by lane,
     against the integer oracle."""
     out = verify._oracle_batch(_planes(np.column_stack((a, b, cin))))
     assert out.shape == (a.shape[1] + 1, 2, -(-len(cin) // 64)) and out.dtype == np.uint64
-    bits = np.unpackbits(out.view(np.uint8), axis=2, count=len(cin), bitorder="little")
-    got = (2 * bits[:, 0] + bits[:, 1]).T   # (cases, S[1..n] then cout)
-    for x, y, c, row in zip(a, b, cin, got):
+    for x, y, c, row in zip(a, b, cin, _lanes(out, len(cin))):   # S[1..n], then cout
         s, cout = reference.oracle_add(x.tolist(), y.tolist(), int(c))
         assert row.tolist() == [*s, cout]
 
@@ -115,11 +137,13 @@ def test_lanes_past_the_last_case_give_no_records(check):
     assert report.cases_run % 64 and len(records) == report.cases_run
     assert (records.signal == 0).all() and (records.actual == 3 - records.expected).all()
     a, b, cin = _random_batch(1, report.cases_run)
-    bad, want, got = netlist.add_batch(nl, a, b, cin, verify._oracle_batch)
+    bad, a_bad, b_bad, cin_bad, want, got = netlist.add_batch(nl, a, b, cin, verify._oracle_batch)
     assert np.array_equal(bad, np.arange(len(cin)))
+    assert np.array_equal(a_bad, a[bad]) and np.array_equal(b_bad, b[bad])
+    assert np.array_equal(cin_bad, cin[bad])   # read back from the run's input rows
     assert want.shape == got.shape == (len(cin), 2) and (want[:, 1] == got[:, 1]).all()
     none = netlist.add_batch(nl, a[:0], b[:0], cin[:0], verify._oracle_batch)   # no lane at all
-    assert [x.shape for x in none] == [(0,), (0, 2), (0, 2)]
+    assert [x.shape for x in none] == [(0,), (0, 1), (0, 1), (0,), (0, 2), (0, 2)]
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -135,7 +159,7 @@ def test_reports_do_not_depend_on_the_chunk_size(kind, width, data):
     want = [verify.check_random(nl, trials, seed).to_json()]
     if exhaustive:
         want.append(verify.check_exhaustive(nl).to_json())
-    for chunk in (4, 12):   # the least (a chunk's draws start on a word), and not a power of 2
+    for chunk in (4, 5, 12, 13):   # chunks that start on a byte of the stream and inside one
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "CHUNK_CASES", chunk)
             got = [verify.check_random(nl, trials, seed).to_json()]
@@ -206,6 +230,19 @@ def test_random_check_at_256_digits_stays_under_24_mib(kind):
     verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
     peak = _peak(nl, 20000)
     assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("kind", ["tree", "hybrid", "ripple"])
+def test_random_check_at_256_digits_peaks_within_its_plane_buffer(kind):
+    """20018 cases of width 256 are one run: the check's peak is its plane
+    buffer and at most 6 MiB more, as no full-size digit array is made."""
+    nl = builders.build(builders.AdderSpec(kind, 256))
+    verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
+    buffer = 16 * nl._plan.slots * -(-(len(verify._corner_vectors(256)[2]) + 20000) // 64)
+    peak, report = reference.traced_peak(verify.check_random, nl, 20000, 5)
+    assert report.passed
+    assert peak <= buffer + 6 * 2**20, \
+        f"peak {peak / 2**20:.2f} MiB, buffer {buffer / 2**20:.2f} MiB"
 
 
 def _or_of_xor_chain(length: int):
