@@ -32,13 +32,13 @@ CONST = "const"
 INPUT = "input"
 
 # Every gate kind once: its (least, most) inputs, then for And/Or/Xor the bitwise
-# (operator on ints, ufunc on bit planes), and for a unary kind how its output's hi
-# and lo plane are each made from one input plane, as (source plane, inverted).
-_HI, _LO = 0, 1   # a qudit's bit planes, value = 2 * hi + lo, in the order they are stored
+# operator on ints, and for a unary kind how its output's hi and lo plane are each
+# made from one input plane, as (source plane, inverted), for one case and a batch.
+_LO, _HI = 0, 1   # a qudit's bit planes, value = 2 * hi + lo, in the order a row holds them
 _KINDS = {
-    AND: ((2, sys.maxsize), (and_, np.bitwise_and)),
-    OR: ((2, sys.maxsize), (or_, np.bitwise_or)),
-    XOR: ((2, sys.maxsize), (xor, np.bitwise_xor)),
+    AND: ((2, sys.maxsize), and_),
+    OR: ((2, sys.maxsize), or_),
+    XOR: ((2, sys.maxsize), xor),
     NOT: ((1, 1), ((_HI, True), (_LO, True))),         # 3 - a
     INWARD: ((1, 1), ((_HI, True), (_HI, False))),     # 0, 1 -> 2 and 2, 3 -> 1
     OUTWARD: ((1, 1), ((_HI, True), (_HI, True))),     # 0, 1 -> 3 and 2, 3 -> 0
@@ -47,23 +47,18 @@ _KINDS = {
     INPUT: ((0, 0), ()),
 }
 _FAN_IN = {kind: fan_in for kind, (fan_in, _) in _KINDS.items()}
-_SCALAR_WIDE = {kind: ops[0] for kind, ((_, most), ops) in _KINDS.items() if most > 1}
-_PLANE_GATE = {kind: ops[1] for kind, ((_, most), ops) in _KINDS.items() if most > 1}
+_OPS = {kind: op for kind, ((_, most), op) in _KINDS.items() if most > 1}
 _RULES = {kind: rule for kind, ((_, most), rule) in _KINDS.items() if most == 1}
-MULTI_KINDS, UNARY_KINDS = frozenset(_SCALAR_WIDE), frozenset(_RULES)
+MULTI_KINDS, UNARY_KINDS = frozenset(_OPS), frozenset(_RULES)
 LEAF_KINDS = frozenset(_KINDS.keys() - MULTI_KINDS - UNARY_KINDS)
-_SCALAR_UNARY = {   # value -> value, from the (hi, lo) bit pairs of 0..3
-    kind: tuple(2 * (b[hi] ^ hi_inv) + (b[lo] ^ lo_inv) for b in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    for kind, ((hi, hi_inv), (lo, lo_inv)) in _RULES.items()}
 
 DOC_VERSION = 1
 _DOC_FIELDS = frozenset({"version", "kind", "width", "params", "nodes", "ports", "signals", "meta"})
 _PORT_FIELDS = frozenset({"A", "B", "cin", "S", "cout"})
 _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
-SLICE_DIGITS = 2**20   # digits per slice when a batch is packed or unpacked
-PLANE_BUDGET = 2**25   # bytes of plane buffer per add_batch run
-_ONES = np.uint64(2**64 - 1)
+SLICE_DIGITS = 2**20   # digits per slice when a batch's inputs are packed
+PLANE_BUDGET = 2**25   # bytes of plane rows per add_cases run, 16 a row per 64 cases
 _BIT_SWAPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (   # 8 x 8 transpose
     (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
 
@@ -185,7 +180,7 @@ def _validate(nl: Netlist) -> None:
     (by ``finish``, import, ``dataclasses.replace`` or directly).  Each
     kind's fan-in is within its ``_FAN_IN`` range, ids are exact ints (a bool
     is not an id), const values are qudits, and the input nodes are exactly
-    the A, B and cin ports, which both evaluators bind by id.  Only const
+    the A, B and cin ports, which evaluation binds by id.  Only const
     nodes carry a ``value`` and only input nodes a ``name``.
     """
     if type(nl.width) is not int or nl.width < 1:
@@ -282,30 +277,55 @@ def _check_word(word, width: int) -> tuple[int, ...]:
     return digits
 
 
-def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
-    """Single forward pass; returns the value of every node by id.
+# Evaluation runs on bit planes held as Python ints.  Over a run of L lanes
+# (cases), a node's row is the int ``hi << L | lo``, lane j being bit j of each
+# plane (value = 2 * hi + lo), so a row of one lane is the digit itself.
 
-    The digit words a and b (index 0 = least significant) and cin bind to
-    the A, B and cin ports by port id.  They are the only values checked:
-    every netlist's const values are checked when it is made, and every gate
-    maps qudits to qudits.
-    """
-    n = nl.width
-    values: list = [0] * len(nl.nodes)
-    ports = (*nl.a_ports, *nl.b_ports, nl.cin_port)
-    digits = (*_check_word(a, n), *_check_word(b, n), _check_qudit(cin))
-    for pid, digit in zip(ports, digits):
-        values[pid] = digit
-    for nid, (kind, ins, value, _) in enumerate(nl.nodes):
+
+def _unary(hi: int, hi_inv: bool, lo: int, lo_inv: bool, lanes: int, ones: int, top: int):
+    """A unary kind's step: each output plane is its rule's source plane moved into
+    place, inverted if the rule says; at one lane a row is a digit, so it is tabulated."""
+    keep, down, flip = hi == _HI, lo == _HI, (top if hi_inv else 0) | (ones if lo_inv else 0)
+
+    def step(row: int) -> int:   # at most two shifts, the costly operation on a big int
+        high = row & top if keep else (row & ones) << lanes
+        out = high | (row >> lanes if down else row & ones)
+        return out ^ flip if flip else out
+    return tuple(map(step, range(4))).__getitem__ if lanes == 1 else step
+
+
+def _run(steps, outs, rows: list, lanes: int) -> None:
+    """The one step loop over rows of ``lanes`` lanes: each step (kind, input
+    slots, const value, _), a Node's shape, computes its row into its slot of
+    ``outs``.  A step with no inputs and no value (an input) leaves its row."""
+    ones = (1 << lanes) - 1
+    unary = {kind: _unary(*h, *l, lanes, ones, ones << lanes) for kind, (h, l) in _RULES.items()}
+    for (kind, ins, value, _), out in zip(steps, outs):
         fan_in = len(ins)
         if fan_in == 2:
-            values[nid] = _SCALAR_WIDE[kind](values[ins[0]], values[ins[1]])
+            rows[out] = _OPS[kind](rows[ins[0]], rows[ins[1]])
         elif fan_in == 1:
-            values[nid] = _SCALAR_UNARY[kind][values[ins[0]]]
+            rows[out] = unary[kind](rows[ins[0]])
+        elif fan_in == 3:   # most wide steps; cheaper than a reduce
+            rows[out] = _OPS[kind](_OPS[kind](rows[ins[0]], rows[ins[1]]), rows[ins[2]])
         elif fan_in:
-            values[nid] = reduce(_SCALAR_WIDE[kind], map(values.__getitem__, ins))
-        elif kind == CONST:
-            values[nid] = value
+            rows[out] = reduce(_OPS[kind], map(rows.__getitem__, ins))
+        elif value is not None:   # const
+            rows[out] = (-(value >> 1) & ones) << lanes | -(value & 1) & ones
+
+
+def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
+    """Every node's value by id, from one lane of ``_run`` over the nodes
+    themselves, so nothing is compiled.  The digit words a and b (index 0 =
+    least significant) and cin bind to the A, B and cin ports by port id.
+    They are the only values checked: every netlist's const values are
+    checked when it is made, and every gate maps qudits to qudits.
+    """
+    values: list = [0] * len(nl.nodes)
+    digits = (*_check_word(a, nl.width), *_check_word(b, nl.width), _check_qudit(cin))
+    for pid, digit in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), digits):
+        values[pid] = digit
+    _run(nl.nodes, range(len(values)), values, 1)
     return values
 
 
@@ -313,13 +333,6 @@ def evaluate_words(nl: Netlist, a, b, cin: int = 0) -> tuple[tuple[int, ...], in
     """Evaluate with digit words (index 0 = least significant)."""
     values = evaluate_nodes(nl, a, b, cin)
     return tuple(values[i] for i in nl.s_ports), values[nl.cout_port]
-
-
-# Batch evaluation works on bit planes.  A batch of qudits is two packed bit
-# vectors, hi and lo (value = 2 * hi + lo), one bit per case; a node's value
-# over the batch is one row of uint64 words, its hi plane followed by its lo
-# plane.  AND, OR and XOR act on both planes at once; a unary gate makes each
-# output plane from one input plane, copied or inverted, by its rule in _KINDS.
 
 
 def _holder(latest: dict, nodes: Sequence[Node], nid: int, ins: tuple) -> int:
@@ -338,11 +351,11 @@ def _holder(latest: dict, nodes: Sequence[Node], nid: int, ins: tuple) -> int:
 
 
 class _Plan(NamedTuple):
-    """A netlist compiled for the bit-plane kernel.
+    """A netlist compiled for ``_run`` over a batch.
 
-    Rows (slots) 0..2n of the plane buffer hold the ports A[1..n], B[1..n]
-    and cin, bound by port id.  Each step computes one live node into its
-    own slot: (kind, out slot, input slots, const value).  A wide gate whose
+    Rows (slots) 0..2n hold the ports A[1..n], B[1..n] and cin, bound by
+    port id.  Each step, (kind, input slots, const value, None), computes
+    one live node into its own slot, its entry in ``outs``.  A wide gate whose
     inputs begin with all the inputs of the latest earlier wide gate of its
     kind with the same first input reads that gate's slot in place of them
     (wide: fan-in 3 or more).  A slot is reused once the last step reading
@@ -352,9 +365,9 @@ class _Plan(NamedTuple):
     """
 
     steps: tuple
+    outs: tuple
     slots: int
-    s_slots: tuple
-    cout_slot: int
+    outputs: tuple   # the slots of S[1..n], then cout
 
     @classmethod
     def compile(cls, nl: Netlist) -> _Plan:
@@ -382,28 +395,27 @@ class _Plan(NamedTuple):
             slot[pid] = k
         free = []
         size = len(ports)
-        steps = []
+        steps, outs = [], []
         for nid, (kind, _, value, _), ins in zip(range(n), nodes, reads):
             if kind == INPUT or last[nid] < 0:
                 continue
-            if free:
-                out = free.pop()
-            else:
-                out = size
+            out = free.pop() if free else size
+            if out == size:
                 size += 1
             slot[nid] = out   # taken before any input's slot is freed: it aliases no input
+            outs.append(out)
             if len(ins) == 2:   # most steps; a tuple display is cheaper than a map
                 x, y = ins
-                steps.append((kind, out, (slot[x], slot[y]), value))
+                steps.append((kind, (slot[x], slot[y]), value, None))
             elif len(ins) == 1:
-                steps.append((kind, out, (slot[ins[0]],), value))
+                steps.append((kind, (slot[ins[0]],), value, None))
             else:
-                steps.append((kind, out, tuple(map(get, ins)), value))
+                steps.append((kind, tuple(map(get, ins)), value, None))
             for i in ins:
                 if last[i] == nid:
                     last[i] = n   # freed once, also when this node reads it twice
                     free.append(slot[i])
-        return cls(tuple(steps), size, tuple(slot[i] for i in nl.s_ports), slot[nl.cout_port])
+        return cls(tuple(steps), tuple(outs), size, tuple(map(get, (*nl.s_ports, nl.cout_port))))
 
 
 def _qudits(values, what: str) -> np.ndarray:
@@ -436,16 +448,16 @@ def slice_cases(width: int) -> int:
     return max(64, SLICE_DIGITS // width // 64 * 64)
 
 
-def _pack(planes: np.ndarray, data: np.ndarray, hi: int, lo: int) -> None:
-    """Case-major bytes (cases, rows) into the hi and lo planes of rows, a
-    slice of cases at a time: a plane's bit is set where its mask ``hi`` or
-    ``lo`` has a bit of the byte (2 and 1 for qudits)."""
+def _pack(planes: np.ndarray, data: np.ndarray, lo: int, hi: int) -> None:
+    """Case-major bytes (cases, rows) into the lo and hi planes of rows, a
+    slice of cases at a time: a plane's bit is set where its mask ``lo`` or
+    ``hi`` has a bit of the byte (1 and 2 for qudits)."""
     step = slice_cases(data.shape[1])
     for start in range(0, len(data), step):
-        _pack_slice(planes[:, :, start // 8:], data[start:start + step], hi, lo)
+        _pack_slice(planes[:, :, start // 8:], data[start:start + step], lo, hi)
 
 
-def _pack_slice(planes: np.ndarray, data: np.ndarray, hi: int, lo: int) -> None:
+def _pack_slice(planes: np.ndarray, data: np.ndarray, lo: int, hi: int) -> None:
     """One slice of ``_pack``.
 
     Each case's bits are packed 8 rows to a byte; 8 cases' bytes then make
@@ -457,69 +469,19 @@ def _pack_slice(planes: np.ndarray, data: np.ndarray, hi: int, lo: int) -> None:
     groups, blocks = -(-rows // 8), -(-cases // 8)
     if rows < 8:
         t = np.ascontiguousarray(data.T)
-        planes[:, 0, :blocks] = np.packbits(t & hi, axis=1, bitorder="little")
-        planes[:, 1, :blocks] = np.packbits(t & lo, axis=1, bitorder="little")
+        planes[:, 0, :blocks] = np.packbits(t & lo, axis=1, bitorder="little")
+        planes[:, 1, :blocks] = np.packbits(t & hi, axis=1, bitorder="little")
         return
     if rows % 8 or not data.flags.c_contiguous:
         padded = np.zeros((cases, 8 * groups), dtype=np.uint8)
         padded[:, :rows] = data
         data = padded
     packed = np.empty((2, 8 * blocks, groups), dtype=np.uint8)
-    packed[0, :cases] = np.packbits(data & hi, bitorder="little").reshape(cases, groups)
-    packed[1, :cases] = np.packbits(data & lo, bitorder="little").reshape(cases, groups)
+    packed[0, :cases] = np.packbits(data & lo, bitorder="little").reshape(cases, groups)
+    packed[1, :cases] = np.packbits(data & hi, bitorder="little").reshape(cases, groups)
     words = np.ascontiguousarray(packed.reshape(2, blocks, 8, groups).transpose(0, 3, 1, 2))
     _transpose_bits(words.view(np.uint64))
     planes[:, :, :blocks] = words.transpose(1, 3, 0, 2).reshape(8 * groups, 2, blocks)[:rows]
-
-
-def _unpack(planes: np.ndarray, cases: int) -> np.ndarray:
-    """The qudits of plane rows (rows, 2, words) as a C-contiguous (cases,
-    rows) matrix, a slice of cases at a time."""
-    digits = np.empty((cases, len(planes)), dtype=np.uint8)
-    step = slice_cases(len(planes))
-    for lo in range(0, cases, step):
-        _unpack_slice(planes[:, :, lo // 64:(lo + step) // 64], digits[lo:lo + step])
-    return digits
-
-
-def _unpack_slice(planes: np.ndarray, digits: np.ndarray) -> None:
-    """The steps of ``_pack_slice`` in reverse, into ``digits``."""
-    cases, rows = digits.shape
-    if rows < 8:
-        bits = np.unpackbits(planes.view(np.uint8), axis=2, count=cases, bitorder="little")
-        np.bitwise_or(bits[:, 0] + bits[:, 0], bits[:, 1], out=digits.T)
-        return
-    groups, blocks = -(-rows // 8), -(-cases // 8)
-    if rows % 8:   # whole groups of 8 rows; the rows past the last are cut off below
-        planes = np.concatenate((planes, planes[:-rows % 8]))
-    by_case = np.ascontiguousarray(
-        planes.view(np.uint8).reshape(groups, 8, 2, -1)[..., :blocks].transpose(2, 0, 3, 1))
-    _transpose_bits(by_case.view(np.uint64))
-    packed = np.ascontiguousarray(
-        by_case.reshape(2, groups, 8 * blocks)[..., :cases].transpose(0, 2, 1))
-    hi = np.unpackbits(packed[0], bitorder="little").reshape(cases, 8 * groups)
-    hi += hi   # a left shift of uint8 is several times slower
-    lo = np.unpackbits(packed[1], bitorder="little").reshape(cases, 8 * groups)
-    np.bitwise_or(hi[:, :rows], lo[:, :rows], out=digits)
-
-
-def _run(plan: _Plan, buf: np.ndarray) -> None:
-    rows = list(buf)   # a row is its (hi, lo) planes; a gate acts on both in one call
-    for kind, out, ins, value in plan.steps:
-        gate = _PLANE_GATE.get(kind)
-        if gate is not None:
-            row = rows[out]
-            gate(rows[ins[0]], rows[ins[1]], out=row)
-            for i in ins[2:]:
-                gate(row, rows[i], out=row)
-        elif value is None:   # unary; the output slot aliases no input, so the order is free
-            (hi, hi_inv), (lo, lo_inv) = _RULES[kind]
-            src, row = rows[ins[0]], rows[out]
-            (np.invert if hi_inv else np.positive)(src[hi], out=row[_HI])
-            (np.invert if lo_inv else np.positive)(src[lo], out=row[_LO])
-        else:  # CONST
-            rows[out][_HI].fill(_ONES if value >> 1 else 0)
-            rows[out][_LO].fill(_ONES if value & 1 else 0)
 
 
 def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray,
@@ -537,24 +499,23 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
         raise ValueError(f"expected digit matrices of shape (cases, {n}) and cin of shape "
                          f"(cases,), got {a_digits.shape}, {b_digits.shape}, {cin.shape}")
     rows = ((0, a_digits), (n, b_digits), (2 * n, cin[:, None]))   # (first row, digits)
-    return add_cases(nl, cases, lambda lo, hi: ((r, lo, x[lo:hi], 2, 1) for r, x in rows), oracle)
+    return add_cases(nl, cases, lambda lo, hi: ((r, lo, x[lo:hi], 1, 2) for r, x in rows), oracle)
 
 
 def add_cases(nl: Netlist, cases: int, source, oracle=None):
-    """Batch addition of ``cases`` cases, run in runs of whole plane words
-    whose plane buffer, 16 bytes a plan row per 64 cases, fits PLANE_BUDGET.
-    ``source(lo, hi)`` gives cases lo..hi-1 as slices (row, case, data,
-    hi_mask, lo_mask): case-major uint8 ``data`` of the input rows from
-    ``row`` (A[1..n], B[1..n], cin) and the cases from ``case``, a multiple
-    of 8 past lo, which ``_pack`` packs by the masks.  Returns (sum digit
-    matrix, carry-out vector).
+    """Batch addition of ``cases`` cases: ``_run`` over the plan in runs of
+    whole 64-lane words, 16 bytes a plan row per 64 cases within
+    PLANE_BUDGET.  ``source(lo, hi)`` gives cases lo..hi-1 as slices (row,
+    case, data, lo_mask, hi_mask): case-major uint8 ``data`` of the input
+    rows from ``row`` (A[1..n], B[1..n], cin) and the cases from ``case``, a
+    multiple of 8 past lo, which ``_pack`` packs by the masks.  Returns (sum
+    digit matrix, carry-out vector).
 
-    With an ``oracle``, each run is checked in plane space instead: it gets
-    the run's packed inputs, (2n + 1, 2, words) uint64 (a row is its hi
-    plane, then its lo plane; lane j of word w is case 64w + j), and returns
-    the (n + 1, 2, words) planes S[1..n] and cout should hold, a new array
-    that the check overwrites.  The result is the failing cases' indices,
-    a, b, cin, expected and actual digits.
+    With an ``oracle``, ``oracle(ins, lanes)`` gets each run's 2n + 1 input
+    rows (ints ``hi << lanes | lo``, bit j of a plane being case j of the
+    run) and returns the rows S[1..n] and cout should hold; only the lanes
+    where they differ are read back.  The result is then the failing cases'
+    indices, a, b, cin, expected and actual digits.
     """
     n = nl.width
     plan = nl._plan
@@ -562,46 +523,50 @@ def add_cases(nl: Netlist, cases: int, source, oracle=None):
     if not step:
         raise ValueError(f"the plan's {plan.slots} plane rows take {16 * plan.slots} bytes per "
                          f"64 cases, over the plane budget PLANE_BUDGET = {PLANE_BUDGET} bytes")
-    runs = []
+    runs = [(np.empty(0, dtype=np.intp), np.empty((0, 4 * n + 3), dtype=np.uint8))]   # failures
     for lo in range(0, max(cases, 1), step):
         hi = min(lo + step, cases)
-        buf = np.empty((plan.slots, 2, (hi - lo + 63) // 64), dtype=np.uint64)
+        lanes = (hi - lo + 63) // 64 * 64
+        buf = np.empty((2 * n + 1, 2, lanes // 64), dtype=np.uint64)   # each row lo, then hi
+        buf[..., -1:] = 0   # the only word with lanes that no case fills
         for row, case, data, *masks in source(lo, hi):
             _pack(buf[row:row + data.shape[1]].view(np.uint8)[..., (case - lo) // 8:], data, *masks)
-        _run(plan, buf)
-        ins = buf[:2 * n + 1]   # the plan never reuses an input row
-        want = None if oracle is None else oracle(ins)
-        got = buf[[*plan.s_slots, plan.cout_slot]]   # S[1..n], then cout
-        got = got if oracle is None else _failing_words(ins, want, got, hi - lo)
-        del buf, ins, want   # before the next run, and before anything is unpacked
-        runs.append(got if oracle is None else _failures(lo, n, *got))
-    if oracle is not None:
-        return tuple(map(np.concatenate, zip(*runs)))
-    out = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=2)
-    del runs
-    return _unpack(out[:n], cases), _unpack(out[n:], cases)[:, 0]
+        rows = [int.from_bytes(row, "little") for row in buf] + [0] * (plan.slots - len(buf))
+        del buf
+        _run(plan.steps, plan.outs, rows, lanes)
+        got, ins = [rows[i] for i in plan.outputs], rows[:2 * n + 1] if oracle else ()
+        del rows   # the plan never reuses an input row: ins are the run's inputs
+        if oracle is None:
+            if not lo:   # after the first kernel, which so peaks without the sums
+                sums, cout = np.empty((cases, n), dtype=np.uint8), np.empty(cases, dtype=np.uint8)
+            _digits(got[:n], lanes, sums[lo:hi], slice(None), slice(hi - lo))
+            _digits(got[n:], lanes, cout[lo:hi, None], slice(None), slice(hi - lo))
+            continue
+        want = oracle(ins, lanes)
+        if want != got:   # equal rows: every lane passes, the ones past the last case too
+            wrong = reduce(or_, map(xor, want, got)).to_bytes(lanes // 4, "little")
+            bits = np.unpackbits(np.frombuffer(wrong, np.uint8), bitorder="little")
+            bad = np.flatnonzero(bits.reshape(2, lanes)[:, :hi - lo].any(axis=0))   # either plane
+            runs.append((lo + bad, np.empty((bad.size, 4 * n + 3), dtype=np.uint8)))
+            used, where = np.unique(bad >> 3, return_inverse=True)   # the bytes that hold them
+            _digits([*ins, *want, *got], lanes, runs[-1][1], used, 8 * where + (bad & 7))
+    if oracle is None:
+        return sums, cout
+    bad, digits = map(np.concatenate, zip(*runs))
+    a, b, cin, want, got = np.split(digits, (n, 2 * n, 2 * n + 1, 3 * n + 2), axis=1)
+    return bad, a, b, cin[:, 0], want, got
 
 
-def _failing_words(ins: np.ndarray, want: np.ndarray, got: np.ndarray, cases: int) -> tuple:
-    """A run's words with a failing lane: their lane masks and indices, the
-    rows where want differs, and the planes there of ins, those rows and got."""
-    want ^= got   # in place: now where the two differ
-    diff = np.bitwise_or.reduce(want, axis=1)   # (rows, words)
-    wrong = np.bitwise_or.reduce(diff, axis=0)
-    wrong[-1:] &= np.uint64(2**((cases - 1) % 64 + 1) - 1)   # no lane past the run's last case
-    words, rows = np.flatnonzero(wrong), np.flatnonzero(diff.any(axis=1))
-    outs = [planes.take(words, axis=2) for planes in (want[rows] ^ got[rows], got)]
-    return wrong[words], words, rows, ins.take(words, axis=2), np.concatenate(outs)
-
-
-def _failures(lo: int, n: int, wrong, words, rows, ins, outs) -> tuple:
-    """The failing cases of a run from case lo, unpacked from its failing words."""
-    lanes = np.flatnonzero(np.unpackbits(wrong.view(np.uint8), bitorder="little"))
-    inputs, digits = (_unpack(planes, 64 * len(words))[lanes] for planes in (ins, outs))
-    expected, actual = digits[:, len(rows):].copy(), digits[:, len(rows):]
-    expected[:, rows] = digits[:, :len(rows)]
-    return (lo + 64 * words[lanes // 64] + lanes % 64, inputs[:, :n], inputs[:, n:2 * n],
-            inputs[:, 2 * n], expected, actual)
+def _digits(rows: list, lanes: int, out: np.ndarray, used, take) -> None:
+    """The digits of rows into ``out`` (lanes taken, len(rows)), 32 rows at a
+    time: ``to_bytes``, then ``np.unpackbits`` of their bytes ``used`` and a
+    take of the lanes ``take`` of those bits (slices where all are taken)."""
+    for r in range(0, len(rows), 32):
+        part = rows[r:r + 32]
+        data = np.frombuffer(b"".join(row.to_bytes(lanes // 4, "little") for row in part), np.uint8)
+        planes = data.reshape(len(part), 2, lanes // 8)[..., used]
+        bits = np.unpackbits(planes, axis=2, bitorder="little")[..., take]
+        out[:, r:r + 32] = (bits[:, _HI] << 1 | bits[:, _LO]).T
 
 
 # --- timing and cost ---

@@ -1,14 +1,15 @@
 """Independent arithmetic oracle and equivalence harness.
 
 The oracle, ``_oracle_batch``, is a bit-sliced binary ripple adder on the
-bit planes ``add_cases`` packs; it never touches the quaternary operators,
-so a defect in the algebra cannot hide a matching defect in a netlist.
-Exhaustive checks cover every assignment at small widths, a chunk of digits
-made from its case indices at a time (``add_batch``); randomized checks pack
-a chunk's bytes of a seeded PCG64 stream and a fixed set of corner vectors
-straight into the plane buffer (``add_cases``).  A chunk has at most
-``CHUNK_CASES`` cases, so memory does not grow with the case count; it is
-compared in plane space, and only failing cases are unpacked, inputs too.
+int rows of bit planes that ``add_cases`` evaluates; it never touches the
+quaternary operators, so a defect in the algebra cannot hide a matching
+defect in a netlist.  Exhaustive checks cover every assignment at small
+widths, a chunk of digits made from its case indices at a time
+(``add_batch``); randomized checks pack a chunk's bytes of a seeded PCG64
+stream and a fixed set of corner vectors straight into the input rows
+(``add_cases``).  A chunk has at most ``CHUNK_CASES`` cases, so memory does
+not grow with the case count; its rows are compared as ints, and only the
+failing lanes are read back, inputs too.
 """
 
 from __future__ import annotations
@@ -111,24 +112,18 @@ class VerifyReport:
         return f'{head[:-2]},\n  "mismatches": {self.records.to_json()},\n  "divergences": []\n}}\n'
 
 
-def _oracle_batch(ins: np.ndarray) -> np.ndarray:
-    """Bit-sliced (Biham) oracle on ``add_batch``'s packed input planes: the
-    planes of S[1..n] and cout by a binary ripple over the bits, per bit
-    c = (a & b) | (c & (a ^ b)) and s = a ^ b ^ c, 8 digits at a time."""
-    n, words = len(ins) // 2, ins.shape[2]
-    out = np.zeros((n + 1, 2, words), dtype=np.uint64)
-    c = list(out.reshape(2 * n + 2, -1))   # row 2i is digit i's hi plane, 2i + 1 its lo plane
-    c[1][:] = ins[2 * n, 1]   # the carry into digit 0's lo bit: cin, 0 or 1, is its lo plane
-    pg, t = np.empty((2, 8, 2, words), dtype=np.uint64), np.empty(words, dtype=np.uint64)
-    p, g = (list(x.reshape(16, -1)) for x in pg)   # a ^ b and a & b of 8 digits
-    for lo, hi in zip(range(0, n, 8), [*range(8, n, 8), n]):
-        np.bitwise_xor(ins[lo:hi], ins[n + lo:n + hi], out=pg[0, :hi - lo])
-        np.bitwise_and(ins[lo:hi], ins[n + lo:n + hi], out=pg[1, :hi - lo])
-        for j in range(2 * lo, 2 * hi):   # bit j is row j ^ 1 (lo first); the last carries to cout
-            np.bitwise_and(c[j ^ 1], p[(j ^ 1) - 2 * lo], out=t)
-            np.bitwise_or(g[(j ^ 1) - 2 * lo], t, out=c[j + 1 ^ 1])
-        out[lo:hi] ^= pg[0, :hi - lo]
-    return out
+def _oracle_batch(ins: list, lanes: int) -> list:
+    """Bit-sliced (Biham) oracle on ``add_cases``' input rows, ints ``hi <<
+    lanes | lo``: the rows S[1..n] and cout should hold, by a binary ripple,
+    per bit c = (a & b) | (c & (a ^ b)) and s = a ^ b ^ c, lo bit first."""
+    n, ones = len(ins) // 2, (1 << lanes) - 1
+    c, out = ins[2 * n] & ones, []   # the carry into digit 0's lo bit: cin, 0 or 1, is its lo plane
+    for a, b in zip(ins[:n], ins[n:2 * n]):
+        p, g = a ^ b, a & b
+        carries = (g & ones | c & p) << lanes | c   # into the hi bit, and into the lo bit
+        out.append(p ^ carries)
+        c = (g | carries & p) >> lanes
+    return [*out, c]
 
 
 def _signal_names(n: int) -> list[str]:
@@ -216,20 +211,20 @@ def _random_source(n: int, trials: int, seed: int, first: int):
     word; a slice of cases reads its bytes of each part at their offset."""
     a, b, cin = _corner_vectors(n)
     skip, words = len(cin), -(-trials * n // 4)   # 32-bit words behind the a digits
-    parts = ((0, 0, a, 0x80, 0x40), (n, 4 * words, b, 0x80, 0x40),
-             (2 * n, 8 * words, cin[:, None], 0, 0x80))   # (row, byte, corners, masks)
+    parts = ((0, 0, a, 0x40, 0x80), (n, 4 * words, b, 0x40, 0x80),
+             (2 * n, 8 * words, cin[:, None], 0x80, 0))   # (row, byte, corners, masks)
     step = netlist.slice_cases(n)
 
     def source(lo: int, hi: int):
         for case in range(lo, hi, step):
             start, stop = first + case, first + min(case + step, hi)   # cases of the check
             trial, end = max(start - skip, 0), max(stop - skip, 0)
-            for row, byte, corner, hi_mask, lo_mask in parts:
+            for row, byte, corner, lo_mask, hi_mask in parts:
                 width = corner.shape[1]
                 data = _draw(seed, byte + trial * width, (end - trial) * width).reshape(-1, width)
                 if start < skip:   # the corner vectors' digits, put in the same bits
                     data = np.concatenate((corner[start:stop] * lo_mask, data))
-                yield row, case, data, hi_mask, lo_mask
+                yield row, case, data, lo_mask, hi_mask
 
     return source
 

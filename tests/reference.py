@@ -1,8 +1,9 @@
 """Plain reference versions the package is checked against.
 
 * The quaternary digit algebra: what each gate kind computes on a digit,
-  one function per kind (``GATES``).  The netlist's table of gate kinds and
-  both evaluators are checked against it.
+  one function per kind (``GATES``), and ``evaluate_nodes``, a plain node
+  walk over it.  The netlist's table of gate kinds and its evaluator, on one
+  case and on a batch, are checked against them.
 * The document writer and the fan-in lowering: ``netlist.to_json`` writes
   its text from templates and ``netlist.lower_fanin2`` splits each distinct
   wide gate once; these are the direct forms they must match byte for byte.
@@ -25,7 +26,9 @@ from typing import NamedTuple
 from quadder.netlist import (
     AND,
     BITSWAP,
+    CONST,
     DOC_VERSION,
+    INPUT,
     INWARD,
     MULTI_KINDS,
     NOT,
@@ -122,6 +125,23 @@ def check_word(word: Sequence[int], width: int | None = None) -> tuple[int, ...]
 # Each gate kind's semantics: variadic for And/Or/Xor, one digit for the rest.
 GATES = {AND: qand, OR: qor, XOR: qxor, NOT: qnot, INWARD: inward, OUTWARD: outward,
          BITSWAP: bitswap}
+
+
+def evaluate_nodes(nl: Netlist, a, b, cin) -> list:
+    """Every node's value by id, from a plain walk over the nodes in id
+    order: the digits bind to the A, B and cin ports, a const node is its
+    value, and a gate is ``GATES`` of its kind on every one of its inputs
+    (no prefix read).  It shares no code with ``netlist``'s evaluator, so
+    the batch tests check the plan and the gate step together against it."""
+    values = [None] * len(nl.nodes)
+    for pid, digit in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), (*a, *b, cin)):
+        values[pid] = check_qudit(digit)
+    for nid, node in enumerate(nl.nodes):
+        if node.kind == CONST:
+            values[nid] = node.value
+        elif node.kind != INPUT:
+            values[nid] = GATES[node.kind](*(values[i] for i in node.inputs))
+    return values
 
 
 # --- the document writer and the fan-in lowering ---

@@ -1,7 +1,7 @@
 """The bit-plane batch evaluator behind add_batch.
 
 Gate kernels are checked against the reference digit algebra, random
-netlists against the scalar evaluator case by case, one large batch
+netlists against the reference node walk case by case, one large batch
 against memory bounds, and sums made in the smallest slices against those
 made in one.
 """
@@ -79,7 +79,7 @@ def test_batch_matches_scalar_on_random_netlists(nl, cases, seed):
     s, cout = netlist.add_batch(nl, a, b, cin)
     assert s.shape == (cases, n) and cout.shape == (cases,)
     for k in range(cases):
-        values = netlist.evaluate_nodes(nl, a[k], b[k], cin[k])
+        values = reference.evaluate_nodes(nl, a[k], b[k], cin[k])
         assert [int(x) for x in s[k]] == [values[p] for p in nl.s_ports]
         assert int(cout[k]) == values[nl.cout_port]
 
@@ -100,7 +100,7 @@ def test_gate_reading_one_node_twice_frees_its_slot_once():
 
 def _reads(nl):
     """The plan's input rows per step, in step order."""
-    return [len(ins) for _, _, ins, _ in nl._plan.steps]
+    return [len(ins) for _, ins, _, _ in nl._plan.steps]
 
 
 def test_a_gate_reads_the_earlier_gate_holding_its_prefix():
@@ -120,7 +120,7 @@ def test_a_gate_reads_the_earlier_gate_holding_its_prefix():
     cases = np.array(list(itertools.product(range(4), repeat=5)), dtype=np.uint8)
     s, cout = netlist.add_batch(nl, cases[:, [0, 2]], cases[:, [1, 3]], cases[:, 4])
     for k, (x1, y1, x2, y2, c) in enumerate(cases.tolist()):
-        values = netlist.evaluate_nodes(nl, (x1, x2), (y1, y2), c)
+        values = reference.evaluate_nodes(nl, (x1, x2), (y1, y2), c)
         assert s[k].tolist() == [values[full], values[other]] and cout[k] == values[shadowed]
 
 
@@ -162,7 +162,7 @@ def test_wide_batches_match_scalar_in_either_layout(n, cases):
     s_f, cout_f = netlist.add_batch(nl, np.asfortranarray(a), np.asfortranarray(b), cin)
     assert (s_f == s).all() and (cout_f == cout).all()
     for k in range(cases):
-        values = netlist.evaluate_nodes(nl, a[k], b[k], cin[k])
+        values = reference.evaluate_nodes(nl, a[k], b[k], cin[k])
         assert s[k].tolist() == [values[p] for p in nl.s_ports]
         assert int(cout[k]) == values[nl.cout_port]
 
@@ -176,6 +176,12 @@ def test_bad_batches_are_rejected():
         netlist.add_batch(nl, ok[:, :1], ok[:, :1], np.zeros(4))
     with pytest.raises(ValueError, match="shape"):
         netlist.add_batch(nl, ok, ok, np.zeros(5))
+
+
+def test_a_batch_of_no_cases_gives_empty_sums():
+    nl = build(AdderSpec("tree", 3))
+    s, cout = netlist.add_batch(nl, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+    assert s.shape == (0, 3) and cout.shape == (0,) and s.dtype == cout.dtype == np.uint8
 
 
 @pytest.mark.parametrize("bad", [256, -1, 2.5, np.nan])

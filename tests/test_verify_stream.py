@@ -35,20 +35,21 @@ def _one_shot(seed, trials, n):
 
 
 def _planes(digits):
-    """Case-major qudits (cases, rows) laid out as ``add_batch`` documents
-    its packed planes: (rows, 2, words) uint64, each row its hi plane and
-    then its lo plane, lane j of word w holding case 64 * w + j."""
+    """Case-major qudits (cases, rows) laid out as ``add_cases`` documents
+    its input rows: (rows, lanes), one int ``hi << lanes | lo`` a row, bit j
+    of a plane holding case j, and lanes a multiple of 64."""
     cases, rows = digits.shape
-    bits = np.zeros((rows, 2, -(-cases // 64) * 64), dtype=np.uint8)
-    bits[:, 0, :cases], bits[:, 1, :cases] = digits.T >> 1, digits.T & 1
-    return np.packbits(bits, axis=2, bitorder="little").view(np.uint64)
+    lanes = -(-cases // 64) * 64
+    weights = [1 << j for j in range(cases)]
+    return [sum(w for w, d in zip(weights, col) if d >> 1) << lanes
+            | sum(w for w, d in zip(weights, col) if d & 1) for col in digits.T.tolist()], lanes
 
 
-def _lanes(planes, cases):
+def _lanes(rows, lanes, cases):
     """The inverse of ``_planes``, lane by lane: the first ``cases`` lanes of
-    (rows, 2, words) planes as case-major qudits (cases, rows)."""
-    bits = np.unpackbits(planes.view(np.uint8), axis=2, count=cases, bitorder="little")
-    return (2 * bits[:, 0] + bits[:, 1]).T
+    int rows as case-major qudits (cases, rows)."""
+    return np.array([[2 * (row >> lanes + j & 1) + (row >> j & 1) for row in rows]
+                     for j in range(cases)], dtype=np.uint8).reshape(cases, len(rows))
 
 
 @pytest.mark.parametrize("trials, n", SHAPES)
@@ -74,14 +75,15 @@ def test_chunked_draws_reproduce_the_one_shot_draws(monkeypatch, chunk):
     vectors end inside a plane byte, on the last one (17) or past them."""
     monkeypatch.setattr(verify, "CHUNK_CASES", chunk)
     packed, oracle = [], verify._oracle_batch   # the oracle sees each run's input planes
-    monkeypatch.setattr(verify, "_oracle_batch", lambda x: packed.append(x.copy()) or oracle(x))
+    monkeypatch.setattr(verify, "_oracle_batch",
+                        lambda x, lanes: packed.append((x.copy(), lanes)) or oracle(x, lanes))
     for (trials, n), seed in itertools.product([*SHAPES, (130, 3), (67, 33)], SEEDS[:5]):
         packed.clear()
         nl = builders.build(builders.AdderSpec("ripple", n))
         assert verify.check_random(nl, trials, seed).passed
         count = len(verify._corner_vectors(n)[2]) + trials
         assert len(packed) == -(-count // chunk)   # one run a chunk
-        got = np.concatenate([_lanes(p, min(chunk, count - lo))
+        got = np.concatenate([_lanes(*p, min(chunk, count - lo))
                               for p, lo in zip(packed, range(0, count, chunk))])
         want = [np.concatenate([head.reshape(len(head), -1), part.reshape(trials, -1)])
                 for head, part in zip(verify._corner_vectors(n), _one_shot(seed, trials, n))]
@@ -91,22 +93,23 @@ def test_chunked_draws_reproduce_the_one_shot_draws(monkeypatch, chunk):
 def _assert_oracle_matches(a, b, cin):
     """The bit-sliced oracle's S and cout planes, read back lane by lane,
     against the integer oracle."""
-    out = verify._oracle_batch(_planes(np.column_stack((a, b, cin))))
-    assert out.shape == (a.shape[1] + 1, 2, -(-len(cin) // 64)) and out.dtype == np.uint64
-    for x, y, c, row in zip(a, b, cin, _lanes(out, len(cin))):   # S[1..n], then cout
+    rows, lanes = _planes(np.column_stack((a, b, cin)))
+    out = verify._oracle_batch(rows, lanes)
+    assert len(out) == a.shape[1] + 1 and all(type(row) is int for row in out)
+    for x, y, c, row in zip(a, b, cin, _lanes(out, lanes, len(cin))):   # S[1..n], then cout
         s, cout = reference.oracle_add(x.tolist(), y.tolist(), int(c))
         assert row.tolist() == [*s, cout]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_limb_oracle_matches_oracle_add_on_every_case(n):
+def test_bit_sliced_oracle_matches_oracle_add_on_every_case(n):
     cases = np.array([(*a, *b, c) for a in itertools.product(range(4), repeat=n)
                       for b in itertools.product(range(4), repeat=n) for c in (0, 1)], np.uint8)
     _assert_oracle_matches(cases[:, :n].copy(), cases[:, n:2 * n].copy(), cases[:, -1].copy())
 
 
 @pytest.mark.parametrize("n", [31, 32, 33, 64, 256])
-def test_limb_oracle_matches_oracle_add_on_random_cases(n):
+def test_bit_sliced_oracle_matches_oracle_add_on_random_cases(n):
     rng = np.random.default_rng(n)
     a = rng.integers(0, 4, size=(200, n), dtype=np.uint8)
     b = rng.integers(0, 4, size=(200, n), dtype=np.uint8)
@@ -258,9 +261,9 @@ def _or_of_xor_chain(length: int):
 
 
 def _count_runs(monkeypatch) -> list:
-    """Wraps the bit-plane kernel: the returned list gets an entry a run."""
+    """Wraps the step loop: the returned list gets an entry a run."""
     runs, run = [], netlist._run
-    monkeypatch.setattr(netlist, "_run", lambda plan, buf: runs.append(run(plan, buf)))
+    monkeypatch.setattr(netlist, "_run", lambda *args: runs.append(run(*args)))
     return runs
 
 
