@@ -59,8 +59,6 @@ _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
 SLICE_DIGITS = 2**20   # digits per slice when a batch's inputs are packed
 PLANE_BUDGET = 2**25   # bytes of plane rows per add_cases run, 16 a row per 64 cases
-_BIT_SWAPS = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in (   # 8 x 8 transpose
-    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
 
 
 class DocumentError(ValueError):
@@ -429,67 +427,30 @@ def _qudits(values, what: str) -> np.ndarray:
     return digits
 
 
-def _transpose_bits(words: np.ndarray) -> None:
-    """Each uint64, read as an 8 x 8 bit matrix (bit j of byte k), transposed
-    in place by three delta swaps."""
-    t = np.empty_like(words)
-    for shift, mask in _BIT_SWAPS:
-        np.right_shift(words, shift, out=t)
-        t ^= words
-        t &= mask
-        words ^= t
-        t <<= shift
-        words ^= t
-
-
 def slice_cases(width: int) -> int:
     """Cases per slice of a batch of ``width`` digits: about SLICE_DIGITS
     digits, a multiple of 64 cases (one plane word) and at least 64."""
     return max(64, SLICE_DIGITS // width // 64 * 64)
 
 
-def _pack(planes: np.ndarray, data: np.ndarray, lo: int, hi: int) -> None:
-    """Case-major bytes (cases, rows) into the lo and hi planes of rows, a
-    slice of cases at a time: a plane's bit is set where its mask ``lo`` or
-    ``hi`` has a bit of the byte (1 and 2 for qudits)."""
+def _pack(planes: np.ndarray, data: np.ndarray) -> None:
+    """Case-major qudits (cases, rows) into the lo and hi planes of rows, a
+    slice of cases at a time: each slice is turned digit-major and its lo
+    and hi bits packed 8 cases to a byte."""
     step = slice_cases(data.shape[1])
     for start in range(0, len(data), step):
-        _pack_slice(planes[:, :, start // 8:], data[start:start + step], lo, hi)
-
-
-def _pack_slice(planes: np.ndarray, data: np.ndarray, lo: int, hi: int) -> None:
-    """One slice of ``_pack``.
-
-    Each case's bits are packed 8 rows to a byte; 8 cases' bytes then make
-    one uint64 whose bit matrix is transposed into 8 rows' bytes of 8 cases.
-    Cases past the last in a byte are left as they come: lanes never mix.
-    Fewer than 8 rows are cheaper to transpose whole than to pad to 8.
-    """
-    cases, rows = data.shape
-    groups, blocks = -(-rows // 8), -(-cases // 8)
-    if rows < 8:
-        t = np.ascontiguousarray(data.T)
-        planes[:, 0, :blocks] = np.packbits(t & lo, axis=1, bitorder="little")
-        planes[:, 1, :blocks] = np.packbits(t & hi, axis=1, bitorder="little")
-        return
-    if rows % 8 or not data.flags.c_contiguous:
-        padded = np.zeros((cases, 8 * groups), dtype=np.uint8)
-        padded[:, :rows] = data
-        data = padded
-    packed = np.empty((2, 8 * blocks, groups), dtype=np.uint8)
-    packed[0, :cases] = np.packbits(data & lo, bitorder="little").reshape(cases, groups)
-    packed[1, :cases] = np.packbits(data & hi, bitorder="little").reshape(cases, groups)
-    words = np.ascontiguousarray(packed.reshape(2, blocks, 8, groups).transpose(0, 3, 1, 2))
-    _transpose_bits(words.view(np.uint64))
-    planes[:, :, :blocks] = words.transpose(1, 3, 0, 2).reshape(8 * groups, 2, blocks)[:rows]
+        digits = np.ascontiguousarray(data[start:start + step].T)
+        at = slice(start // 8, start // 8 + -(-digits.shape[1] // 8))
+        planes[:, 0, at] = np.packbits(digits & 1, axis=1, bitorder="little")
+        planes[:, 1, at] = np.packbits(digits & 2, axis=1, bitorder="little")
 
 
 def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray,
               oracle=None):
-    """Batch addition: digit matrices of shape (cases, width), cin (cases,),
-    checked once and packed run by run by ``add_cases``, which gives the
-    result: (sum digit matrix, carry-out vector), the sums C-contiguous of
-    shape (cases, width), or with an ``oracle`` the failing cases."""
+    """Batch addition: digit matrices (cases, width) and cin (cases,), checked
+    once and packed into each run's input rows for ``add_cases``, which gives
+    the result: (sum digit matrix, carry-out vector), the sums C-contiguous
+    (cases, width), or with an ``oracle`` the failing cases."""
     n = nl.width
     a_digits = _qudits(a_digits, "a_digits")
     b_digits = _qudits(b_digits, "b_digits")
@@ -498,24 +459,31 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
     if a_digits.shape != (cases, n) or b_digits.shape != (cases, n):
         raise ValueError(f"expected digit matrices of shape (cases, {n}) and cin of shape "
                          f"(cases,), got {a_digits.shape}, {b_digits.shape}, {cin.shape}")
-    rows = ((0, a_digits), (n, b_digits), (2 * n, cin[:, None]))   # (first row, digits)
-    return add_cases(nl, cases, lambda lo, hi: ((r, lo, x[lo:hi], 1, 2) for r, x in rows), oracle)
+    parts = ((0, a_digits), (n, b_digits), (2 * n, cin[:, None]))   # (first row, digits)
+
+    def rows(lo: int, hi: int) -> list:
+        buf = np.empty((2 * n + 1, 2, -(-(hi - lo) // 64)), dtype=np.uint64)   # each row lo, hi
+        buf[..., -1:] = 0   # the only word with lanes that no case fills
+        for row, digits in parts:
+            _pack(buf[row:row + digits.shape[1]].view(np.uint8), digits[lo:hi])
+        return [int.from_bytes(row, "little") for row in buf]
+    return add_cases(nl, cases, rows, oracle)
 
 
 def add_cases(nl: Netlist, cases: int, source, oracle=None):
     """Batch addition of ``cases`` cases: ``_run`` over the plan in runs of
     whole 64-lane words, 16 bytes a plan row per 64 cases within
-    PLANE_BUDGET.  ``source(lo, hi)`` gives cases lo..hi-1 as slices (row,
-    case, data, lo_mask, hi_mask): case-major uint8 ``data`` of the input
-    rows from ``row`` (A[1..n], B[1..n], cin) and the cases from ``case``, a
-    multiple of 8 past lo, which ``_pack`` packs by the masks.  Returns (sum
-    digit matrix, carry-out vector).
+    PLANE_BUDGET.  ``source(lo, hi)`` gives the 2n + 1 input rows A[1..n],
+    B[1..n] and cin of cases lo..hi-1, ints ``hi << lanes | lo`` over the
+    run's lanes (hi - lo rounded up to a multiple of 64), bit j of a plane
+    being case lo + j; the lanes past the last case may hold any digits (a
+    cin 0 or 1).  Returns (sum digit matrix, carry-out vector).
 
-    With an ``oracle``, ``oracle(ins, lanes)`` gets each run's 2n + 1 input
-    rows (ints ``hi << lanes | lo``, bit j of a plane being case j of the
-    run) and returns the rows S[1..n] and cout should hold; only the lanes
+    With an ``oracle``, ``oracle(ins, lanes)`` gets each run's input rows
+    and returns the rows S[1..n] and cout should hold; only the lanes
     where they differ are read back.  The result is then the failing cases'
-    indices, a, b, cin, expected and actual digits.
+    indices, a, b, cin, expected and actual digits; an S or cout digit that
+    no case of its run gets wrong is not read and reads 0 in both.
     """
     n = nl.width
     plan = nl._plan
@@ -527,12 +495,8 @@ def add_cases(nl: Netlist, cases: int, source, oracle=None):
     for lo in range(0, max(cases, 1), step):
         hi = min(lo + step, cases)
         lanes = (hi - lo + 63) // 64 * 64
-        buf = np.empty((2 * n + 1, 2, lanes // 64), dtype=np.uint64)   # each row lo, then hi
-        buf[..., -1:] = 0   # the only word with lanes that no case fills
-        for row, case, data, *masks in source(lo, hi):
-            _pack(buf[row:row + data.shape[1]].view(np.uint8)[..., (case - lo) // 8:], data, *masks)
-        rows = [int.from_bytes(row, "little") for row in buf] + [0] * (plan.slots - len(buf))
-        del buf
+        rows = source(lo, hi)
+        rows += [0] * (plan.slots - len(rows))
         _run(plan.steps, plan.outs, rows, lanes)
         got, ins = [rows[i] for i in plan.outputs], rows[:2 * n + 1] if oracle else ()
         del rows   # the plan never reuses an input row: ins are the run's inputs
@@ -547,9 +511,14 @@ def add_cases(nl: Netlist, cases: int, source, oracle=None):
             wrong = reduce(or_, map(xor, want, got)).to_bytes(lanes // 4, "little")
             bits = np.unpackbits(np.frombuffer(wrong, np.uint8), bitorder="little")
             bad = np.flatnonzero(bits.reshape(2, lanes)[:, :hi - lo].any(axis=0))   # either plane
-            runs.append((lo + bad, np.empty((bad.size, 4 * n + 3), dtype=np.uint8)))
+            differ = [j for j, (w, g) in enumerate(zip(want, got)) if w != g]   # S[j + 1], cout
+            read = [*ins, *(want[j] for j in differ), *(got[j] for j in differ)]
+            taken = np.empty((bad.size, len(read)), dtype=np.uint8)
             used, where = np.unique(bad >> 3, return_inverse=True)   # the bytes that hold them
-            _digits([*ins, *want, *got], lanes, runs[-1][1], used, 8 * where + (bad & 7))
+            _digits(read, lanes, taken, used, 8 * where + (bad & 7))
+            runs.append((lo + bad, np.zeros((bad.size, 4 * n + 3), dtype=np.uint8)))
+            runs[-1][1][:, [*range(2 * n + 1), *(2 * n + 1 + j for j in differ),
+                            *(3 * n + 2 + j for j in differ)]] = taken
     if oracle is None:
         return sums, cout
     bad, digits = map(np.concatenate, zip(*runs))

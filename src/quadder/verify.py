@@ -5,11 +5,14 @@ int rows of bit planes that ``add_cases`` evaluates; it never touches the
 quaternary operators, so a defect in the algebra cannot hide a matching
 defect in a netlist.  Exhaustive checks cover every assignment at small
 widths, a chunk of digits made from its case indices at a time
-(``add_batch``); randomized checks pack a chunk's bytes of a seeded PCG64
-stream and a fixed set of corner vectors straight into the input rows
-(``add_cases``).  A chunk has at most ``CHUNK_CASES`` cases, so memory does
-not grow with the case count; its rows are compared as ints, and only the
-failing lanes are read back, inputs too.
+(``add_batch``).  Randomized checks run fixed corner vectors, aligned
+carry-run vectors (every aligned block of 2^k digits propagating between a
+kill or generate below and a kill, propagate or generate above) and then
+seeded trials; each run draws its input planes' words straight from the
+PCG64 stream and sets the vectors' lanes by bit mask (``add_cases``).  A
+chunk has at most ``CHUNK_CASES`` cases, so memory does not grow with the
+case count; its rows are compared as ints, and only the failing lanes are
+read back, inputs too.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .netlist import Netlist
 
 EXHAUSTIVE_WIDTH_BOUND = 4
 CHUNK_CASES = 2**15            # cases per add_batch/add_cases call of a check; bounds its buffer
-RANDOM_DIGITS_CAP = 2**34      # trials x width; at ~65M digit-adds/s, about 4.5 minutes
+RANDOM_DIGITS_CAP = 2**34      # cases run x width; at ~65M digit-adds/s, about 4.5 minutes
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,19 +46,21 @@ class MismatchTable:
     def __len__(self) -> int:
         return self.cin.size
 
-    def to_json(self) -> str:
-        """The records as the ``mismatches`` value of a report: the text
-        ``json.dumps`` writes with indent 2 for the list one level deep.
+    def to_json(self, head: str = "", tail: str = "") -> str:
+        """The records as the ``mismatches`` value of a report, the text
+        ``json.dumps`` writes with indent 2 for the list one level deep,
+        between ``head`` and ``tail``.
 
         Every value but the signal name is one decimal digit, so all records
         share one fixed-width template, its name slot as wide as the longest
-        name in the report.  The template is tiled into one buffer, each value column is
-        written there by one strided copy and the buffer is decoded once; a
-        shorter name is padded with NUL bytes, which one pass removes.
+        name in the report.  The template is tiled into one buffer after the
+        head, each value column is written there by one strided copy, a
+        shorter name's NUL padding is dropped by a boolean mask, and the
+        buffer is decoded once.
         """
         count, n = self.a.shape
         if not count:
-            return "[]"
+            return f"{head}[]{tail}"
         names = [name.encode() for name in _signal_names(n)]
         lengths = np.array([len(name) for name in names])[self.signal]
         longest = lengths.max()
@@ -65,10 +70,11 @@ class MismatchTable:
             f',\n    {{\n      "a": [\n{digits}\n      ],\n      "b": [\n{digits}\n      ],\n'
             f'      "cin": #,\n      "signal": "{"@" * names.itemsize}",\n      "expected": #,\n'
             f'      "actual": #\n    }}'.encode(), dtype=np.uint8)
-        buf = np.empty(count * template.size + 4, dtype=np.uint8)
-        rows = buf[:-4].reshape(count, template.size)
+        head, tail = head.encode(), f"\n  ]{tail}".encode()
+        buf = np.empty(len(head) + count * template.size + len(tail), dtype=np.uint8)
+        rows = buf[len(head):buf.size - len(tail)].reshape(count, template.size)
         rows[:] = template
-        buf[0], buf[-4:] = ord("["), list(b"\n  ]")
+        buf[:len(head) + 1], buf[buf.size - len(tail):] = list(head + b"["), list(tail)
         marks = np.flatnonzero(template == ord("#"))   # a digits, b digits, cin, expected, actual
         columns = (self.a, self.b, *(v[:, None] for v in (self.cin, self.expected, self.actual)))
         for start, values in zip(marks[[0, n, -3, -2, -1]], columns):
@@ -76,9 +82,15 @@ class MismatchTable:
                    casting="unsafe")
         slot = np.flatnonzero(template == ord("@"))
         rows[:, slot] = names.view(np.uint8).reshape(n + 1, -1)[self.signal]
-        text = str(buf, "ascii")
-        del buf, rows   # before the copy without the padding
-        return text if lengths.min() == longest else text.replace("\0", "")
+        if lengths.min() < longest:
+            kept = 0
+            for start in range(0, buf.size, 2**20):   # the kept bytes never pass those read
+                part = buf[start:start + 2**20]
+                part = part[part != 0]
+                buf[kept:kept + part.size] = part
+                kept += part.size
+            buf = buf[:kept]
+        return str(buf, "ascii")
 
 
 @dataclass(eq=False)
@@ -109,7 +121,8 @@ class VerifyReport:
             "seed": self.seed,
             "passed": self.passed,
         }, indent=2)
-        return f'{head[:-2]},\n  "mismatches": {self.records.to_json()},\n  "divergences": []\n}}\n'
+        return self.records.to_json(f'{head[:-2]},\n  "mismatches": ',
+                                    ',\n  "divergences": []\n}\n')
 
 
 def _oracle_batch(ins: list, lanes: int) -> list:
@@ -141,9 +154,12 @@ def _collect_mismatches(a, b, cin, want, got) -> MismatchTable:
     rank = np.empty(n + 1, dtype=np.intp)   # each signal's place in name order
     names = _signal_names(n)
     rank[sorted(range(n + 1), key=names.__getitem__)] = np.arange(n + 1)
-    # lexsort's last key is the primary one: a[0], ..., a[n-1], b[0], ..., cin, name.
-    # Separate keys keep their own dtypes; stacked, each would be widened to intp.
-    order = np.lexsort((rank[signal], cin[case], *b[case, ::-1].T, *a[case, ::-1].T))
+    # lexsort's last key is the primary one: a's digits, then b's, cin and name, 4 digits
+    # to a byte, the first highest.  Separate keys keep their dtypes; stacked, they widen.
+    four = np.zeros((2, len(a), -(-n // 4), 4), dtype=np.uint8)
+    four.reshape(2, len(a), 4 * -(-n // 4))[..., :n] = a, b
+    key = four[..., 0] << 6 | four[..., 1] << 4 | four[..., 2] << 2 | four[..., 3]
+    order = np.lexsort((rank[signal], cin[case], *key[1, case, ::-1].T, *key[0, case, ::-1].T))
     case, signal = case[order], signal[order]
     return MismatchTable(a=a[case], b=b[case], cin=cin[case], signal=signal,
                          expected=want[case, signal], actual=got[case, signal])
@@ -195,55 +211,93 @@ def _corner_vectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, np.tile(np.uint8([0, 1]), len(pairs))
 
 
-def _draw(seed: int, byte: int, count: int) -> np.ndarray:
-    """Bytes byte..byte + count - 1 of the PCG64 stream of ``seed``, read
-    little-endian.  default_rng's uint8 ``integers(0, 4 (2))`` draws a byte's
-    top 2 (1) bits: Lemire's method on a byte rejects nothing there."""
-    skip = byte % 8
-    raw = np.random.PCG64(seed).advance(byte // 8).random_raw(-(-(skip + count) // 8))
-    return raw.view(np.uint8)[skip:skip + count]
+def _fixed_lanes(n: int) -> np.ndarray:
+    """A random check's first cases as bit masks (clear, put) x 64-lane
+    words x a word's stream outputs (``check_random``): a run clears its
+    drawn bits where ``clear`` is set and ORs in ``put``, then XORs each b
+    plane's cleared lanes with its a plane's, so b = a there, or b = a ^ 3
+    (a propagate) where ``put`` set them.
 
-
-def _random_source(n: int, trials: int, seed: int, first: int):
-    """``add_cases``' source of check_random's cases from case ``first``: the
-    corner vectors, then trial t as case 18 + t.  default_rng draws all a
-    digits, all b digits, then all cin bits, each part from a fresh 32-bit
-    word; a slice of cases reads its bytes of each part at their offset."""
-    a, b, cin = _corner_vectors(n)
-    skip, words = len(cin), -(-trials * n // 4)   # 32-bit words behind the a digits
-    parts = ((0, 0, a, 0x40, 0x80), (n, 4 * words, b, 0x40, 0x80),
-             (2 * n, 8 * words, cin[:, None], 0x80, 0))   # (row, byte, corners, masks)
-    step = netlist.slice_cases(n)
-
-    def source(lo: int, hi: int):
-        for case in range(lo, hi, step):
-            start, stop = first + case, first + min(case + step, hi)   # cases of the check
-            trial, end = max(start - skip, 0), max(stop - skip, 0)
-            for row, byte, corner, lo_mask, hi_mask in parts:
-                width = corner.shape[1]
-                data = _draw(seed, byte + trial * width, (end - trial) * width).reshape(-1, width)
-                if start < skip:   # the corner vectors' digits, put in the same bits
-                    data = np.concatenate((corner[start:stop] * lo_mask, data))
-                yield row, case, data, lo_mask, hi_mask
-
-    return source
+    Cases 0-17 are the corner vectors.  Case 18 + (3g + t)B + j, for B
+    blocks, runs aligned block j (sizes 2^k <= n ascending, then starts):
+    its digits propagate, the digit below kills (g = 0) or generates (g =
+    1), or cin is g if the block starts at digit 0, and the digit above
+    kills, propagates or generates (t = 0, 1, 2).  A kill is b = a < 2, a
+    generate b = a >= 2, a's lo bit drawn; every other digit is drawn.
+    """
+    ca, cb, cc = _corner_vectors(n)
+    k = np.arange(n.bit_length())
+    count = n >> k   # blocks of 2^k digits, the first of them block first[k]
+    first = np.cumsum(count) - count
+    size, blocks = np.repeat(1 << k, count), int(count.sum())
+    start = (np.arange(blocks) - np.repeat(first, count)) * size
+    i = np.arange(n)[:, None]
+    # Each block's digits, the digit below it and the one above, as bits of rows 0 for cin,
+    # d + 1 for digit d, and row n + 1 and column -1 for none.
+    roles = np.zeros((3, n + 2, blocks + 1), dtype=bool)
+    roles[0, np.where(i >> k < count, i + 1, -1), first + (i >> k)] = True
+    roles[1, start, np.arange(blocks)] = roles[2, start + size + 1, np.arange(blocks)] = True
+    m = -(-blocks // 64)
+    packed = np.zeros((3, n + 2, 8 * m), dtype=np.uint8)
+    packed[..., :-(-blocks // 8)] = np.packbits(roles[..., :-1], axis=-1, bitorder="little")
+    inside, below, above = np.ascontiguousarray(packed.view(np.uint64).transpose(0, 2, 1)[..., :-1])
+    t, g = np.arange(6)[:, None, None] % 3, np.arange(6)[:, None, None] >= 3
+    x = np.empty((6, 2, m, 3 * n + 1), dtype=np.uint64)   # b's lo planes, cin's, a's hi, b's hi
+    x[:, 0, :, n:2 * n + 1] = below | above * (t != 1)
+    x[:, 1, :, n:2 * n + 1] = below * g | above * (t == 2)
+    x[:, 0, :, :n] = x[:, 0, :, 2 * n + 1:] = (inside | below | above)[:, 1:]
+    x[:, 1, :, :n] = x[:, 1, :, 2 * n + 1:] = (inside | above * (t == 1))[..., 1:]
+    fixed = np.zeros((2, -(-(len(cc) + 6 * blocks) // 64) + 1, 4 * n + 1), dtype=np.uint64)
+    for v in range(6):
+        w, s = divmod(len(cc) + v * blocks, 64)
+        fixed[:, w:w + m, n:] |= x[v] << s
+        fixed[:, w + 1:w + m + 1, n:] |= x[v] >> 64 - s
+    w = np.uint64(1) << np.arange(len(cc), dtype=np.uint64)   # the corner vectors' lanes
+    inv = (ca != cb).T @ w   # each corner digit has b = a or b = a ^ 3
+    fixed[0, 0] |= w.sum()
+    fixed[1, 0] |= np.concatenate([(ca & 1).T @ w, inv, [cc @ w], (ca >> 1).T @ w, inv])
+    return fixed[:, :-1]
 
 
 def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
-    """Seeded random assignments plus the fixed corner vectors.
+    """Seeded random assignments after the fixed corner and carry-run vectors.
 
-    The generator is numpy's default PCG64; the report records the seed,
-    so identical seeds reproduce identical reports byte for byte.  Each
-    chunk's draws jump ahead to their place in the stream.
+    Case c of the check is lane c % 64 of word w = c // 64.  Of input row r
+    (A[1..n], B[1..n], then cin), the lo plane's word is PCG64(seed) output
+    w(4n + 1) + r, by ``random_raw``, and the hi plane's output w(4n + 1) +
+    2n + 1 + r (cin's is 0); ``_fixed_lanes`` then sets the vectors' digits.
+    A run jumps ahead to its first word (``advance``), so reports do not
+    depend on the chunk size, and the report records the seed: equal seeds
+    give equal reports.
     """
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
         if type(value) is not int or value < least:
             raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
     n = nl.width
-    if trials * n > RANDOM_DIGITS_CAP:
-        raise ValueError(f"{trials} trials x width {n} exceeds the random-check cap "
+    vectors = 6 * (2 * n - n.bit_count())   # 6 a block; there are sum(n // 2^k) blocks
+    count = 18 + vectors + trials   # the corner vectors, the carry-run vectors, the trials
+    if count * n > RANDOM_DIGITS_CAP:
+        raise ValueError(f"{count} cases (18 corner vectors, {vectors} carry-run vectors and "
+                         f"{trials} trials) x width {n} exceed the random-check cap "
                          f"RANDOM_DIGITS_CAP = {RANDOM_DIGITS_CAP} digits")
-    count = len(_corner_vectors(n)[2]) + trials
+    fixed, k = _fixed_lanes(n), 4 * n + 1   # k: the outputs a word takes
+
+    def rows(lo: int, hi: int) -> list:   # add_cases' input rows of the check's cases lo..hi-1
+        word, skip = divmod(lo, 64)
+        words = -(-(hi - lo) // 64) + (skip > 0)
+        raw = np.random.PCG64(seed).advance(word * k).random_raw(words * k).reshape(words, k)
+        clear, put = fixed[:, word:word + words]
+        part = raw[:len(clear)]
+        part[:] = part & ~clear | put
+        part[:, n:2 * n] ^= part[:, :n] & clear[:, n:2 * n]
+        part[:, 3 * n + 1:] ^= part[:, 2 * n + 1:3 * n + 1] & clear[:, 3 * n + 1:]
+        if skip:   # the run's first case is lane ``skip`` of its first word
+            raw = raw[:-1] >> skip | raw[1:] << 64 - skip
+        buf = np.empty((2 * n + 1, 2, len(raw)), dtype=np.uint64)   # each row lo, then hi
+        buf[:, 0], buf[:-1, 1], buf[-1, 1] = raw[:, :2 * n + 1].T, raw[:, 2 * n + 1:].T, 0
+        del raw, part   # before the rows' ints are made
+        return [int.from_bytes(row, "little") for row in buf]
+
     records = _records(count, lambda lo, hi: netlist.add_cases(
-        nl, hi - lo, _random_source(n, trials, seed, lo), _oracle_batch))
+        nl, hi - lo, lambda a, b: rows(lo + a, lo + b), _oracle_batch))
     return VerifyReport("random", count, records, seed, nl.meta.get("kind"), n)

@@ -18,8 +18,7 @@ Three longer random runs reach past one chunk of the streamed check
 (2^15 trials): a correct tree at width 16 over three chunks, a sparse
 width-16 document with one AND of its product tree turned into an OR,
 whose records come from all three, and the same fault in a width-7 tree
-with 33333 trials, an odd number of digits, so its b digits start halfway
-into a 64-bit PCG64 output.
+with 33333 trials.
 Each report is stored as its exit code, byte count and SHA-256; the faulty
 reports run to 34-142 kB each, too much to keep as text.
 """

@@ -12,7 +12,8 @@
   and II with their check, and a scalar integer oracle.  The builders are
   checked against the cells, and the batch oracle against ``oracle_add``.
 
-It also holds ``mismatches``, a verify report's records as dicts, and
+It also holds ``random_cases``, the cases of a random check rebuilt from
+the PCG64 stream, ``mismatches``, a verify report's records as dicts, and
 ``traced_peak``, the memory probe of the tests that bound a call's
 allocations.
 """
@@ -22,6 +23,8 @@ import operator
 import tracemalloc
 from collections.abc import Sequence
 from typing import NamedTuple
+
+import numpy as np
 
 from quadder.netlist import (
     AND,
@@ -457,6 +460,65 @@ def check_truth_tables() -> tuple[list, list]:
         check(a, b, cin, "S", want_s, got.sum)
         check(a, b, cin, "C", want_c, got.carry)
     return mismatches, divergences
+
+
+def corner_vectors(n: int) -> list:
+    """The nine fixed (a, b) pairs of a random check, each with cin 0 and then 1."""
+    zeros, threes = [0] * n, [3] * n
+    alt12, alt21 = [1 + i % 2 for i in range(n)], [2 - i % 2 for i in range(n)]
+    lo3, hi3 = [3] + [0] * (n - 1), [0] * (n - 1) + [3]
+    pairs = [(zeros, zeros), (threes, threes), (threes, zeros), (zeros, threes), (alt12, alt21),
+             (alt12, alt12), (lo3, lo3), (hi3, hi3), (hi3, zeros)]
+    return [(list(a), list(b), cin) for a, b in pairs for cin in (0, 1)]
+
+
+def carry_run_blocks(n: int) -> list:
+    """The aligned blocks (start, size) of the carry-run vectors, sizes 2^k <= n
+    ascending, then starts."""
+    sizes = [1 << k for k in range(n.bit_length())]
+    return [(start, size) for size in sizes for start in range(0, n - size + 1, size)]
+
+
+def random_cases(n: int, count: int, seed: int) -> list:
+    """(a, b, cin) of the first ``count`` cases of ``check_random(nl, trials,
+    seed)`` at width n, rebuilt one bit at a time from the PCG64 stream.
+
+    Case c is lane c % 64 of word c // 64, and the word's 4n + 1 stream
+    outputs (``random_raw``, from output w(4n + 1) on) are the lo planes of
+    A[1..n], B[1..n] and cin, then the hi planes of A[1..n] and B[1..n].
+    The 18 corner vectors come first.  Then, for each of the six (g, t) in
+    order and each aligned block (s, z), one case: the block's digits
+    propagate (b = 3 - a), the digit below kills or generates (a's hi bit g,
+    b = a; cin = g when s = 0) and the digit above kills, propagates or
+    generates (t = 0, 1, 2; a's hi bit 1 for a generate, b = a but for a
+    propagate).  Every digit not named keeps its drawn value.
+    """
+    corners, blocks = corner_vectors(n), carry_run_blocks(n)
+    total = max(count, len(corners) + 6 * len(blocks))
+    k = 4 * n + 1
+    raw = np.random.PCG64(seed).random_raw(-(-total // 64) * k).tolist()
+
+    def bit(case, output):
+        return raw[case // 64 * k + output] >> case % 64 & 1
+
+    cases = corners + [([2 * bit(c, 2 * n + 1 + i) + bit(c, i) for i in range(n)],
+                        [2 * bit(c, 3 * n + 1 + i) + bit(c, n + i) for i in range(n)],
+                        bit(c, 2 * n)) for c in range(len(corners), total)]
+    case = len(corners)
+    for g, t in [(g, t) for g in range(2) for t in range(3)]:
+        for s, z in blocks:
+            a, b, cin = cases[case]
+            for d in range(s, s + z):
+                b[d] = 3 - a[d]
+            if s:
+                a[s - 1] = 2 * g + a[s - 1] % 2
+                b[s - 1] = a[s - 1]
+            if s + z < n:
+                a[s + z] = 2 * (t == 2) + a[s + z] % 2 if t != 1 else a[s + z]
+                b[s + z] = 3 - a[s + z] if t == 1 else a[s + z]
+            cases[case] = a, b, g if s == 0 else cin
+            case += 1
+    return [(tuple(a), tuple(b), cin) for a, b, cin in cases[:count]]
 
 
 def mismatches(report) -> list:

@@ -35,18 +35,13 @@ def faulted(nl, ids):
 
 
 def cases(n, mode, trials, seed):
-    """(a, b, cin) of every case the check runs, as tuples of ints."""
+    """(a, b, cin) of every case the check runs, as tuples of ints; a random
+    check's rebuilt from its PCG64 stream by ``reference.random_cases``."""
     if mode == "exhaustive":
         words = list(itertools.product(range(4), repeat=n))
         return [(a, b, c) for a in words for b in words for c in (0, 1)]
-    ca, cb, cc = verify._corner_vectors(n)
-    rng = np.random.default_rng(seed)
-    ra = rng.integers(0, 4, size=(trials, n), dtype=np.uint8)
-    rb = rng.integers(0, 4, size=(trials, n), dtype=np.uint8)
-    rc = rng.integers(0, 2, size=trials, dtype=np.uint8)
-    return list(zip(map(tuple, np.concatenate([ca, ra]).tolist()),
-                    map(tuple, np.concatenate([cb, rb]).tolist()),
-                    np.concatenate([cc, rc]).tolist()))
+    structured = len(reference.corner_vectors(n)) + 6 * len(reference.carry_run_blocks(n))
+    return reference.random_cases(n, structured + trials, seed)
 
 
 def reference_records(nl, runs):

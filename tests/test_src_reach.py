@@ -1,11 +1,11 @@
 """Every function in ``src/quadder`` is reached by some CLI run.
 
 A corpus of CLI runs (every command, every kind at widths 1, 3 and 5, DOT
-output, exhaustive and random checks, one at width 9 for the 8-digit bit
-packing, a faulty document and the error paths) goes through
-``quadder.cli.main`` in one subprocess.  That process installs a profiler
-before it imports quadder, so the calls made at import time count too.  A
-function of the package that no run reaches fails the test unless
+output, exhaustive and random checks, one at width 9, a faulty document
+and the error paths) goes through ``quadder.cli.main`` in one subprocess.
+That process installs a profiler before it imports quadder, so the calls
+made at import time count too.  A function of the package that no run
+reaches fails the test unless
 ``ALLOWED`` names it with its reason: code that only tests use belongs in
 ``tests/reference.py``.  An ``ALLOWED`` entry that a run reaches, or that
 names a function no longer defined, fails it too.
@@ -120,7 +120,7 @@ def _corpus(tmp: Path) -> list:
         (["sweep", "--kinds", "ripple,single,tree,sparse,hybrid", "--widths", "1,3..5",
           "--csv", str(tmp / "sweep.csv")], 0),
         (["sweep", "--kinds", "tree", "--widths", "3"], 0),
-        (["verify", "--kind", "tree", "--width", "9", "--random", "40"], 0),   # 8-digit packing
+        (["verify", "--kind", "tree", "--width", "9", "--random", "40"], 0),
         (["verify", "--netlist", docs["good"], "--random", "40", "--out", str(tmp / "r.json")], 0),
         (["verify", "--netlist", docs["faulty"], "--exhaustive"], 1),
         (["verify", "--netlist", docs["faulty"], "--random", "40", "--seed", "9"], 1),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import reference
 
-from quadder import netlist, verify
+from quadder import cli, netlist, verify
 from quadder.builders import AdderSpec, build
 from quadder.netlist import Netlist
 
@@ -71,6 +71,46 @@ def test_random_check_takes_exact_ints(wrong, trials, seed):
     recorded as true."""
     with pytest.raises(ValueError, match=f"{wrong} must be an int"):
         verify.check_random(build(AdderSpec("ripple", 2)), trials, seed)
+
+
+def test_random_cap_counts_every_case_the_check_runs(monkeypatch, capsys):
+    """At width 4 a check runs 18 corner vectors, 6 x 7 carry-run vectors
+    (7 aligned blocks) and its trials, and the cap bounds all of them times
+    the width: a check at the cap runs, and one case more is refused before
+    anything is drawn, by the library and by ``quadder verify`` with exit 2
+    and no traceback."""
+    nl = build(AdderSpec("ripple", 4))
+    monkeypatch.setattr(verify, "RANDOM_DIGITS_CAP", (18 + 42 + 10) * 4)
+    assert verify.check_random(nl, 10, 1).cases_run == 70
+    draws = []
+    monkeypatch.setattr(np.random, "PCG64", lambda *args: draws.append(args))
+    refusal = ("71 cases (18 corner vectors, 42 carry-run vectors and 11 trials) x width 4 "
+               "exceed the random-check cap RANDOM_DIGITS_CAP = 280 digits")
+    with pytest.raises(ValueError) as caught:
+        verify.check_random(nl, 11, 1)
+    assert str(caught.value) == refusal
+    code = cli.main(["verify", "--kind", "ripple", "--width", "4", "--random", "11"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {refusal}\n")
+    assert not draws
+
+
+def test_carry_run_vectors_catch_a_product_tree_fault():
+    """Tree n=64 with node 720, an And of its product tree, turned into an
+    Or: 20000 trials of random digits alone miss it at most seeds, and the
+    aligned carry-run vectors, the same at every seed, expose it.  Every
+    record expects the digit of the integer sum."""
+    nl = build(AdderSpec("tree", 64))
+    assert nl.nodes[720].kind == "and" and 720 in nl.meta["groups"]["product_tree"]
+    bad = _mutate(nl, 720, "or")
+    for seed in (1, 3):
+        report = verify.check_random(bad, 20000, seed)
+        records = reference.mismatches(report)
+        assert not report.passed and records
+        for r in records:
+            total = reference.word_to_int(r["a"]) + reference.word_to_int(r["b"]) + r["cin"]
+            place = 64 if r["signal"] == "cout" else int(r["signal"][2:-1]) - 1
+            assert r["expected"] == total >> 2 * place & 3, r
 
 
 def test_checks_reach_the_layers_by_module_lookup(monkeypatch):

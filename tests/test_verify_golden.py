@@ -6,8 +6,11 @@ The reference in data/verify_golden.json was written by
 carry-fault cases were added at e1b7640, before the mismatch table, and
 the three runs longer than one chunk (70000 and 33333 trials) at 14e5585,
 before random checks were streamed, each time with the other fingerprints
-unchanged.  The cases and the fingerprint (exit code, byte count, SHA-256
-of stdout) come from that script.
+unchanged.  The 30 random entries were regenerated once when random checks
+began drawing their input planes straight from the PCG64 stream and running
+the carry-run vectors; the 30 exhaustive entries did not change.  The cases
+and the fingerprint (exit code, byte count, SHA-256 of stdout) come from
+that script.
 """
 
 import importlib.util

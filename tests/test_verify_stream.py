@@ -1,12 +1,13 @@
 """The streamed random check: its digits, its chunks, its oracle, its memory.
 
-``check_random`` runs its cases in chunks; each chunk's source reads its
-bytes of the PCG64 stream at their byte offset and packs them into the plane
-buffer by bit mask.  These tests pin the draws and the packed planes to
-``Generator.integers``, the bit-sliced oracle to ``oracle_add``, the reports
-to the chunk size and to the cases run, the memory to the chunk and the
-plane buffer, not the trial count, and ``add_batch``'s plane buffer to its
-budget.
+``check_random`` runs its cases in chunks; each run draws its input planes'
+64-lane words straight from the PCG64 stream, jumping ahead to its first
+word, and sets the corner and carry-run vectors' lanes by bit mask.  These
+tests pin the drawn planes to ``PCG64.random_raw`` and every case to
+``reference.random_cases``, the bit-sliced oracle to ``oracle_add``, the
+reports to the chunk size and to the cases run, the memory to the chunk and
+the plane buffer, not the trial count, and ``add_batch``'s plane buffer to
+its budget.
 """
 
 import dataclasses
@@ -27,13 +28,6 @@ SEEDS = range(30)
 SHAPES = ((1, 1), (1, 7), (5, 1), (7, 5), (3, 6), (9, 7), (40, 12))
 
 
-def _one_shot(seed, trials, n):
-    rng = np.random.default_rng(seed)
-    return (rng.integers(0, 4, size=(trials, n), dtype=np.uint8),
-            rng.integers(0, 4, size=(trials, n), dtype=np.uint8),
-            rng.integers(0, 2, size=trials, dtype=np.uint8))
-
-
 def _planes(digits):
     """Case-major qudits (cases, rows) laid out as ``add_cases`` documents
     its input rows: (rows, lanes), one int ``hi << lanes | lo`` a row, bit j
@@ -52,42 +46,61 @@ def _lanes(rows, lanes, cases):
                      for j in range(cases)], dtype=np.uint8).reshape(cases, len(rows))
 
 
+def _structured(n: int) -> int:
+    """The corner and carry-run vectors that come before a check's trials."""
+    return len(reference.corner_vectors(n)) + 6 * len(reference.carry_run_blocks(n))
+
+
+def _input_runs(nl, trials, seed):
+    """The report of ``check_random`` and each run's input rows and lanes, as
+    the oracle gets them."""
+    runs, oracle = [], verify._oracle_batch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_oracle_batch",
+                   lambda x, lanes: runs.append((list(x), lanes)) or oracle(x, lanes))
+        return verify.check_random(nl, trials, seed), runs
+
+
 @pytest.mark.parametrize("trials, n", SHAPES)
 def test_word_digits_equal_integer_draws(trials, n):
-    """From any byte offset into the a, b or cin part of the stream, the top
-    two bits (a digit) or the top bit (a cin) of each byte are what
-    ``default_rng`` draws from there on."""
-    words = -(-trials * n // 4)   # 32-bit words behind the a digits, and the b digits
+    """In one chunk, the lo and hi plane of every input row, read as ints,
+    are their 64-lane words' ``random_raw`` outputs w(4n + 1) + r (lo) and
+    w(4n + 1) + 2n + 1 + r (hi, none for cin) outside the vectors' lanes,
+    also past the last case."""
+    nl = builders.build(builders.AdderSpec("ripple", n))
+    k = 4 * n + 1
     for seed in SEEDS:
-        parts = zip((0, 4 * words, 8 * words), _one_shot(seed, trials, n), (6, 6, 7))
-        for start, want, shift in parts:
-            want = want.reshape(-1)
-            for skip in sorted({0, 1, seed % want.size, want.size - 1}):
-                got = verify._draw(seed, start + skip, want.size - skip) >> shift
-                assert np.array_equal(got, want[skip:]), (seed, start, skip)
+        report, runs = _input_runs(nl, trials, seed)
+        [(rows, lanes)] = runs
+        assert report.passed and report.cases_run == _structured(n) + trials
+        raw = np.random.PCG64(seed).random_raw(lanes // 64 * k).tolist()
+        drawn = ~((1 << _structured(n)) - 1)   # the lanes no vector sets
+        for r, row in enumerate(rows):
+            offsets = (r, 2 * n + 1 + r if r < 2 * n else None)
+            for plane, offset in zip((row & (1 << lanes) - 1, row >> lanes), offsets):
+                words = [raw[w * k + offset] if offset is not None else 0
+                         for w in range(lanes // 64)]
+                want = int.from_bytes(np.array(words, dtype=np.uint64).tobytes(), "little")
+                assert (plane ^ want) & drawn == 0, (seed, r, offset)
 
 
 @pytest.mark.parametrize("chunk", [4, 5, 13, 17, 64, verify.CHUNK_CASES])
 def test_chunked_draws_reproduce_the_one_shot_draws(monkeypatch, chunk):
-    """The input planes of every chunk, read back lane by lane, are the 18
-    corner vectors and then the one-shot ``default_rng`` draws, wherever the
-    chunks start: on a stream byte that is not a word's, before the corner
-    vectors end inside a plane byte, on the last one (17) or past them."""
+    """The input planes of every chunk, read back lane by lane, are the cases
+    ``reference.random_cases`` rebuilds from the stream bit by bit: the 18
+    corner vectors, the carry-run vectors and then the trials, wherever the
+    chunks start: inside a stream word, before the corner vectors end, on
+    the last one (17) or past them."""
     monkeypatch.setattr(verify, "CHUNK_CASES", chunk)
-    packed, oracle = [], verify._oracle_batch   # the oracle sees each run's input planes
-    monkeypatch.setattr(verify, "_oracle_batch",
-                        lambda x, lanes: packed.append((x.copy(), lanes)) or oracle(x, lanes))
     for (trials, n), seed in itertools.product([*SHAPES, (130, 3), (67, 33)], SEEDS[:5]):
-        packed.clear()
-        nl = builders.build(builders.AdderSpec("ripple", n))
-        assert verify.check_random(nl, trials, seed).passed
-        count = len(verify._corner_vectors(n)[2]) + trials
-        assert len(packed) == -(-count // chunk)   # one run a chunk
-        got = np.concatenate([_lanes(*p, min(chunk, count - lo))
-                              for p, lo in zip(packed, range(0, count, chunk))])
-        want = [np.concatenate([head.reshape(len(head), -1), part.reshape(trials, -1)])
-                for head, part in zip(verify._corner_vectors(n), _one_shot(seed, trials, n))]
-        assert np.array_equal(got, np.hstack(want)), (trials, n, seed)
+        report, runs = _input_runs(builders.build(builders.AdderSpec("ripple", n)), trials, seed)
+        count = report.cases_run
+        assert report.passed and count == _structured(n) + trials
+        assert len(runs) == -(-count // chunk)   # one run a chunk
+        got = np.concatenate([_lanes(*run, min(chunk, count - lo))
+                              for run, lo in zip(runs, range(0, count, chunk))])
+        want = [(*a, *b, cin) for a, b, cin in reference.random_cases(n, count, seed)]
+        assert np.array_equal(got, np.array(want, dtype=np.uint8)), (trials, n, seed)
 
 
 def _assert_oracle_matches(a, b, cin):
@@ -131,7 +144,8 @@ def _inverted_s1(nl):
                          ids=["exhaustive", "random"])
 def test_lanes_past_the_last_case_give_no_records(check):
     """Width 1: the 32 exhaustive cases fill half a plane word, and the 18
-    corner vectors and 100 trials end 54 lanes into the second word.  Every
+    corner vectors, 6 carry-run vectors and 100 trials end 60 lanes into the
+    second word.  Every
     case gives one record, and no lane past the last case adds one, also
     when a batch has no case."""
     nl = _inverted_s1(builders.build(builders.AdderSpec("ripple", 1)))
@@ -162,7 +176,7 @@ def test_reports_do_not_depend_on_the_chunk_size(kind, width, data):
     want = [verify.check_random(nl, trials, seed).to_json()]
     if exhaustive:
         want.append(verify.check_exhaustive(nl).to_json())
-    for chunk in (4, 5, 12, 13):   # chunks that start on a byte of the stream and inside one
+    for chunk in (4, 5, 12, 13, 17):   # chunks that start inside a stream word, and in the vectors
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "CHUNK_CASES", chunk)
             got = [verify.check_random(nl, trials, seed).to_json()]
@@ -237,12 +251,12 @@ def test_random_check_at_256_digits_stays_under_24_mib(kind):
 
 @pytest.mark.parametrize("kind", ["tree", "hybrid", "ripple"])
 def test_random_check_at_256_digits_peaks_within_its_plane_buffer(kind):
-    """20018 cases of width 256 are one run: the check's peak is its plane
+    """The 23084 cases of width 256 are one run: the check's peak is its plane
     buffer and at most 6 MiB more, as no full-size digit array is made."""
     nl = builders.build(builders.AdderSpec(kind, 256))
     verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
-    buffer = 16 * nl._plan.slots * -(-(len(verify._corner_vectors(256)[2]) + 20000) // 64)
     peak, report = reference.traced_peak(verify.check_random, nl, 20000, 5)
+    buffer = 16 * nl._plan.slots * -(-report.cases_run // 64)
     assert report.passed
     assert peak <= buffer + 6 * 2**20, \
         f"peak {peak / 2**20:.2f} MiB, buffer {buffer / 2**20:.2f} MiB"
