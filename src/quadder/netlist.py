@@ -356,10 +356,15 @@ class _Plan(NamedTuple):
     one live node into its own slot, its entry in ``outs``.  A wide gate whose
     inputs begin with all the inputs of the latest earlier wide gate of its
     kind with the same first input reads that gate's slot in place of them
-    (wide: fan-in 3 or more).  A slot is reused once the last step reading
-    it has run; nodes outside the cone of S and cout get no step unless a
-    step reads them as its prefix.  The input and output slots are never
-    reused, so a run's inputs can still be read once its outputs are made.
+    (wide: fan-in 3 or more).  Nodes outside the cone of S and cout get no
+    step unless a step reads them as its prefix.  Steps run in the order of
+    the first output (S[j] or cout, taken by node id) whose cone, through
+    those reads, holds their node, then by node id: each node runs just
+    before the first output that needs it, so a value made early for a late
+    output (a P or G read only by the carry network) does not hold a slot
+    while the outputs before it are made.  A slot is reused once the last
+    step reading it has run.  The input and output slots are never reused,
+    so a run's inputs can still be read once its outputs are made.
     """
 
     steps: tuple
@@ -379,29 +384,39 @@ class _Plan(NamedTuple):
             if head >= 0:
                 reads[nid] = (head, *ins[len(nodes[head][1]):])
         ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
-        last = [-1] * n          # id of the last live node reading each node
-        for nid in (*nl.s_ports, nl.cout_port, *ports):
-            last[nid] = n
+        outputs = (*nl.s_ports, nl.cout_port)
+        first = [n] * n          # id of the first output whose cone holds each node; n: none
+        for nid in outputs:
+            first[nid] = nid
         for nid, ins in zip(range(n - 1, -1, -1), reversed(reads)):
-            if last[nid] >= 0:
+            key = first[nid]
+            if key < n:
                 for i in ins:
-                    if last[i] < 0:
-                        last[i] = nid
-        slot = [0] * n
+                    if key < first[i]:
+                        first[i] = key
+        slot = [-1] * n
         get = slot.__getitem__
         for k, pid in enumerate(ports):
             slot[pid] = k
-        free = []
+            first[pid] = n       # bound to a row, not computed
+        order = sorted(range(n), key=first.__getitem__)[:n - first.count(n)]   # then by id: stable
         size = len(ports)
-        steps, outs = [], []
-        for nid, (kind, _, value, _), ins in zip(range(n), nodes, reads):
-            if kind == INPUT or last[nid] < 0:
-                continue
-            out = free.pop() if free else size
-            if out == size:
+        for nid in outputs:      # held from its step to the end of a run
+            if slot[nid] < 0:
+                slot[nid] = size
                 size += 1
-            slot[nid] = out   # taken before any input's slot is freed: it aliases no input
-            outs.append(out)
+        free = []
+        steps, outs = [], []
+        for nid in reversed(order):   # slots are handed out backward, each at its node's last read
+            kind, _, value, _ = nodes[nid]
+            ins = reads[nid]
+            for i in ins:
+                if slot[i] < 0:   # taken while this step's slot is held: it aliases no input
+                    slot[i] = free.pop() if free else size
+                    if slot[i] == size:
+                        size += 1
+            outs.append(slot[nid])
+            free.append(slot[nid])   # free before this step runs
             if len(ins) == 2:   # most steps; a tuple display is cheaper than a map
                 x, y = ins
                 steps.append((kind, (slot[x], slot[y]), value, None))
@@ -409,11 +424,7 @@ class _Plan(NamedTuple):
                 steps.append((kind, (slot[ins[0]],), value, None))
             else:
                 steps.append((kind, tuple(map(get, ins)), value, None))
-            for i in ins:
-                if last[i] == nid:
-                    last[i] = n   # freed once, also when this node reads it twice
-                    free.append(slot[i])
-        return cls(tuple(steps), tuple(outs), size, tuple(map(get, (*nl.s_ports, nl.cout_port))))
+        return cls(tuple(reversed(steps)), tuple(reversed(outs)), size, tuple(map(get, outputs)))
 
 
 def _qudits(values, what: str) -> np.ndarray:

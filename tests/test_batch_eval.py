@@ -135,6 +135,71 @@ def test_plan_input_reads(kind, n, most):
     assert sum(_reads(build(AdderSpec(kind, n)))) <= most
 
 
+@pytest.mark.parametrize("kind, n, most", [("tree", 256, 1100), ("sparse", 256, 850),
+                                           ("hybrid", 256, 820), ("single_stage", 64, 400),
+                                           ("ripple", 256, 775)])
+def test_plan_rows(kind, n, most):
+    """Each step runs with the first output that needs it, so the P and G of
+    a position, made in the pg stage and read in the carry network, hold no
+    row while the sums before that read are made: 1666, 1764, 1965 and 514
+    rows in id order.  Ripple reads them at once and keeps its 775."""
+    assert build(AdderSpec(kind, n))._plan.slots <= most
+
+
+def _ports(nb):
+    return [nb.add_input(name) for name in ("A[1]", "B[1]", "A[2]", "B[2]", "cin")]
+
+
+def _sums_out_of_order():
+    """S[2]'s gates come before S[1]'s by id and cout's before both; cout's
+    gate is read by S[1]'s and S[2]'s, and early nodes, one of them a dead
+    prefix of S[1]'s wide gate, are read only by the last output."""
+    nb = NetlistBuilder(2)
+    a1, b1, a2, b2, cin = _ports(nb)
+    p = nb.add(XOR, a1, b1)                 # in every output's cone
+    late = nb.add(AND, a2, b2)              # read by S[1] only
+    nb.add(OR, p, a2, cin)                  # S[1]'s prefix, outside every cone
+    carry = nb.add(XOR, p, cin)             # cout
+    s2 = nb.add(XOR, carry, nb.add(NOT, a1))
+    s1 = nb.add(OR, p, a2, cin, late, nb.add(BITSWAP, carry))
+    return nb.finish([a1, a2], [b1, b2], cin, [s1, s2], carry)
+
+
+def _ports_and_consts_out():
+    """S[1] is the port B[2], which cout's gate reads, and S[2] a const."""
+    nb = NetlistBuilder(2)
+    a1, b1, a2, b2, cin = _ports(nb)
+    three = nb.add_const(3)
+    x = nb.add(XOR, a1, b2)
+    nb.add(OR, a2, b1)                      # dead: no step
+    cout = nb.add(BITSWAP, nb.add(AND, x, three, cin))
+    return nb.finish([a1, a2], [b1, b2], cin, [b2, three], cout)
+
+
+def _one_gate_twice():
+    """S[2] and cout are one gate, which reads S[1]'s; S[1] reads a node in
+    every output's cone."""
+    nb = NetlistBuilder(2)
+    a1, b1, a2, b2, cin = _ports(nb)
+    shared = nb.add(OR, a2, cin)
+    s1 = nb.add(XOR, shared, a1, b1)
+    top = nb.add(AND, s1, shared, b2)
+    return nb.finish([a1, a2], [b1, b2], cin, [s1, top], top)
+
+
+@pytest.mark.parametrize("make", [_sums_out_of_order, _ports_and_consts_out, _one_gate_twice])
+def test_outputs_in_any_id_order_give_the_node_walk_sums(make):
+    """Every one of the 1024 inputs of a width-2 netlist whose outputs' cones
+    overlap, read one another or hold no gate at all."""
+    nl = make()
+    cases = np.array(list(itertools.product(range(4), repeat=5)), dtype=np.uint8)
+    s, cout = netlist.add_batch(nl, cases[:, [0, 2]], cases[:, [1, 3]], cases[:, 4])
+    for k, (x1, y1, x2, y2, c) in enumerate(cases.tolist()):
+        values = reference.evaluate_nodes(nl, (x1, x2), (y1, y2), c)
+        assert s[k].tolist() == [values[p] for p in nl.s_ports]
+        assert cout[k] == values[nl.cout_port]
+
+
 def test_digit_major_inputs_give_the_same_sums():
     nl = build(AdderSpec("tree", 5))
     rng = np.random.default_rng(3)

@@ -262,6 +262,18 @@ def test_random_check_at_256_digits_peaks_within_its_plane_buffer(kind):
         f"peak {peak / 2**20:.2f} MiB, buffer {buffer / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("kind", ["tree", "sparse", "hybrid", "ripple"])
+def test_random_check_at_256_digits_peaks_under_8_mib(kind):
+    """With each step run beside the first output that needs it, no carry
+    network's plan rows outgrow the run's input draw: every kind peaks about
+    where ripple does (6.9 MiB), not at 10.4-12.4 MiB."""
+    nl = builders.build(builders.AdderSpec(kind, 256))
+    verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
+    peak, report = reference.traced_peak(verify.check_random, nl, 20000, 5)
+    assert report.passed
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def _or_of_xor_chain(length: int):
     """Width 1: S[1] is an Or over a chain of Xor gates, each reading the
     one before, and cout the chain's last gate.  The Or reads every link, so
