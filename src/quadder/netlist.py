@@ -59,6 +59,7 @@ _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
 SLICE_DIGITS = 2**20   # digits per slice when a batch's inputs are packed
 PLANE_BUDGET = 2**25   # bytes of plane rows per add_cases run, 16 a row per 64 cases
+RUN_LANES = 2**15      # cases per add_cases run at most, a whole number of 64-lane words
 
 
 class DocumentError(ValueError):
@@ -483,12 +484,13 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
 
 def add_cases(nl: Netlist, cases: int, source, oracle=None):
     """Batch addition of ``cases`` cases: ``_run`` over the plan in runs of
-    whole 64-lane words, 16 bytes a plan row per 64 cases within
-    PLANE_BUDGET.  ``source(lo, hi)`` gives the 2n + 1 input rows A[1..n],
-    B[1..n] and cin of cases lo..hi-1, ints ``hi << lanes | lo`` over the
-    run's lanes (hi - lo rounded up to a multiple of 64), bit j of a plane
-    being case lo + j; the lanes past the last case may hold any digits (a
-    cin 0 or 1).  Returns (sum digit matrix, carry-out vector).
+    at most RUN_LANES cases, whole 64-lane words, 16 bytes a plan row per 64
+    cases within PLANE_BUDGET.  ``source(lo, hi)`` gives the 2n + 1 input
+    rows A[1..n], B[1..n] and cin of cases lo..hi-1, lo a multiple of 64,
+    ints ``hi << lanes | lo`` over the run's lanes (hi - lo rounded up to a
+    multiple of 64), bit j of a plane being case lo + j; the lanes past the
+    last case may hold any digits (a cin 0 or 1).  Returns (sum digit
+    matrix, carry-out vector).
 
     With an ``oracle``, ``oracle(ins, lanes)`` gets each run's input rows
     and returns the rows S[1..n] and cout should hold; only the lanes
@@ -498,7 +500,7 @@ def add_cases(nl: Netlist, cases: int, source, oracle=None):
     """
     n = nl.width
     plan = nl._plan
-    step = 64 * (PLANE_BUDGET // (16 * plan.slots))
+    step = min(RUN_LANES, 64 * (PLANE_BUDGET // (16 * plan.slots)))
     if not step:
         raise ValueError(f"the plan's {plan.slots} plane rows take {16 * plan.slots} bytes per "
                          f"64 cases, over the plane budget PLANE_BUDGET = {PLANE_BUDGET} bytes")

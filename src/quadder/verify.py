@@ -4,14 +4,14 @@ The oracle, ``_oracle_batch``, is a bit-sliced binary ripple adder on the
 int rows of bit planes that ``add_cases`` evaluates; it never touches the
 quaternary operators, so a defect in the algebra cannot hide a matching
 defect in a netlist.  Exhaustive checks cover every assignment at small
-widths, a chunk of digits made from its case indices at a time
-(``add_batch``).  Randomized checks run fixed corner vectors, aligned
-carry-run vectors (every aligned block of 2^k digits propagating between a
-kill or generate below and a kill, propagate or generate above) and then
-seeded trials; each run draws its input planes' words straight from the
-PCG64 stream and sets the vectors' lanes by bit mask (``add_cases``).  A
-chunk has at most ``CHUNK_CASES`` cases, so memory does not grow with the
-case count; its rows are compared as ints, and only the failing lanes are
+widths, their digits made whole once (``add_batch``).  Randomized checks run
+fixed corner vectors, aligned carry-run vectors (every aligned block of 2^k
+digits propagating between a kill or generate below and a kill, propagate
+or generate above) and then seeded trials; each run draws its input planes'
+words straight from the PCG64 stream and sets the vectors' lanes by bit
+mask (``add_cases``).  Runs are the only chunks: ``add_cases`` gives each at
+most ``netlist.RUN_LANES`` cases, so memory does not grow with the case
+count; a run's rows are compared as ints, and only the failing lanes are
 read back, inputs too.
 """
 
@@ -26,7 +26,6 @@ from . import netlist
 from .netlist import Netlist
 
 EXHAUSTIVE_WIDTH_BOUND = 4
-CHUNK_CASES = 2**15            # cases per add_batch/add_cases call of a check; bounds its buffer
 RANDOM_DIGITS_CAP = 2**34      # cases run x width; at ~65M digit-adds/s, about 4.5 minutes
 
 
@@ -165,19 +164,6 @@ def _collect_mismatches(a, b, cin, want, got) -> MismatchTable:
                          expected=want[case, signal], actual=got[case, signal])
 
 
-def _records(count: int, run) -> MismatchTable:
-    """The mismatch records of ``count`` cases, a chunk of cases at a time:
-    ``run(lo, hi)`` checks cases lo..hi-1 and gives back the failing ones as
-    ``add_cases`` does; their records get one sort."""
-    kept = [run(lo, min(lo + CHUNK_CASES, count))[1:] for lo in range(0, count, CHUNK_CASES)]
-    return _collect_mismatches(*map(np.concatenate, zip(*kept)))
-
-
-def _check(nl: Netlist, chunk, count: int) -> MismatchTable:
-    """``_records`` of the (a, b, cin) digits ``chunk(lo, hi)``, each one ``add_batch`` call."""
-    return _records(count, lambda lo, hi: netlist.add_batch(nl, *chunk(lo, hi), _oracle_batch))
-
-
 def check_exhaustive(nl: Netlist) -> VerifyReport:
     """Run all 4^n * 4^n * 2 assignments against the oracle, case k with the
     a word k >> (2n + 1), the b word (k >> 1) mod 4^n and cin k & 1."""
@@ -186,18 +172,10 @@ def check_exhaustive(nl: Netlist) -> VerifyReport:
         raise ValueError(f"width {n} exceeds the exhaustive bound {EXHAUSTIVE_WIDTH_BOUND}; "
                          "check it with random trials instead")
     words = (np.arange(4**n) >> 2 * np.arange(n)[:, None] & 3).astype(np.uint8)   # digit-major
-    # a is fixed over each period of 2 * 4^n cases, which runs (b, cin) through every value once
-    period, count = 2 * 4**n, 2 * 16**n
-    k = np.arange(min(CHUNK_CASES + period, count))   # a chunk's (b, cin) start at lo mod period
-    b, cin = np.take(words, (k >> 1) & (4**n - 1), axis=1), (k & 1).astype(np.uint8)
-
-    def chunk(lo: int, hi: int):
-        rows = slice(lo % period, lo % period + hi - lo)
-        a = words[:, lo // period:-(-hi // period)].repeat(period, axis=1)
-        return a[:, rows].T, b[:, rows].T, cin[rows]
-
-    records = _check(nl, chunk, count)
-    return VerifyReport("exhaustive", count, records, kind=nl.meta.get("kind"), width=n)
+    a, b = words.repeat(2 * 4**n, axis=1), np.tile(words.repeat(2, axis=1), 4**n)
+    cin = np.tile(np.uint8([0, 1]), 16**n)
+    records = _collect_mismatches(*netlist.add_batch(nl, a.T, b.T, cin, _oracle_batch)[1:])
+    return VerifyReport("exhaustive", cin.size, records, kind=nl.meta.get("kind"), width=n)
 
 
 def _corner_vectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,7 +245,7 @@ def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
     w(4n + 1) + r, by ``random_raw``, and the hi plane's output w(4n + 1) +
     2n + 1 + r (cin's is 0); ``_fixed_lanes`` then sets the vectors' digits.
     A run jumps ahead to its first word (``advance``), so reports do not
-    depend on the chunk size, and the report records the seed: equal seeds
+    depend on the run size, and the report records the seed: equal seeds
     give equal reports.
     """
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
@@ -283,21 +261,17 @@ def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
     fixed, k = _fixed_lanes(n), 4 * n + 1   # k: the outputs a word takes
 
     def rows(lo: int, hi: int) -> list:   # add_cases' input rows of the check's cases lo..hi-1
-        word, skip = divmod(lo, 64)
-        words = -(-(hi - lo) // 64) + (skip > 0)
+        word, words = lo // 64, -(-(hi - lo) // 64)   # lo starts a word
         raw = np.random.PCG64(seed).advance(word * k).random_raw(words * k).reshape(words, k)
         clear, put = fixed[:, word:word + words]
         part = raw[:len(clear)]
         part[:] = part & ~clear | put
         part[:, n:2 * n] ^= part[:, :n] & clear[:, n:2 * n]
         part[:, 3 * n + 1:] ^= part[:, 2 * n + 1:3 * n + 1] & clear[:, 3 * n + 1:]
-        if skip:   # the run's first case is lane ``skip`` of its first word
-            raw = raw[:-1] >> skip | raw[1:] << 64 - skip
         buf = np.empty((2 * n + 1, 2, len(raw)), dtype=np.uint64)   # each row lo, then hi
         buf[:, 0], buf[:-1, 1], buf[-1, 1] = raw[:, :2 * n + 1].T, raw[:, 2 * n + 1:].T, 0
         del raw, part   # before the rows' ints are made
         return [int.from_bytes(row, "little") for row in buf]
 
-    records = _records(count, lambda lo, hi: netlist.add_cases(
-        nl, hi - lo, lambda a, b: rows(lo + a, lo + b), _oracle_batch))
+    records = _collect_mismatches(*netlist.add_cases(nl, count, rows, _oracle_batch)[1:])
     return VerifyReport("random", count, records, seed, nl.meta.get("kind"), n)

@@ -215,8 +215,8 @@ def test_digit_major_inputs_give_the_same_sums():
 
 @pytest.mark.parametrize("n, cases", [(8, 1), (9, 63), (17, 130), (64, 65)])
 def test_wide_batches_match_scalar_in_either_layout(n, cases):
-    """Eight rows and more take the bit-transpose path: rows and cases that
-    are not multiples of 8, and column-major inputs."""
+    """Batches of eight digits and more give the node walk's sums: widths and
+    case counts that are not multiples of 8, and column-major inputs."""
     nl = build(AdderSpec("tree", n))
     rng = np.random.default_rng(n)
     a = rng.integers(0, 4, size=(cases, n), dtype=np.uint8)

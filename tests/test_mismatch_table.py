@@ -193,15 +193,35 @@ def test_report_text_peak_memory():
     assert peak <= 3 * len(text)
 
 
+def _faulted_ripple(n):
+    """A width-n ripple adder whose And gate of A[1] and B[1] is an Or."""
+    nl = builders.build(builders.AdderSpec("ripple", n))
+    return faulted(nl, [nl.nodes.index(netlist.Node("and", (nl.a_ports[0], nl.b_ports[0])))])
+
+
+def _failing(n):
+    """``add_batch``'s failing cases of 3000 random cases at width n, and the
+    exhaustive report at width 4, of faulted ripple adders."""
+    rng = np.random.default_rng(4)
+    a, b = rng.integers(0, 4, size=(2, 3000, n), dtype=np.uint8)
+    cin = rng.integers(0, 2, size=3000, dtype=np.uint8)
+    failing = netlist.add_batch(_faulted_ripple(n), a, b, cin, verify._oracle_batch)
+    return failing, verify.check_exhaustive(_faulted_ripple(4))
+
+
 @pytest.mark.parametrize("n", [17, 64])
 def test_failing_reports_do_not_depend_on_the_slice_size(monkeypatch, n):
-    """Packing and unpacking in 64-case slices give the report of one slice
-    a chunk, byte for byte."""
-    nl = builders.build(builders.AdderSpec("ripple", n))
-    ab = nl.nodes.index(netlist.Node("and", (nl.a_ports[0], nl.b_ports[0])))
-    bad = faulted(nl, [ab])
-    want = verify.check_random(bad, 3000, 4).to_json()
+    """Packing in 64-case slices gives, byte for byte, the failing cases and
+    the exhaustive report of one slice a run."""
+    slices, pack = [], netlist._pack   # _pack's slices a call
+    monkeypatch.setattr(netlist, "_pack", lambda planes, data: slices.append(
+        -(-len(data) // netlist.slice_cases(data.shape[1]))) or pack(planes, data))
+    want, want_report = _failing(n)
+    assert want[0].size and not want_report.passed and set(slices) == {1}
+    slices.clear()
     monkeypatch.setattr(netlist, "SLICE_DIGITS", 0)
-    report = verify.check_random(bad, 3000, 4)
-    same = report.to_json() == want   # apart: pytest's diff of two long texts takes minutes
-    assert not report.passed and same
+    got, report = _failing(n)
+    assert max(slices) > 1
+    assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(got, want))
+    same = report.to_json() == want_report.to_json()   # apart: pytest diffs long texts slowly
+    assert same

@@ -1,11 +1,13 @@
-"""The streamed random check: its digits, its chunks, its oracle, its memory.
+"""The streamed random check: its digits, its runs, its oracle, its memory.
 
-``check_random`` runs its cases in chunks; each run draws its input planes'
-64-lane words straight from the PCG64 stream, jumping ahead to its first
-word, and sets the corner and carry-run vectors' lanes by bit mask.  These
-tests pin the drawn planes to ``PCG64.random_raw`` and every case to
-``reference.random_cases``, the bit-sliced oracle to ``oracle_add``, the
-reports to the chunk size and to the cases run, the memory to the chunk and
+Runs are the only chunks: ``add_cases`` runs a check's cases in runs of at
+most ``netlist.RUN_LANES`` cases, each starting on a 64-lane word.  Each run
+of ``check_random`` draws its input planes' words straight from the PCG64
+stream, jumping ahead to its first word, and sets the corner and carry-run
+vectors' lanes by bit mask; an exhaustive check's digits are made whole
+once.  These tests pin the drawn planes to ``PCG64.random_raw`` and every
+case to ``reference.random_cases``, the bit-sliced oracle to ``oracle_add``,
+the reports to the run size and to the cases run, the memory to the run and
 the plane buffer, not the trial count, and ``add_batch``'s plane buffer to
 its budget.
 """
@@ -84,19 +86,19 @@ def test_word_digits_equal_integer_draws(trials, n):
                 assert (plane ^ want) & drawn == 0, (seed, r, offset)
 
 
-@pytest.mark.parametrize("chunk", [4, 5, 13, 17, 64, verify.CHUNK_CASES])
+@pytest.mark.parametrize("chunk", [64, 128, 192, 1024, netlist.RUN_LANES])
 def test_chunked_draws_reproduce_the_one_shot_draws(monkeypatch, chunk):
-    """The input planes of every chunk, read back lane by lane, are the cases
+    """The input planes of every run, read back lane by lane, are the cases
     ``reference.random_cases`` rebuilds from the stream bit by bit: the 18
     corner vectors, the carry-run vectors and then the trials, wherever the
-    chunks start: inside a stream word, before the corner vectors end, on
-    the last one (17) or past them."""
-    monkeypatch.setattr(verify, "CHUNK_CASES", chunk)
+    runs start: inside the carry-run vectors (runs of 64 to 192) or past
+    them."""
+    monkeypatch.setattr(netlist, "RUN_LANES", chunk)
     for (trials, n), seed in itertools.product([*SHAPES, (130, 3), (67, 33)], SEEDS[:5]):
         report, runs = _input_runs(builders.build(builders.AdderSpec("ripple", n)), trials, seed)
         count = report.cases_run
         assert report.passed and count == _structured(n) + trials
-        assert len(runs) == -(-count // chunk)   # one run a chunk
+        assert len(runs) == -(-count // chunk)
         got = np.concatenate([_lanes(*run, min(chunk, count - lo))
                               for run, lo in zip(runs, range(0, count, chunk))])
         want = [(*a, *b, cin) for a, b, cin in reference.random_cases(n, count, seed)]
@@ -176,9 +178,9 @@ def test_reports_do_not_depend_on_the_chunk_size(kind, width, data):
     want = [verify.check_random(nl, trials, seed).to_json()]
     if exhaustive:
         want.append(verify.check_exhaustive(nl).to_json())
-    for chunk in (4, 5, 12, 13, 17):   # chunks that start inside a stream word, and in the vectors
+    for chunk in (64, 128, 192):   # runs that start in the vectors, and split width 2's 512 cases
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(verify, "CHUNK_CASES", chunk)
+            mp.setattr(netlist, "RUN_LANES", chunk)
             got = [verify.check_random(nl, trials, seed).to_json()]
             if exhaustive:
                 got.append(verify.check_exhaustive(nl).to_json())
@@ -187,45 +189,52 @@ def test_reports_do_not_depend_on_the_chunk_size(kind, width, data):
 
 @pytest.mark.parametrize("kind", builders.KINDS)
 def test_exhaustive_reports_do_not_depend_on_the_chunk_size(monkeypatch, kind):
-    """Width 2 has 512 cases, 32 for each a word: chunks of 12 straddle them."""
+    """Width 2 has 512 cases: eight runs of 64, or three of 192, the last one
+    short."""
     nl = builders.build(builders.AdderSpec(kind, 2))
     gates = sorted(nid for group in CARRY_GROUPS for nid in nl.meta["groups"].get(group, ()))
     for checked in (nl, faulted(nl, gates[:1])):
         want = verify.check_exhaustive(checked).to_json()
-        for chunk in (4, 12):
-            monkeypatch.setattr(verify, "CHUNK_CASES", chunk)
+        for chunk in (64, 192):
+            monkeypatch.setattr(netlist, "RUN_LANES", chunk)
             assert verify.check_exhaustive(checked).to_json() == want, chunk
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("chunk", [4, 12, verify.CHUNK_CASES])
+def _cases(rows, lanes: int, cases: int) -> np.ndarray:
+    """``_lanes`` by bytes, for long runs: the first ``cases`` lanes of int
+    rows as case-major qudits (cases, rows)."""
+    data = b"".join(row.to_bytes(lanes // 4, "little") for row in rows)
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+    bits = bits.reshape(len(rows), 2, lanes)[..., :cases]
+    return (bits[:, 1] << 1 | bits[:, 0]).T
+
+
+@pytest.mark.parametrize("chunk", [64, 192, netlist.RUN_LANES])
 def test_exhaustive_chunks_hold_the_indexed_cases(monkeypatch, chunk):
-    """Every chunk holds cases lo..hi-1, case k being (a word k >> (2n + 1),
-    b word (k >> 1) mod 4^n, cin k & 1).  The shipped chunk size is a whole
-    number of the 2 * 4^n-case periods of (b, cin) at every exhaustive width,
-    so each chunk starts a period; chunks of 4 and 12 split them (widths 1
-    and 2 only: every chunk is one ``add_batch`` call)."""
-    widths = range(1, verify.EXHAUSTIVE_WIDTH_BOUND + 1)
-    if chunk == verify.CHUNK_CASES:
-        assert all(chunk % (2 * 4**n) == 0 for n in widths)
-    else:
-        widths = range(1, 3)
-    monkeypatch.setattr(verify, "CHUNK_CASES", chunk)
-    check = verify._check
-
-    def indexed(nl, make, count):
-        n = nl.width
-        words = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.uint8)[:, ::-1]
-        for lo in range(0, count, chunk):
-            k = np.arange(lo, min(lo + chunk, count))
-            want = (words[k >> (2 * n + 1)], words[(k >> 1) % 4**n], (k & 1).astype(np.uint8))
-            for got, part in zip(make(lo, k[-1] + 1), want):
-                assert got.dtype == np.uint8 and np.array_equal(got, part), (n, lo)
-        return check(nl, make, count)
-
-    monkeypatch.setattr(verify, "_check", indexed)
-    for n in widths:
+    """An exhaustive check makes one ``add_batch`` call, its case k being (a
+    word k >> (2n + 1), b word (k >> 1) mod 4^n, cin k & 1), and each run's
+    input rows hold its cases lo..hi-1, at every exhaustive width.  Runs of
+    64 and 192 split the 2 * 4^n-case periods of (b, cin) at width 3 and 4."""
+    monkeypatch.setattr(netlist, "RUN_LANES", chunk)
+    calls, runs = [], []
+    add_batch, oracle = netlist.add_batch, verify._oracle_batch
+    monkeypatch.setattr(netlist, "add_batch", lambda *args: calls.append(args) or add_batch(*args))
+    monkeypatch.setattr(verify, "_oracle_batch",
+                        lambda x, lanes: runs.append((x, lanes)) or oracle(x, lanes))
+    for n in range(1, verify.EXHAUSTIVE_WIDTH_BOUND + 1):
+        calls.clear(), runs.clear()
         assert verify.check_exhaustive(builders.build(builders.AdderSpec("ripple", n))).passed
+        words = np.array(list(itertools.product(range(4), repeat=n)), dtype=np.uint8)[:, ::-1]
+        k = np.arange(2 * 16**n)
+        want = np.column_stack((words[k >> (2 * n + 1)], words[(k >> 1) % 4**n], k & 1))
+        [(_, a, b, cin, _)] = calls
+        assert a.dtype == b.dtype == cin.dtype == np.uint8
+        assert np.array_equal(np.column_stack((a, b, cin)), want), n
+        assert len(runs) == -(-k.size // chunk)
+        got = np.concatenate([_cases(rows, lanes, min(chunk, k.size - lo))
+                              for (rows, lanes), lo in zip(runs, range(0, k.size, chunk))])
+        assert np.array_equal(got, want), n
 
 
 def _peak(nl, trials) -> int:
@@ -294,14 +303,17 @@ def _count_runs(monkeypatch) -> list:
 
 
 def test_plane_buffer_stays_within_the_chunk_budget(monkeypatch):
+    """A 6 MiB budget holds fewer than ``RUN_LANES`` cases of this plan: the
+    budget sets the runs, and the peak stays within it."""
     nl = _or_of_xor_chain(1000)
     verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
     want = verify.check_random(nl, 40000, 3)
-    assert 16 * nl._plan.slots * verify.CHUNK_CASES // 64 > 6 * 2**20   # the shipped chunk's buffer
     monkeypatch.setattr(netlist, "PLANE_BUDGET", 6 * 2**20)
+    step = 64 * (netlist.PLANE_BUDGET // (16 * nl._plan.slots))
+    assert step < netlist.RUN_LANES
     runs = _count_runs(monkeypatch)
     peak, report = reference.traced_peak(verify.check_random, nl, 40000, 3)
-    assert len(runs) > -(-40000 // verify.CHUNK_CASES)   # more kernel runs than add_batch calls
+    assert len(runs) == -(-report.cases_run // step)
     assert peak <= 1.1 * netlist.PLANE_BUDGET, f"peak {peak / 2**20:.2f} MiB"
     same = report.to_json() == want.to_json()   # apart: pytest diffs long texts slowly
     assert not report.passed and same
@@ -329,11 +341,11 @@ def _random_batch(n: int, cases: int):
 
 def test_add_batch_runs_its_cases_within_the_plane_budget(monkeypatch):
     """60,017 cases of a 1,001-row plan at a 6 MiB budget: three runs of
-    392 plane words, the last one ragged, give the sums of one run while the
-    peak stays within one run's buffer plus the outputs."""
+    392 plane words, the last one ragged, give the sums of two ``RUN_LANES``
+    runs while the peak stays within one run's buffer plus the outputs."""
     nl = _or_of_xor_chain(1000)
     a, b, cin = _random_batch(1, 60017)
-    want = netlist.add_batch(nl, a, b, cin)   # one run; compiles the plan outside the trace
+    want = netlist.add_batch(nl, a, b, cin)   # compiles the plan outside the trace
     monkeypatch.setattr(netlist, "PLANE_BUDGET", 6 * 2**20)
     runs = _count_runs(monkeypatch)
     for order in "CF":
@@ -344,6 +356,35 @@ def test_add_batch_runs_its_cases_within_the_plane_budget(monkeypatch):
         assert np.array_equal(s, want[0]) and np.array_equal(cout, want[1])
         assert peak <= 1.1 * netlist.PLANE_BUDGET + s.nbytes + cout.nbytes, \
             f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("budget", [netlist.PLANE_BUDGET, 6 * 2**20])
+def test_every_run_starts_on_a_word_within_run_lanes(monkeypatch, budget):
+    """Every ``source(lo, hi)`` call, from random and exhaustive checks and
+    from ``add_batch``, gets a run that starts on a 64-lane word and holds
+    at most ``RUN_LANES`` cases and no more than the budget allows; the runs
+    cover the cases in order."""
+    monkeypatch.setattr(netlist, "PLANE_BUDGET", budget)
+    calls, add_cases = [], netlist.add_cases
+
+    def spied(nl, cases, source, oracle=None):
+        calls.append([])
+        return add_cases(nl, cases, lambda lo, hi: calls[-1].append((lo, hi)) or source(lo, hi),
+                         oracle)
+
+    monkeypatch.setattr(netlist, "add_cases", spied)
+    chain = _or_of_xor_chain(1000)
+    ripple = builders.build(builders.AdderSpec("ripple", 4))
+    for nl, run in ((chain, lambda: verify.check_random(chain, 70000, 2).cases_run),
+                    (chain, lambda: len(netlist.add_batch(chain, *_random_batch(1, 70017))[1])),
+                    (ripple, lambda: verify.check_exhaustive(ripple).cases_run)):
+        calls.clear()
+        count = run()
+        [spans] = calls
+        step = min(netlist.RUN_LANES, 64 * (budget // (16 * nl._plan.slots)))
+        assert all(lo % 64 == 0 and hi - lo <= step <= netlist.RUN_LANES for lo, hi in spans)
+        assert [lo for lo, _ in spans] == [0, *(hi for _, hi in spans[:-1])]
+        assert spans[-1][1] == count and len(spans) == -(-count // step)
 
 
 @pytest.mark.parametrize("n", [9, 64])
