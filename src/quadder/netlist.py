@@ -93,9 +93,10 @@ class Netlist:
     cout_port: int
     signals: dict = field(default_factory=dict)   # name -> node id
     meta: dict = field(default_factory=dict)      # kind, params, groups, ...
+    _holders: dict = field(init=False, repr=False, compare=False)   # reader id -> holder id
 
     def __post_init__(self):
-        _validate(self)
+        object.__setattr__(self, "_holders", _validate(self))
 
     def output_map(self) -> dict:
         out = {f"S[{i + 1}]": nid for i, nid in enumerate(self.s_ports)}
@@ -107,7 +108,7 @@ class Netlist:
 
     @cached_property
     def _analysis(self) -> _Analysis:
-        return _Analysis(self.nodes)
+        return _Analysis(self.nodes, self._holders)
 
     @cached_property
     def _plan(self) -> _Plan:
@@ -172,7 +173,7 @@ class NetlistBuilder:
         )
 
 
-def _validate(nl: Netlist) -> None:
+def _validate(nl: Netlist) -> dict:
     """One pass over the nodes plus the port, signal and group references.
 
     The only structural check, run once for every netlist, when it is made
@@ -181,17 +182,24 @@ def _validate(nl: Netlist) -> None:
     is not an id), const values are qudits, and the input nodes are exactly
     the A, B and cin ports, which evaluation binds by id.  Only const
     nodes carry a ``value`` and only input nodes a ``name``.
+
+    The walk also applies the prefix rule to each wide gate (fan-in 3 or more)
+    that has passed every check and returns its table {reader id: holder id}:
+    a gate's holder is the latest earlier wide gate of its kind with the same
+    first input, if that gate's inputs are a strict prefix of its own.
     """
     if type(nl.width) is not int or nl.width < 1:
         raise DocumentError("malformed", f"width {nl.width!r} is not a positive integer")
     n = len(nl.nodes)
     n_inputs = 0
+    holders, latest = {}, {kind: {} for kind in MULTI_KINDS}   # latest: first input -> wide gate
     for nid, (kind, ins, value, name) in enumerate(nl.nodes):
         fan_in = _FAN_IN.get(kind) if type(kind) is str else None
         if fan_in is None:
             raise DocumentError("malformed", f"unknown kind {kind!r}")
-        if not fan_in[0] <= len(ins) <= fan_in[1]:
-            _reject_fan_in(nid, kind, len(ins))
+        k = len(ins)
+        if not fan_in[0] <= k <= fan_in[1]:
+            _reject_fan_in(nid, kind, k)
         for i in ins:
             if type(i) is not int or not 0 <= i < nid:
                 _reject_input(nid, i, n)
@@ -204,6 +212,12 @@ def _validate(nl: Netlist) -> None:
             n_inputs += 1
         elif name is not None:
             raise DocumentError("malformed", f"{kind} node {nid} has a name")
+        if k > 2:   # the prefix rule; a gate with no earlier one is its own, not strict, prefix
+            head = latest[kind].get(ins[0], nid)
+            latest[kind][ins[0]] = nid
+            prefix = nl.nodes[head][1]
+            if len(prefix) < k and ins[:len(prefix)] == prefix:
+                holders[nid] = head
     if len(nl.a_ports) != nl.width or len(nl.b_ports) != nl.width or len(nl.s_ports) != nl.width:
         raise DocumentError("malformed", "port vector width mismatch")
     port_names = [*(f"A[{i}]" for i in range(1, nl.width + 1)),
@@ -228,6 +242,7 @@ def _validate(nl: Netlist) -> None:
         if not isinstance(ids, (list, tuple)):
             raise DocumentError("malformed", f"group {group!r} is not a list of ids")
         _check_ids(ids, n, f"group {group!r}")
+    return holders
 
 
 def _reject_fan_in(nid: int, kind: str, got: int) -> None:
@@ -334,38 +349,23 @@ def evaluate_words(nl: Netlist, a, b, cin: int = 0) -> tuple[tuple[int, ...], in
     return tuple(values[i] for i in nl.s_ports), values[nl.cout_port]
 
 
-def _holder(latest: dict, nodes: Sequence[Node], nid: int, ins: tuple) -> int:
-    """The prefix rule of the plan and the analysis, for wide gate ``nid``
-    (fan-in 3 or more), the wide gates of its kind taken in id order: the id
-    of the latest earlier one with first input ``ins[0]`` if its inputs are a
-    strict prefix of ``ins``, else -1.  ``latest`` maps a first input to that
-    gate of this kind, and from now on to ``nid``."""
-    head = latest.get(ins[0], -1)
-    latest[ins[0]] = nid
-    if head >= 0:
-        prefix = nodes[head][1]
-        if len(prefix) < len(ins) and ins[:len(prefix)] == prefix:
-            return head
-    return -1
-
-
 class _Plan(NamedTuple):
     """A netlist compiled for ``_run`` over a batch.
 
     Rows (slots) 0..2n hold the ports A[1..n], B[1..n] and cin, bound by
     port id.  Each step, (kind, input slots, const value, None), computes
-    one live node into its own slot, its entry in ``outs``.  A wide gate whose
-    inputs begin with all the inputs of the latest earlier wide gate of its
-    kind with the same first input reads that gate's slot in place of them
-    (wide: fan-in 3 or more).  Nodes outside the cone of S and cout get no
-    step unless a step reads them as its prefix.  Steps run in the order of
-    the first output (S[j] or cout, taken by node id) whose cone, through
-    those reads, holds their node, then by node id: each node runs just
-    before the first output that needs it, so a value made early for a late
-    output (a P or G read only by the carry network) does not hold a slot
-    while the outputs before it are made.  A slot is reused once the last
-    step reading it has run.  The input and output slots are never reused,
-    so a run's inputs can still be read once its outputs are made.
+    one live node into its own slot, its entry in ``outs``.  A wide gate with
+    a holder (``Netlist._holders``, by ``_validate``'s prefix rule) reads
+    the holder's slot in place of the holder's inputs.  Nodes outside the
+    cone of S and cout get no step unless a step reads them as its prefix.
+    Steps run in the order of the first output (S[j] or cout, taken by node
+    id) whose cone, through those reads, holds their node, then by node id:
+    each node runs just before the first output that needs it, so a value
+    made early for a late output (a P or G read only by the carry network)
+    does not hold a slot while the outputs before it are made.  A slot is
+    reused once the last step reading it has run.  The input and output
+    slots are never reused, so a run's inputs can still be read once its
+    outputs are made.
     """
 
     steps: tuple
@@ -378,12 +378,8 @@ class _Plan(NamedTuple):
         nodes = nl.nodes
         n = len(nodes)
         reads = [node[1] for node in nodes]   # the ids each node's step reads
-        latest = {kind: {} for kind in MULTI_KINDS}
-        for nid in [nid for nid, ins in enumerate(reads) if len(ins) > 2]:
-            ins = reads[nid]
-            head = _holder(latest[nodes[nid][0]], nodes, nid, ins)
-            if head >= 0:
-                reads[nid] = (head, *ins[len(nodes[head][1]):])
+        for nid, head in nl._holders.items():
+            reads[nid] = (head, *reads[nid][len(nodes[head][1]):])
         ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
         outputs = (*nl.s_ports, nl.cout_port)
         first = [n] * n          # id of the first output whose cone holds each node; n: none
@@ -495,8 +491,8 @@ def add_cases(nl: Netlist, cases: int, source, oracle=None):
     With an ``oracle``, ``oracle(ins, lanes)`` gets each run's input rows
     and returns the rows S[1..n] and cout should hold; only the lanes
     where they differ are read back.  The result is then the failing cases'
-    indices, a, b, cin, expected and actual digits; an S or cout digit that
-    no case of its run gets wrong is not read and reads 0 in both.
+    a, b, cin, expected and actual digits, in case order; an S or cout digit
+    that no case of its run gets wrong is not read and reads 0 in both.
     """
     n = nl.width
     plan = nl._plan
@@ -504,7 +500,7 @@ def add_cases(nl: Netlist, cases: int, source, oracle=None):
     if not step:
         raise ValueError(f"the plan's {plan.slots} plane rows take {16 * plan.slots} bytes per "
                          f"64 cases, over the plane budget PLANE_BUDGET = {PLANE_BUDGET} bytes")
-    runs = [(np.empty(0, dtype=np.intp), np.empty((0, 4 * n + 3), dtype=np.uint8))]   # failures
+    runs = [np.empty((0, 4 * n + 3), dtype=np.uint8)]   # the failing cases' digits, a run each
     for lo in range(0, max(cases, 1), step):
         hi = min(lo + step, cases)
         lanes = (hi - lo + 63) // 64 * 64
@@ -529,14 +525,13 @@ def add_cases(nl: Netlist, cases: int, source, oracle=None):
             taken = np.empty((bad.size, len(read)), dtype=np.uint8)
             used, where = np.unique(bad >> 3, return_inverse=True)   # the bytes that hold them
             _digits(read, lanes, taken, used, 8 * where + (bad & 7))
-            runs.append((lo + bad, np.zeros((bad.size, 4 * n + 3), dtype=np.uint8)))
-            runs[-1][1][:, [*range(2 * n + 1), *(2 * n + 1 + j for j in differ),
-                            *(3 * n + 2 + j for j in differ)]] = taken
+            runs.append(np.zeros((bad.size, 4 * n + 3), dtype=np.uint8))
+            runs[-1][:, [*range(2 * n + 1), *(2 * n + 1 + j for j in differ),
+                         *(3 * n + 2 + j for j in differ)]] = taken
     if oracle is None:
         return sums, cout
-    bad, digits = map(np.concatenate, zip(*runs))
-    a, b, cin, want, got = np.split(digits, (n, 2 * n, 2 * n + 1, 3 * n + 2), axis=1)
-    return bad, a, b, cin[:, 0], want, got
+    a, b, cin, want, got = np.split(np.concatenate(runs), (n, 2 * n, 2 * n + 1, 3 * n + 2), axis=1)
+    return a, b, cin[:, 0], want, got
 
 
 def _digits(rows: list, lanes: int, out: np.ndarray, used, take) -> None:
@@ -573,9 +568,9 @@ class _Analysis:
     gates when masks are excluded), and its unit-delay depth under each
     convention (an excluded mask sits at its data input's depth).  Both are
     (included, excluded) pairs, indexed by ``mask_counting == "excluded"``.
-    A wide gate with a holder (``_holder``, the plan's prefix rule) is read
-    through it: its depth is the larger of the holder's and one more than its
-    remaining inputs', and its cone step reads its remaining inputs and
+    A wide gate with a holder in ``holders`` (``Netlist._holders``) is read
+    through it: its depth is the larger of the holder's and one more than
+    its remaining inputs', and its cone step reads its remaining inputs and
     ``n + holder`` (n nodes), which stands for the holder's own reads and is
     never in a cone.  Cones are memoized per signal-id set.  Netlists are
     immutable, so each one computes its analysis on first use and keeps it.
@@ -583,15 +578,13 @@ class _Analysis:
 
     __slots__ = ("reads", "_hidden", "fan_in", "depths", "_cones")
 
-    def __init__(self, nodes: tuple[Node, ...]):
+    def __init__(self, nodes: tuple[Node, ...], holders: Mapping[int, int]):
         n = len(nodes)
-        inc = [0] * n
-        exc = [0] * n
+        inc, exc = [0] * n, [0] * n
         reads = [node[1] for node in nodes]
         fan_inc = list(map(len, reads))   # before a holder rewrites its reader's reads
         fan_exc = fan_inc.copy()
         hidden = []   # n + holder, for each holder
-        latest = {kind: {} for kind in MULTI_KINDS}
         ones = set()   # ids of Const 1 nodes
         for i, (kind, ins, value, _) in enumerate(nodes):
             k = len(ins)
@@ -608,13 +601,12 @@ class _Analysis:
             elif k == 1:
                 inc[i] = inc[ins[0]] + 1
                 exc[i] = exc[ins[0]] + 1
-            elif k == 3:   # a holder is a wide strict prefix, so none here: only _holder's record
+            elif k == 3:   # a holder is a wide strict prefix, so none here
                 x, y, z = ins
-                latest[kind][x] = i
                 inc[i] = 1 + max(inc[x], inc[y], inc[z])
                 exc[i] = 1 + max(exc[x], exc[y], exc[z])
             elif k:
-                h = _holder(latest[kind], nodes, i, ins)
+                h = holders.get(i, -1)
                 if h < 0:
                     get = itemgetter(*ins)
                     inc[i] = 1 + max(get(inc))

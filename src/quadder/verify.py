@@ -174,7 +174,7 @@ def check_exhaustive(nl: Netlist) -> VerifyReport:
     words = (np.arange(4**n) >> 2 * np.arange(n)[:, None] & 3).astype(np.uint8)   # digit-major
     a, b = words.repeat(2 * 4**n, axis=1), np.tile(words.repeat(2, axis=1), 4**n)
     cin = np.tile(np.uint8([0, 1]), 16**n)
-    records = _collect_mismatches(*netlist.add_batch(nl, a.T, b.T, cin, _oracle_batch)[1:])
+    records = _collect_mismatches(*netlist.add_batch(nl, a.T, b.T, cin, _oracle_batch))
     return VerifyReport("exhaustive", cin.size, records, kind=nl.meta.get("kind"), width=n)
 
 
@@ -273,5 +273,5 @@ def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
         del raw, part   # before the rows' ints are made
         return [int.from_bytes(row, "little") for row in buf]
 
-    records = _collect_mismatches(*netlist.add_cases(nl, count, rows, _oracle_batch)[1:])
+    records = _collect_mismatches(*netlist.add_cases(nl, count, rows, _oracle_batch))
     return VerifyReport("random", count, records, seed, nl.meta.get("kind"), n)

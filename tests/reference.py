@@ -7,6 +7,9 @@
 * The document writer and the fan-in lowering: ``netlist.to_json`` writes
   its text from templates and ``netlist.lower_fanin2`` splits each distinct
   wide gate once; these are the direct forms they must match byte for byte.
+* The prefix rule: ``prefix_holders``, the table of wide gates read
+  through an earlier gate holding their prefix, as README words it; every
+  netlist's ``_holders`` must equal it.
 * The paper's value-level model: the derived operators, the half/full
   adders, propagate/generate and the carry recurrences, the printed Tables I
   and II with their check, and a scalar integer oracle.  The builders are
@@ -222,6 +225,25 @@ def lower_fanin2(nl: Netlist) -> Netlist:
         signals=signals,
         meta=meta,
     )
+
+
+def prefix_holders(nodes) -> dict:
+    """{reader id: holder id}: a wide gate (fan-in 3 or more) whose inputs
+    begin with all the inputs of an earlier wide gate of its kind, that
+    gate being the latest wide gate of the kind with the same first input.
+    The wide gates are listed by (kind, first input) in id order, so each
+    one's candidate is the one listed before it."""
+    lists: dict = {}
+    for nid, node in enumerate(nodes):
+        if len(node.inputs) >= 3:
+            lists.setdefault((node.kind, node.inputs[0]), []).append(nid)
+    holders = {}
+    for ids in lists.values():
+        for earlier, reader in zip(ids, ids[1:]):
+            prefix, inputs = list(nodes[earlier].inputs), list(nodes[reader].inputs)
+            if len(prefix) < len(inputs) and inputs[:len(prefix)] == prefix:
+                holders[reader] = earlier
+    return holders
 
 
 # --- derived operators and digit words ---

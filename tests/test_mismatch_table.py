@@ -1,8 +1,9 @@
 """verify's mismatch records and report text against their definition.
 
-The reference evaluates every case with the scalar evaluator and the
-integer oracle, makes one dict per wrong output signal, sorts the dicts in
-Python by (a, b, cin, signal) and writes the report with
+The reference evaluates every case as one lane of a single scalar-evaluator
+node walk (``netlist._run`` over the nodes, no plan) and with the integer
+oracle, makes one dict per wrong output signal, sorts the dicts in Python
+by (a, b, cin, signal) and writes the report with
 ``json.dumps(doc, indent=2)``.  The netlists are built adders with up to
 three gates of their carry network (at least one where it has any)
 changed to another kind of the same fan-in.  The writer is also checked
@@ -44,13 +45,33 @@ def cases(n, mode, trials, seed):
     return reference.random_cases(n, structured + trials, seed)
 
 
+def node_walk(nl, runs):
+    """Each case's S[1..n] and cout digits, from one ``netlist._run`` over
+    ``nl.nodes`` with case k as lane k: every port row packed from its
+    digits, the output rows read back with numpy."""
+    lanes = len(runs)
+    digits = np.array([(*a, *b, cin) for a, b, cin in runs], dtype=np.uint8).reshape(lanes, -1)
+    rows = [0] * len(nl.nodes)
+
+    def plane(bits):
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    for pid, column in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), digits.T):
+        rows[pid] = plane(column >> 1) << lanes | plane(column & 1)
+    netlist._run(nl.nodes, range(len(rows)), rows, lanes)
+    size = -(-2 * lanes // 8)
+    out = [rows[i] for i in (*nl.s_ports, nl.cout_port)]
+    bits = np.unpackbits(np.frombuffer(b"".join(row.to_bytes(size, "little") for row in out),
+                                       np.uint8).reshape(len(out), size), axis=1, bitorder="little")
+    return (bits[:, lanes:2 * lanes] << 1 | bits[:, :lanes]).T.tolist()
+
+
 def reference_records(nl, runs):
     names = [*(f"S[{j + 1}]" for j in range(nl.width)), "cout"]
     records = []
-    for a, b, cin in runs:
-        got_s, got_c = netlist.evaluate_words(nl, a, b, cin)
+    for (a, b, cin), outputs in zip(runs, node_walk(nl, runs)):
         want_s, want_c = reference.oracle_add(a, b, cin)
-        for signal, want, got in zip(names, (*want_s, want_c), (*got_s, got_c)):
+        for signal, want, got in zip(names, (*want_s, want_c), outputs):
             if want != got:
                 records.append({"a": list(a), "b": list(b), "cin": cin, "signal": signal,
                                 "expected": want, "actual": got})
