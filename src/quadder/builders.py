@@ -189,28 +189,27 @@ class _Scaffold:
     def pnode(self, i: int, j: int) -> int:
         if i == j:
             return self.p[i]
-        key = (i, j)
-        if key not in self.pmemo:
+        nid = self.pmemo.get((i, j))
+        if nid is None:
             m = 1 << floor_log2(j - i)
             left = self.pnode(i, j - m)
             right = self.pnode(j - m + 1, j)
-            self.pmemo[key] = self.nb.add(AND, left, right, group="product_tree")
-        return self.pmemo[key]
+            nid = self.pmemo[i, j] = self.nb.add(AND, left, right, group="product_tree")
+        return nid
 
     def qnode(self, i: int, j: int) -> int:
         if i == j:
             return self.cin if i == 1 else self.g[i - 1]
-        key = (i, j)
-        if key not in self.qmemo:
+        nid = self.qmemo.get((i, j))
+        if nid is None:
             m = 1 << floor_log2(i - j)
             upper = self.qnode(i, i - m + 1)
             lower = self.qnode(i - m, j)
             pr = self.pnode(i - m, i - 1)
             t = self.nb.add(AND, lower, pr, group="carry_tree")
-            nid = self.nb.add(OR, upper, t, group="carry_tree")
-            self.qmemo[key] = nid
+            nid = self.qmemo[i, j] = self.nb.add(OR, upper, t, group="carry_tree")
             self.q_keys.append([i, j, nid])
-        return self.qmemo[key]
+        return nid
 
     def full_cell(self, i: int, cin_i: int, group: str, want_cout: bool):
         """One ripple full-adder cell; returns (sum id, masked cout id)."""

@@ -203,7 +203,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        with netlist.collector_paused():   # a command makes no reference cycle worth a pass
+            return args.fn(args)
     except ValueError as exc:   # a DocumentError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
@@ -60,6 +61,21 @@ _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 SLICE_DIGITS = 2**20   # digits per slice when a batch's inputs are packed
 PLANE_BUDGET = 2**25   # bytes of plane rows per add_cases run, 16 a row per 64 cases
 RUN_LANES = 2**15      # cases per add_cases run at most, a whole number of 64-lane words
+
+
+@contextmanager
+def collector_paused():
+    """Run a block with the cyclic garbage collector paused, and turn it back
+    on afterwards, on every exit, only if it was on.  For work whose objects
+    are in no reference cycle: refcounting frees them, and a collector pass
+    would only walk them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class DocumentError(ValueError):
@@ -138,7 +154,10 @@ class NetlistBuilder:
         if nid == new:
             self.nodes.append(node)
             if group is not None:
-                self.groups.setdefault(group, []).append(nid)
+                try:
+                    self.groups[group].append(nid)
+                except KeyError:   # the group's first gate
+                    self.groups[group] = [nid]
         return nid
 
     def add_input(self, name: str) -> int:
@@ -328,18 +347,32 @@ def _run(steps, outs, rows: list, lanes: int) -> None:
             rows[out] = (-(value >> 1) & ones) << lanes | -(value & 1) & ones
 
 
+def _through_holders(nl: Netlist) -> Sequence:
+    """The nodes as ``_run`` steps by node id, each wide gate with a holder
+    (``Netlist._holders``) reading ``(holder, *rest)``: the holder stands for
+    the prefix of its reader's inputs that it reads itself."""
+    nodes = nl.nodes
+    if not nl._holders:
+        return nodes
+    steps = list(nodes)
+    for nid, head in nl._holders.items():
+        kind, ins, value, name = nodes[nid]
+        steps[nid] = (kind, (head, *ins[len(nodes[head][1]):]), value, name)
+    return steps
+
+
 def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
-    """Every node's value by id, from one lane of ``_run`` over the nodes
-    themselves, so nothing is compiled.  The digit words a and b (index 0 =
-    least significant) and cin bind to the A, B and cin ports by port id.
-    They are the only values checked: every netlist's const values are
-    checked when it is made, and every gate maps qudits to qudits.
+    """Every node's value by id, from one lane of ``_run`` over the nodes read
+    through their holders, so nothing is compiled.  The digit words a and b
+    (index 0 = least significant) and cin bind to the A, B and cin ports by
+    port id.  They are the only values checked: every netlist's const values
+    are checked when it is made, and every gate maps qudits to qudits.
     """
     values: list = [0] * len(nl.nodes)
     digits = (*_check_word(a, nl.width), *_check_word(b, nl.width), _check_qudit(cin))
     for pid, digit in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), digits):
         values[pid] = digit
-    _run(nl.nodes, range(len(values)), values, 1)
+    _run(_through_holders(nl), range(len(values)), values, 1)
     return values
 
 
@@ -375,11 +408,9 @@ class _Plan(NamedTuple):
 
     @classmethod
     def compile(cls, nl: Netlist) -> _Plan:
-        nodes = nl.nodes
+        nodes = _through_holders(nl)
         n = len(nodes)
         reads = [node[1] for node in nodes]   # the ids each node's step reads
-        for nid, head in nl._holders.items():
-            reads[nid] = (head, *reads[nid][len(nodes[head][1]):])
         ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
         outputs = (*nl.s_ports, nl.cout_port)
         first = [n] * n          # id of the first output whose cone holds each node; n: none
@@ -799,13 +830,8 @@ def _reject_unknown(obj: dict, known: frozenset, where: str) -> None:
 
 
 def from_json(text: str | bytes) -> Netlist:
-    enabled = gc.isenabled()
-    gc.disable()   # the parse tree is acyclic and dies here: a collector pass would only walk it
-    try:
+    with collector_paused():   # the parse tree is acyclic and dies here: a pass would only walk it
         return _parse(text)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _parse(text: str | bytes) -> Netlist:

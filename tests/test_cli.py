@@ -1,5 +1,6 @@
 """Command-line integration: flows, exit codes, determinism."""
 
+import gc
 import json
 import time
 
@@ -272,6 +273,41 @@ def test_write_failure_maps_to_exit_1(tmp_path, capsys):
                        "--out", str(target))
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_command_runs_with_the_collector_paused_and_restores_it(tmp_path, monkeypatch,
+                                                                  capsys, enabled):
+    """A command runs with the cyclic collector paused, and ``main`` turns it
+    back on only if it was on, on every exit: 0, 1 (a mismatch, a failed
+    write), 2 (a bad width, an unreadable document, a usage error)."""
+    doc, faulty = tmp_path / "r2.json", tmp_path / "faulty.json"
+    run(capsys, "build", "--kind", "ripple", "--width", "2", "--out", str(doc))
+    broken = json.loads(doc.read_text())
+    next(node for node in broken["nodes"] if node["kind"] == "xor")["kind"] = "or"
+    faulty.write_text(json.dumps(broken))
+    seen = []   # the collector's state inside eval's evaluation
+    evaluate = netlist.evaluate_words
+    monkeypatch.setattr(netlist, "evaluate_words",
+                        lambda *args: seen.append(gc.isenabled()) or evaluate(*args))
+    cases = [
+        (0, ["eval", "--netlist", str(doc), "--a", "12", "--b", "21"]),
+        (0, ["analyze", "--kind", "tree", "--width", "3"]),
+        (1, ["verify", "--netlist", str(faulty), "--exhaustive"]),
+        (1, ["build", "--kind", "tree", "--width", "2", "--out", str(tmp_path / "no" / "x")]),
+        (2, ["build", "--kind", "tree", "--width", "0", "--out", str(tmp_path / "x.json")]),
+        (2, ["eval", "--netlist", str(tmp_path / "missing.json"), "--a", "1", "--b", "2"]),
+        (2, ["verify", "--kind", "tree", "--width", "2"]),   # argparse: no mode
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for code, argv in cases:
+            gc.enable() if enabled else gc.disable()
+            assert run(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == [False]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

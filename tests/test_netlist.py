@@ -14,6 +14,7 @@ from strategies import RepeatingBuilder
 
 from quadder import netlist
 from quadder.builders import KINDS, AdderSpec, build
+from quadder.cli import main
 from quadder.netlist import (
     AND,
     BITSWAP,
@@ -372,6 +373,42 @@ def test_import_leaves_no_cyclic_garbage():
                 nl._analysis, nl._plan
         del built, imported, lowered, nl
         assert gc.collect() == 0
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_commands_leave_the_same_cyclic_garbage_at_any_width(tmp_path, capsys):
+    """The command pause's premise: what a command leaves for the collector
+    does not grow with the width, so a pause for the whole command postpones
+    a fixed amount.  Each command's ``gc.collect()`` count after it runs is the
+    same at widths 2 and 16 (3 for an exhaustive check), after one warm-up
+    run of every command at width 1 makes the lazy set-up."""
+    def argvs(n):
+        doc = str(tmp_path / f"t{n}.json")
+        return [["build", "--kind", "tree", "--width", str(n), "--out", doc],
+                ["build", "--kind", "tree", "--width", str(n), "--out", doc + ".dot",
+                 "--format", "dot"],
+                ["eval", "--netlist", doc, "--a", "1" * n, "--b", "2" * n],
+                ["verify", "--netlist", doc, "--random", "100"],
+                ["verify", "--kind", "sparse", "--width", str(n), "--random", "100"],
+                ["verify", "--kind", "single", "--width", str(min(n, 3)), "--exhaustive"],
+                ["analyze", "--kind", "hybrid", "--width", str(n), "--block", "1"],
+                ["sweep", "--kinds", "tree,sparse", "--widths", f"1..{n}"]]
+
+    def counts(n):
+        found = []
+        for argv in argvs(n):
+            gc.collect()
+            assert main(argv) == 0
+            found.append(gc.collect())
+        capsys.readouterr()
+        return found
+
+    was_enabled = gc.isenabled()
+    gc.disable()   # so no automatic pass collects a cycle before a count
+    try:
+        counts(1)
+        assert counts(2) == counts(16)
     finally:
         gc.enable() if was_enabled else gc.disable()
 

@@ -6,12 +6,15 @@ both read its table.  The table must equal ``reference.prefix_holders`` on
 built adders, on random netlists, on their imported documents and on
 ``dataclasses.replace`` copies.  Import must still type- and range-check
 every input id of a reader, its prefix ids too, and reject with the
-message it gave before the rule ran there.
+message it gave before the rule ran there.  One-lane evaluation reads
+through the holders too, and must give every node the value of a walk
+over the nodes themselves.
 """
 
 import copy
 import dataclasses
 import json
+import random
 
 import pytest
 import reference
@@ -71,6 +74,37 @@ def test_table_matches_the_reference_on_random_netlists_and_their_copies(nl, dat
         nodes = list(nl.nodes)
         nodes[nid] = nodes[nid]._replace(inputs=tuple(ins))
         _same_table(dataclasses.replace(nl, nodes=tuple(nodes)))
+
+
+def _raw_nodes(nl, a, b, cin):
+    """Every node's value from one lane of ``_run`` over the nodes themselves,
+    every input of every gate read, with no holder."""
+    values = [0] * len(nl.nodes)
+    for pid, digit in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), (*a, *b, cin)):
+        values[pid] = digit
+    netlist._run(nl.nodes, range(len(values)), values, 1)
+    return values
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3]).flatmap(netlists), st.data())
+def test_evaluate_nodes_through_holders_equals_the_raw_nodes_on_random_netlists(nl, data):
+    """Prefix readers and near misses, with the reader inside or outside
+    the cone: every node's value read through the holders is the one its
+    own inputs give."""
+    digits = st.lists(st.integers(0, 3), min_size=nl.width, max_size=nl.width)
+    a, b, cin = data.draw(digits), data.draw(digits), data.draw(st.integers(0, 1))
+    assert netlist.evaluate_nodes(nl, a, b, cin) == _raw_nodes(nl, a, b, cin)
+
+
+def test_evaluate_nodes_through_holders_equals_the_raw_nodes_on_single_stage():
+    rng = random.Random(36)
+    for n in range(1, 17):
+        nl = build(AdderSpec("single_stage", n))
+        for _ in range(8):
+            a, b = [rng.randrange(4) for _ in range(n)], [rng.randrange(4) for _ in range(n)]
+            cin = rng.randrange(2)
+            assert netlist.evaluate_nodes(nl, a, b, cin) == _raw_nodes(nl, a, b, cin)
 
 
 def _chain():
