@@ -20,6 +20,7 @@ from operator import and_, index, itemgetter, or_, xor
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+import orjson
 
 # gate kind tags (serialized verbatim)
 AND = "and"
@@ -829,16 +830,78 @@ def _reject_unknown(obj: dict, known: frozenset, where: str) -> None:
         raise DocumentError("malformed", f"unknown field {min(unknown)!r} in {where}")
 
 
+# orjson recurses once per nesting level, about 60 B of C stack each, with no depth limit.
+# A text's count of "[" plus "{" bounds its nesting, so at most this many need about 2 MiB
+# of stack (a 3 MiB thread reads them, the main thread has 8); a text with more goes to
+# json.loads, which stops at the recursion limit.
+_ORJSON_BRACKETS = 2**15
+# Free-form values nested deeper go to json.loads: its limit is the recursion limit less
+# the caller's frames (about 995 levels from a shallow caller), so the two parsers agree
+# for any caller with this many frames of the limit to spare.
+_FREE_DEPTH = 100
+
+
 def from_json(text: str | bytes) -> Netlist:
+    """The netlist of a version-1 document, or ``DocumentError(reason)`` if it cannot be imported.
+
+    ``text`` is a str, or bytes in any encoding ``json.loads`` detects.  The outcome is
+    always the one a ``json.loads`` parse gives: the same netlist, or the same DocumentError
+    and message.  orjson parses a str, bytes or bytearray with at most ``_ORJSON_BRACKETS``
+    brackets first; ``json.loads`` parses the text again when orjson refuses it, when the
+    netlist made from orjson's parse is rejected, and when a free-form value may have been
+    read otherwise (``_read_alike``).  Anything else goes to ``json.loads`` alone.
+    """
     with collector_paused():   # the parse tree is acyclic and dies here: a pass would only walk it
+        if _few_brackets(text):
+            try:
+                nl = _from_doc(orjson.loads(text))
+            except (ValueError, RecursionError):   # refused or rejected: json.loads says why
+                pass
+            else:
+                if _read_alike(value for key, value in nl.meta.items() if key != "groups"):
+                    return nl
         return _parse(text)
 
 
+def _few_brackets(text) -> bool:
+    """Whether text is a str, bytes or bytearray with at most ``_ORJSON_BRACKETS`` of "[" and
+    "{", counted in place: a copy would cost as much memory as the text."""
+    if type(text) is str:
+        return text.count("[") + text.count("{") <= _ORJSON_BRACKETS
+    if type(text) is bytes or type(text) is bytearray:
+        return text.count(b"[") + text.count(b"{") <= _ORJSON_BRACKETS
+    return False
+
+
+def _read_alike(values: Iterable) -> bool:
+    """Whether orjson read these free-form values as ``json.loads`` does: no float of magnitude
+    2**63 or more or not finite (orjson reads an int outside [-2**63, 2**64) as a float, and
+    a finite float that large is integral), and no nesting past ``_FREE_DEPTH``.  No other
+    field needs the walk: validation rejects a float or a container in any of them."""
+    stack = [(value, 0) for value in values]
+    while stack:
+        value, depth = stack.pop()
+        if type(value) is float:
+            if not abs(value) < 2.0**63:   # nan fails too
+                return False
+        elif type(value) is list or type(value) is dict:
+            if depth == _FREE_DEPTH:
+                return False
+            stack += ((v, depth + 1) for v in (value.values() if type(value) is dict else value))
+    return True
+
+
 def _parse(text: str | bytes) -> Netlist:
+    """``from_json`` with ``json.loads`` as its only parser."""
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:   # bad JSON, bad UTF-8, a huge int; too deep
+    except (ValueError, RecursionError) as exc:   # bad JSON or UTF-8, a 4301-digit int; too deep
         raise DocumentError("malformed", f"invalid JSON ({exc})") from exc
+    return _from_doc(doc)
+
+
+def _from_doc(doc) -> Netlist:
+    """The netlist of a parsed document, or the DocumentError that rejects it."""
     if not isinstance(doc, dict):
         raise DocumentError("malformed", "document is not an object")
     version = doc.get("version")

@@ -7,6 +7,9 @@
 * The document writer and the fan-in lowering: ``netlist.to_json`` writes
   its text from templates and ``netlist.lower_fanin2`` splits each distinct
   wide gate once; these are the direct forms they must match byte for byte.
+  The document reader: ``netlist.from_json`` parses with orjson where it
+  can, and ``from_json`` here with ``json.loads`` alone; every document must
+  give both the same outcome.
 * The prefix rule: ``prefix_holders``, the table of wide gates read
   through an earlier gate holding their prefix, as README words it; every
   netlist's ``_holders`` must equal it.
@@ -29,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from quadder import netlist
 from quadder.netlist import (
     AND,
     BITSWAP,
@@ -41,6 +45,7 @@ from quadder.netlist import (
     OR,
     OUTWARD,
     XOR,
+    DocumentError,
     Netlist,
     NetlistBuilder,
 )
@@ -181,6 +186,16 @@ def to_json(nl: Netlist) -> str:
         "meta": meta,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def from_json(text) -> Netlist:
+    """The import with ``json.loads`` as its only parser, as it was before orjson:
+    ``netlist.from_json`` must give the same netlist or the same DocumentError."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError("malformed", f"invalid JSON ({exc})") from exc
+    return netlist._from_doc(doc)
 
 
 def lower_fanin2(nl: Netlist) -> Netlist:
