@@ -11,11 +11,10 @@ from __future__ import annotations
 import gc
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import and_, index, itemgetter, or_, xor
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -773,55 +772,39 @@ def count_group(nl: Netlist, group: str, mask_counting: str = "included") -> tup
 # --- serialization ---
 
 
-def _dump(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` for a value nested at indent ``pad``: strings, ints,
-    lists and string-keyed objects here, the rest by ``json.dumps`` with ``pad`` added."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return str(value)
-    inner = pad + "  "
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        items, brackets = (f"{encode_basestring_ascii(k)}: {_dump(v, inner)}"
-                           for k, v in value.items()), "{}"
-    elif type(value) in (list, tuple) and value:
-        ints = all(type(x) is int for x in value)
-        items, brackets = map(str, value) if ints else (_dump(x, inner) for x in value), "[]"
-    else:
-        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
-
-
 def to_json(nl: Netlist) -> str:
-    """The netlist as a version-1 document, laid out as ``json.dumps(doc, indent=2)``.
+    """The netlist as a version-1 document: exactly ``json.dumps(doc, indent=2) + "\\n"``.
 
-    A valid node needs no escaping: its kind is an ASCII tag, its ids and
-    value are ints, and its name is a port name.
+    orjson writes the document when that gives the same bytes: when its free-form values are
+    plain (``_plain``), orjson raises no ``TypeError`` (an int outside 64 bits, a key that is
+    not a str, a lone surrogate) and its output is ASCII without DEL, which ``json.dumps``
+    escapes.  Otherwise ``json.dumps`` writes it.  Node inputs and port vectors are written
+    as the tuples or lists they are.
     """
-    records = []
-    sep = ",\n        "   # between a record's input ids
-    ids = list(map(str, range(len(nl.nodes))))   # each id's text, made once
-    for nid, (kind, ins, value, name) in zip(ids, nl.nodes):
-        ins = f"[\n        {sep.join(map(ids.__getitem__, ins))}\n      ]" if ins else "[]"
-        record = f'    {{\n      "id": {nid},\n      "kind": "{kind}",\n      "inputs": {ins}'
+    nodes = []
+    for nid, (kind, ins, value, name) in enumerate(nl.nodes):
+        record = {"id": nid, "kind": kind, "inputs": ins}
         if value is not None:
-            record += f',\n      "value": {value}'
+            record["value"] = value
         if name is not None:
-            record += f',\n      "name": "{name}"'
-        records.append(record + "\n    }")
-    meta = {k: v for k, v in nl.meta.items() if k not in ("kind", "params")}
-    ports = dict(A=nl.a_ports, B=nl.b_ports, cin=nl.cin_port, S=nl.s_ports, cout=nl.cout_port)
-    fields = (
-        f'"version": {DOC_VERSION}',
-        f'"kind": {_dump(nl.meta.get("kind", "custom"), "  ")}',
-        f'"width": {nl.width}',
-        f'"params": {_dump(nl.meta.get("params", {}), "  ")}',
-        '"nodes": [\n' + ",\n".join(records) + "\n  ]",
-        f'"ports": {_dump(ports, "  ")}',
-        f'"signals": {_dump(nl.signals, "  ")}',
-        f'"meta": {_dump(meta, "  ")}',
-    )
-    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+            record["name"] = name
+        nodes.append(record)
+    doc = {
+        "version": DOC_VERSION,
+        "kind": nl.meta.get("kind", "custom"),
+        "width": nl.width,
+        "params": nl.meta.get("params", {}),
+        "nodes": nodes,
+        "ports": dict(A=nl.a_ports, B=nl.b_ports, cin=nl.cin_port, S=nl.s_ports, cout=nl.cout_port),
+        "signals": dict(nl.signals),
+        "meta": {k: v for k, v in nl.meta.items() if k not in ("kind", "params")},
+    }
+    if _plain(nl.meta):
+        with suppress(TypeError):   # orjson refuses the document: json.dumps writes it
+            out = orjson.dumps(doc, option=orjson.OPT_INDENT_2)
+            if out.isascii() and b"\x7f" not in out:
+                return out.decode() + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _reject_unknown(obj: dict, known: frozenset, where: str) -> None:
@@ -835,9 +818,9 @@ def _reject_unknown(obj: dict, known: frozenset, where: str) -> None:
 # of stack (a 3 MiB thread reads them, the main thread has 8); a text with more goes to
 # json.loads, which stops at the recursion limit.
 _ORJSON_BRACKETS = 2**15
-# Free-form values nested deeper go to json.loads: its limit is the recursion limit less
-# the caller's frames (about 995 levels from a shallow caller), so the two parsers agree
-# for any caller with this many frames of the limit to spare.
+# Free-form values nested deeper go to json.loads, and are written by json.dumps: their
+# limit is the recursion limit less the caller's frames (about 995 levels from a shallow
+# caller), so the two codecs agree for any caller with this many frames of the limit to spare.
 _FREE_DEPTH = 100
 
 
@@ -849,7 +832,7 @@ def from_json(text: str | bytes) -> Netlist:
     and message.  orjson parses a str, bytes or bytearray with at most ``_ORJSON_BRACKETS``
     brackets first; ``json.loads`` parses the text again when orjson refuses it, when the
     netlist made from orjson's parse is rejected, and when a free-form value may have been
-    read otherwise (``_read_alike``).  Anything else goes to ``json.loads`` alone.
+    read otherwise (``_plain``).  Anything else goes to ``json.loads`` alone.
     """
     with collector_paused():   # the parse tree is acyclic and dies here: a pass would only walk it
         if _few_brackets(text):
@@ -858,7 +841,7 @@ def from_json(text: str | bytes) -> Netlist:
             except (ValueError, RecursionError):   # refused or rejected: json.loads says why
                 pass
             else:
-                if _read_alike(value for key, value in nl.meta.items() if key != "groups"):
+                if _plain(nl.meta):
                     return nl
         return _parse(text)
 
@@ -873,21 +856,25 @@ def _few_brackets(text) -> bool:
     return False
 
 
-def _read_alike(values: Iterable) -> bool:
-    """Whether orjson read these free-form values as ``json.loads`` does: no float of magnitude
-    2**63 or more or not finite (orjson reads an int outside [-2**63, 2**64) as a float, and
-    a finite float that large is integral), and no nesting past ``_FREE_DEPTH``.  No other
-    field needs the walk: validation rejects a float or a container in any of them."""
-    stack = [(value, 0) for value in values]
+def _plain(meta: Mapping) -> bool:
+    """Whether orjson and ``json`` read and write the free-form values alike: the values of
+    ``meta`` but for ``groups`` (``kind`` and ``params`` are among them) hold only str, int,
+    bool and None, in lists, tuples and dicts (exact types) nested at most ``_FREE_DEPTH``
+    levels.  No float: orjson writes ``1e16`` where ``json.dumps`` writes ``1e+16``, and reads
+    an int outside [-2**63, 2**64) as a float.  No other type: orjson writes an enum, a
+    dataclass or a date where ``json.dumps`` raises.  The other fields need no walk: validation
+    rejects a float or a container in any of them, and ``groups`` holds only lists or tuples
+    of ints."""
+    stack = [(value, 0) for key, value in meta.items() if key != "groups"]
     while stack:
         value, depth = stack.pop()
-        if type(value) is float:
-            if not abs(value) < 2.0**63:   # nan fails too
-                return False
-        elif type(value) is list or type(value) is dict:
+        kind = type(value)
+        if kind is list or kind is tuple or kind is dict:
             if depth == _FREE_DEPTH:
                 return False
-            stack += ((v, depth + 1) for v in (value.values() if type(value) is dict else value))
+            stack += ((v, depth + 1) for v in (value.values() if kind is dict else value))
+        elif kind is not str and kind is not int and kind is not bool and value is not None:
+            return False
     return True
 
 

@@ -5,8 +5,9 @@
   walk over it.  The netlist's table of gate kinds and its evaluator, on one
   case and on a batch, are checked against them.
 * The document writer and the fan-in lowering: ``netlist.to_json`` writes
-  its text from templates and ``netlist.lower_fanin2`` splits each distinct
-  wide gate once; these are the direct forms they must match byte for byte.
+  its text with orjson where the two agree and ``netlist.lower_fanin2``
+  splits each distinct wide gate once; these are the direct forms they must
+  match byte for byte.
   The document reader: ``netlist.from_json`` parses with orjson where it
   can, and ``from_json`` here with ``json.loads`` alone; every document must
   give both the same outcome.

@@ -193,7 +193,8 @@ def parses(monkeypatch):
         seen["json"].append(text)
         return parse(text)
 
-    monkeypatch.setattr(netlist, "orjson", types.SimpleNamespace(loads=orjson_loads))
+    monkeypatch.setattr(netlist, "orjson", types.SimpleNamespace(
+        loads=orjson_loads, dumps=netlist.orjson.dumps, OPT_INDENT_2=netlist.orjson.OPT_INDENT_2))
     monkeypatch.setattr(netlist, "_parse", json_parse)
     return seen
 
@@ -213,8 +214,8 @@ def test_no_text_past_the_bracket_bound_reaches_orjson(parses):
 
 
 @pytest.mark.parametrize("value, exact", [
-    (2**63 - 1, True), (2**64 - 1, True), (-2**63, True), (1.5, True), (-0.0, True),
-    (2.0**63 - 1024, True), ("x" * 100, True),
+    (2**63 - 1, True), (2**64 - 1, True), (-2**63, True), (1.5, False), (-0.0, False),
+    (2.0**63 - 1024, False), ("x" * 100, True),
     (2**64, False), (-2**63 - 1, False), (2.0**63, False), (1e19, False), (-1e300, False),
 ])
 def test_values_orjson_may_read_otherwise_go_to_json_loads(parses, value, exact):

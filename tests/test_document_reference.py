@@ -1,11 +1,18 @@
-"""The template document writer and the memoized fan-in lowering against the
-plain reference forms in reference.py, byte for byte."""
+"""The document writer (orjson, with ``json.dumps`` wherever the two could
+differ) and the memoized fan-in lowering against the plain reference forms in
+reference.py, byte for byte."""
 
+import collections
 import copy
 import dataclasses
+import datetime
+import enum
 import functools
 import json
+import types
 
+import numpy as np
+import orjson
 import pytest
 import reference
 from hypothesis import given, settings
@@ -16,8 +23,11 @@ from quadder import builders, netlist
 BASE = json.loads(netlist.to_json(builders.build(builders.AdderSpec("ripple", 2))))
 
 TEXT = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t", "\x00\x1f", "é€😀", " ",
-                                               "\ud800", "</script>", ""])
-SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | TEXT)
+                                               "\ud800", "</script>", "", "\x7f"])
+# Floats on both sides of the bounds where json.dumps turns to an exponent (1e-4, 1e16).
+EDGES = st.sampled_from([1e-4, 9.999999999999999e-05, -1e-4, 1e-05,
+                         1e16, 9999999999999998.0, -1e16, 1.0000000000000002e16])
+SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | EDGES | TEXT)
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
                       | st.dictionaries(TEXT, inner, max_size=3), max_leaves=10)
 
@@ -52,6 +62,107 @@ def test_writer_matches_json_dumps_on_imported_odd_values(kind, params, meta, si
     assert netlist.to_json(nl) == reference.to_json(nl)
     nl = dataclasses.replace(nl, meta={**nl.meta, "keyed": keyed})
     assert netlist.to_json(nl) == reference.to_json(nl)
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """How many times ``to_json`` called ``orjson.dumps`` and ``json.dumps``."""
+    seen = {"orjson": 0, "json": 0}
+
+    def counted(name, dumps):
+        def call(*args, **kwargs):
+            seen[name] += 1
+            return dumps(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(netlist, "orjson", types.SimpleNamespace(
+        loads=orjson.loads, dumps=counted("orjson", orjson.dumps),
+        OPT_INDENT_2=orjson.OPT_INDENT_2))
+    monkeypatch.setattr(netlist, "json", types.SimpleNamespace(
+        loads=json.loads, dumps=counted("json", json.dumps)))
+    return seen
+
+
+def _nested(depth: int):
+    value = 0
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value}
+    return value
+
+
+class _Colour(enum.Enum):
+    RED = 1
+
+
+@dataclasses.dataclass
+class _Pair:
+    x: int = 1
+
+
+def _short(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 30 else f"depth-{text.count('[') + text.count('{')}"
+
+
+def _outcome(write, nl):
+    """The text written, or the message of the TypeError raised."""
+    try:
+        return write(nl)
+    except TypeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", builders.KINDS)
+def test_built_documents_are_written_by_orjson_alone(writes, kind):
+    for nl in (_built(kind, 16), netlist.lower_fanin2(_built(kind, 5))):
+        writes.update(orjson=0, json=0)
+        assert netlist.to_json(nl) == reference.to_json(nl), kind
+        assert writes == {"orjson": 1, "json": 0}, kind
+
+
+@pytest.mark.parametrize("value", [
+    1.5, -0.0, 1e16, 1e-05, float("nan"), float("inf"), 2**64, -2**63 - 1, "é", "\x7f",
+    "\ud800", {1: 0}, (1.5,), collections.namedtuple("Point", "x y")(1, 2), _nested(101),
+    _nested(300), _Colour.RED, _Pair(), datetime.date(2020, 1, 1), np.float64(0.5),
+    [np.int64(3)],
+], ids=_short)
+def test_values_orjson_may_write_otherwise_go_to_json_dumps(writes, value):
+    """Floats, ints outside 64 bits, text json.dumps escapes and orjson does not,
+    keys that are not str, a namedtuple, nesting past ``_FREE_DEPTH`` and types
+    orjson writes where json.dumps raises (an enum, a dataclass, a date) or
+    json.dumps writes where orjson raises (numpy scalars), in each free-form field."""
+    nl = _built("ripple", 2)
+    for field in ("kind", "params", "odd"):
+        odd = dataclasses.replace(nl, meta={**nl.meta, field: value})
+        writes.update(orjson=0, json=0)
+        assert _outcome(netlist.to_json, odd) == _outcome(reference.to_json, odd), field
+        assert writes["json"] == 1, field
+
+
+@pytest.mark.parametrize("value", [
+    "\x00\x1f", '"\\/', "", 2**64 - 1, -2**63, True, None, (), {}, _nested(netlist._FREE_DEPTH),
+], ids=_short)
+def test_values_both_write_alike_are_written_by_orjson(writes, value):
+    """Control characters (escaped alike), the 64-bit int bounds, empty
+    containers and nesting at ``_FREE_DEPTH``, in each free-form field."""
+    nl = _built("ripple", 2)
+    for field in ("kind", "params", "odd"):
+        odd = dataclasses.replace(nl, meta={**nl.meta, field: value})
+        writes.update(orjson=0, json=0)
+        assert netlist.to_json(odd) == reference.to_json(odd), field
+        assert writes == {"orjson": 1, "json": 0}, field
+
+
+def test_odd_keys_and_names_outside_the_free_form_go_to_json_dumps(writes):
+    """Signal and group names are not walked: orjson refuses a key that is not
+    str, and writes non-ASCII text and DEL unescaped."""
+    nl = _built("ripple", 2)
+    for key in (1, "é", "\x7f", "\ud800"):
+        for odd in (dataclasses.replace(nl, signals={**nl.signals, key: 0}),
+                    dataclasses.replace(nl, meta={**nl.meta, "groups": {key: [0]}})):
+            writes.update(orjson=0, json=0)
+            assert netlist.to_json(odd) == reference.to_json(odd), key
+            assert writes["json"] == 1, key
 
 
 @pytest.mark.parametrize("kind", builders.KINDS)
