@@ -12,7 +12,6 @@ from .netlist import (
     Netlist,
     NetlistBuilder,
     Node,
-    add_batch,
     count_group,
     evaluate_words,
     from_json,

@@ -58,7 +58,6 @@ _DOC_FIELDS = frozenset({"version", "kind", "width", "params", "nodes", "ports",
 _PORT_FIELDS = frozenset({"A", "B", "cin", "S", "cout"})
 _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
-SLICE_DIGITS = 2**20   # digits per slice when a batch's inputs are packed
 PLANE_BUDGET = 2**25   # bytes of plane rows per add_cases run, 16 a row per 64 cases
 RUN_LANES = 2**15      # cases per add_cases run at most, a whole number of 64-lane words
 
@@ -200,7 +199,8 @@ def _validate(nl: Netlist) -> dict:
     kind's fan-in is within its ``_FAN_IN`` range, ids are exact ints (a bool
     is not an id), const values are qudits, and the input nodes are exactly
     the A, B and cin ports, which evaluation binds by id.  Only const
-    nodes carry a ``value`` and only input nodes a ``name``.
+    nodes carry a ``value`` and only input nodes a ``name``.  Signal and
+    group names are strs, the only keys a document can give back.
 
     The walk also applies the prefix rule to each wide gate (fan-in 3 or more)
     that has passed every check and returns its table {reader id: holder id}:
@@ -257,6 +257,9 @@ def _validate(nl: Netlist) -> dict:
     groups = nl.meta.get("groups", {})
     if not isinstance(groups, dict):
         raise DocumentError("malformed", "meta.groups is not an object")
+    for name in chain(nl.signals, groups):
+        if type(name) is not str:
+            raise DocumentError("malformed", f"signal or group name {name!r} is not a string")
     for group, ids in groups.items():
         if not isinstance(ids, (list, tuple)):
             raise DocumentError("malformed", f"group {group!r} is not a list of ids")
@@ -455,75 +458,41 @@ class _Plan(NamedTuple):
         return cls(tuple(reversed(steps)), tuple(reversed(outs)), size, tuple(map(get, outputs)))
 
 
-def _qudits(values, what: str) -> np.ndarray:
-    values = np.asarray(values)
-    if values.dtype.kind not in "biuf":   # object, complex, str, ...: no cast can be trusted
-        raise ValueError(f"{what} holds non-qudit values")
-    with np.errstate(invalid="ignore"):   # a copy must equal its input (256, -1, 2.5, NaN do not)
-        digits = values.astype(np.uint8, copy=False)
-    if digits.size and (digits.max() > 3 or digits is not values and (digits != values).any()):
-        raise ValueError(f"{what} holds non-qudit values")
-    return digits
-
-
-def slice_cases(width: int) -> int:
-    """Cases per slice of a batch of ``width`` digits: about SLICE_DIGITS
-    digits, a multiple of 64 cases (one plane word) and at least 64."""
-    return max(64, SLICE_DIGITS // width // 64 * 64)
-
-
-def _pack(planes: np.ndarray, data: np.ndarray) -> None:
-    """Case-major qudits (cases, rows) into the lo and hi planes of rows, a
-    slice of cases at a time: each slice is turned digit-major and its lo
-    and hi bits packed 8 cases to a byte."""
-    step = slice_cases(data.shape[1])
-    for start in range(0, len(data), step):
-        digits = np.ascontiguousarray(data[start:start + step].T)
-        at = slice(start // 8, start // 8 + -(-digits.shape[1] // 8))
-        planes[:, 0, at] = np.packbits(digits & 1, axis=1, bitorder="little")
-        planes[:, 1, at] = np.packbits(digits & 2, axis=1, bitorder="little")
-
-
-def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray,
-              oracle=None):
-    """Batch addition: digit matrices (cases, width) and cin (cases,), checked
-    once and packed into each run's input rows for ``add_cases``, which gives
-    the result: (sum digit matrix, carry-out vector), the sums C-contiguous
-    (cases, width), or with an ``oracle`` the failing cases."""
+def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray, oracle):
+    """``add_cases`` of a batch given as digits: ``check_exhaustive``'s packer.
+    The caller makes the digits, ``uint8`` qudits: matrices (cases, width) in
+    either memory layout, digit-major being the fast one, and cin (cases,).
+    Each run's lo and hi bits of them are packed along the case axis, 8 cases
+    to a byte, into its input rows.  Returns ``add_cases``' failing cases."""
     n = nl.width
-    a_digits = _qudits(a_digits, "a_digits")
-    b_digits = _qudits(b_digits, "b_digits")
-    cin = _qudits(cin, "cin")
-    cases = len(cin) if cin.ndim == 1 else -1
-    if a_digits.shape != (cases, n) or b_digits.shape != (cases, n):
-        raise ValueError(f"expected digit matrices of shape (cases, {n}) and cin of shape "
-                         f"(cases,), got {a_digits.shape}, {b_digits.shape}, {cin.shape}")
     parts = ((0, a_digits), (n, b_digits), (2 * n, cin[:, None]))   # (first row, digits)
 
     def rows(lo: int, hi: int) -> list:
         buf = np.empty((2 * n + 1, 2, -(-(hi - lo) // 64)), dtype=np.uint64)   # each row lo, hi
         buf[..., -1:] = 0   # the only word with lanes that no case fills
         for row, digits in parts:
-            _pack(buf[row:row + digits.shape[1]].view(np.uint8), digits[lo:hi])
+            digits = digits[lo:hi]
+            planes = buf[row:row + digits.shape[1]].view(np.uint8)[..., :-(-(hi - lo) // 8)]
+            planes[:, 0] = np.packbits(digits & 1, axis=0, bitorder="little").T
+            planes[:, 1] = np.packbits(digits & 2, axis=0, bitorder="little").T
         return [int.from_bytes(row, "little") for row in buf]
-    return add_cases(nl, cases, rows, oracle)
+    return add_cases(nl, len(cin), rows, oracle)
 
 
-def add_cases(nl: Netlist, cases: int, source, oracle=None):
-    """Batch addition of ``cases`` cases: ``_run`` over the plan in runs of
-    at most RUN_LANES cases, whole 64-lane words, 16 bytes a plan row per 64
-    cases within PLANE_BUDGET.  ``source(lo, hi)`` gives the 2n + 1 input
-    rows A[1..n], B[1..n] and cin of cases lo..hi-1, lo a multiple of 64,
-    ints ``hi << lanes | lo`` over the run's lanes (hi - lo rounded up to a
-    multiple of 64), bit j of a plane being case lo + j; the lanes past the
-    last case may hold any digits (a cin 0 or 1).  Returns (sum digit
-    matrix, carry-out vector).
+def add_cases(nl: Netlist, cases: int, source, oracle):
+    """Batch addition of ``cases`` cases checked against an oracle: ``_run``
+    over the plan in runs of at most RUN_LANES cases, whole 64-lane words, 16
+    bytes a plan row per 64 cases within PLANE_BUDGET.  ``source(lo, hi)``
+    gives the 2n + 1 input rows A[1..n], B[1..n] and cin of cases lo..hi-1,
+    lo a multiple of 64, ints ``hi << lanes | lo`` over the run's lanes (hi -
+    lo rounded up to a multiple of 64), bit j of a plane being case lo + j;
+    the lanes past the last case may hold any digits (a cin 0 or 1).
 
-    With an ``oracle``, ``oracle(ins, lanes)`` gets each run's input rows
-    and returns the rows S[1..n] and cout should hold; only the lanes
-    where they differ are read back.  The result is then the failing cases'
-    a, b, cin, expected and actual digits, in case order; an S or cout digit
-    that no case of its run gets wrong is not read and reads 0 in both.
+    ``oracle(ins, lanes)`` gets each run's input rows and returns the rows
+    S[1..n] and cout should hold; only the lanes where they differ are read
+    back.  Returns the failing cases' a, b, cin, expected and actual digits,
+    in case order; an S or cout digit that no case of its run gets wrong is
+    not read and reads 0 in both.
     """
     n = nl.width
     plan = nl._plan
@@ -538,14 +507,8 @@ def add_cases(nl: Netlist, cases: int, source, oracle=None):
         rows = source(lo, hi)
         rows += [0] * (plan.slots - len(rows))
         _run(plan.steps, plan.outs, rows, lanes)
-        got, ins = [rows[i] for i in plan.outputs], rows[:2 * n + 1] if oracle else ()
+        got, ins = [rows[i] for i in plan.outputs], rows[:2 * n + 1]
         del rows   # the plan never reuses an input row: ins are the run's inputs
-        if oracle is None:
-            if not lo:   # after the first kernel, which so peaks without the sums
-                sums, cout = np.empty((cases, n), dtype=np.uint8), np.empty(cases, dtype=np.uint8)
-            _digits(got[:n], lanes, sums[lo:hi], slice(None), slice(hi - lo))
-            _digits(got[n:], lanes, cout[lo:hi, None], slice(None), slice(hi - lo))
-            continue
         want = oracle(ins, lanes)
         if want != got:   # equal rows: every lane passes, the ones past the last case too
             wrong = reduce(or_, map(xor, want, got)).to_bytes(lanes // 4, "little")
@@ -559,16 +522,14 @@ def add_cases(nl: Netlist, cases: int, source, oracle=None):
             runs.append(np.zeros((bad.size, 4 * n + 3), dtype=np.uint8))
             runs[-1][:, [*range(2 * n + 1), *(2 * n + 1 + j for j in differ),
                          *(3 * n + 2 + j for j in differ)]] = taken
-    if oracle is None:
-        return sums, cout
     a, b, cin, want, got = np.split(np.concatenate(runs), (n, 2 * n, 2 * n + 1, 3 * n + 2), axis=1)
     return a, b, cin[:, 0], want, got
 
 
-def _digits(rows: list, lanes: int, out: np.ndarray, used, take) -> None:
+def _digits(rows: list, lanes: int, out: np.ndarray, used: np.ndarray, take: np.ndarray) -> None:
     """The digits of rows into ``out`` (lanes taken, len(rows)), 32 rows at a
     time: ``to_bytes``, then ``np.unpackbits`` of their bytes ``used`` and a
-    take of the lanes ``take`` of those bits (slices where all are taken)."""
+    take of the lanes ``take`` of those bits."""
     for r in range(0, len(rows), 32):
         part = rows[r:r + 32]
         data = np.frombuffer(b"".join(row.to_bytes(lanes // 4, "little") for row in part), np.uint8)

@@ -3,16 +3,17 @@
 The oracle, ``_oracle_batch``, is a bit-sliced binary ripple adder on the
 int rows of bit planes that ``add_cases`` evaluates; it never touches the
 quaternary operators, so a defect in the algebra cannot hide a matching
-defect in a netlist.  Exhaustive checks cover every assignment at small
-widths, their digits made whole once (``add_batch``).  Randomized checks run
-fixed corner vectors, aligned carry-run vectors (every aligned block of 2^k
-digits propagating between a kill or generate below and a kill, propagate
-or generate above) and then seeded trials; each run draws its input planes'
-words straight from the PCG64 stream and sets the vectors' lanes by bit
-mask (``add_cases``).  Runs are the only chunks: ``add_cases`` gives each at
-most ``netlist.RUN_LANES`` cases, so memory does not grow with the case
-count; a run's rows are compared as ints, and only the failing lanes are
-read back, inputs too.
+defect in a netlist.  Every check runs its cases through ``add_cases``
+against that oracle.  Exhaustive checks cover every assignment at small
+widths, their digits made whole once and packed by ``add_batch``.
+Randomized checks run fixed corner vectors, aligned carry-run vectors
+(every aligned block of 2^k digits propagating between a kill or generate
+below and a kill, propagate or generate above) and then seeded trials;
+each run draws its input planes' words straight from the PCG64 stream and
+sets the vectors' lanes by bit mask.  Runs are the only chunks:
+``add_cases`` gives each at most ``netlist.RUN_LANES`` cases, so memory
+does not grow with the case count; a run's rows are compared as ints, and
+only the failing lanes are read back, inputs too.
 """
 
 from __future__ import annotations

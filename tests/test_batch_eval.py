@@ -1,9 +1,10 @@
-"""The bit-plane batch evaluator behind add_batch.
+"""The bit-plane batch evaluator: ``netlist._run`` over a compiled plan.
 
-Gate kernels are checked against the reference digit algebra, random
-netlists against the reference node walk case by case, one large batch
-against memory bounds, and sums made in the smallest slices against those
-made in one.
+The sums are read through ``reference.sums``, which runs the plan in the
+runs ``add_cases`` makes.  Gate kernels are checked against the reference
+digit algebra, and random netlists against the reference node walk case by
+case.  One large exhaustive-style batch, ``add_batch`` against the oracle,
+is checked against memory bounds in either layout.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import RepeatingBuilder, netlists
 
-from quadder import netlist
+from quadder import netlist, verify
 from quadder.builders import AdderSpec, build
 from quadder.netlist import AND, BITSWAP, NOT, OR, XOR, NetlistBuilder
 
@@ -32,7 +33,7 @@ def _one_gate(kind, fan_in):
 def _through_gate(kind, fan_in, rows):
     cols = np.array(rows, dtype=np.uint8).reshape(len(rows), -1)
     cols = np.pad(cols, ((0, 0), (0, 3 - cols.shape[1])))
-    s, cout = netlist.add_batch(_one_gate(kind, fan_in), cols[:, :1], cols[:, 1:2], cols[:, 2])
+    s, cout = reference.sums(_one_gate(kind, fan_in), cols[:, :1], cols[:, 1:2], cols[:, 2])
     assert s.shape == (len(rows), 1) and (s[:, 0] == cout).all()
     return [int(x) for x in cout]
 
@@ -55,8 +56,8 @@ def test_binary_gate_kernels_match_the_algebra(kind):
     cases = np.array(list(itertools.product(range(4), repeat=5)), dtype=np.uint8)
     for picks in [(0, 1, 2, 3), (2, 2, 4, 0), (0, 1, 2, 3, 4), (4, 1, 4, 1, 3),
                   (0, 1, 2, 3, 4, 1), (3, 0, 3, 3, 4, 2)]:
-        s, cout = netlist.add_batch(_wide_gate(kind, picks), cases[:, 0:4:2], cases[:, 1:4:2],
-                                    cases[:, 4])
+        s, cout = reference.sums(_wide_gate(kind, picks), cases[:, 0:4:2], cases[:, 1:4:2],
+                                 cases[:, 4])
         want = [reference.GATES[kind](*(row[k] for k in picks)) for row in cases.tolist()]
         assert cout.tolist() == want and (s == cout[:, None]).all(), picks
 
@@ -76,7 +77,7 @@ def test_batch_matches_scalar_on_random_netlists(nl, cases, seed):
     a = rng.integers(0, 4, size=(cases, n), dtype=np.uint8)
     b = rng.integers(0, 4, size=(cases, n), dtype=np.uint8)
     cin = rng.integers(0, 4, size=cases, dtype=np.uint8)
-    s, cout = netlist.add_batch(nl, a, b, cin)
+    s, cout = reference.sums(nl, a, b, cin)
     assert s.shape == (cases, n) and cout.shape == (cases,)
     for k in range(cases):
         values = reference.evaluate_nodes(nl, a[k], b[k], cin[k])
@@ -93,7 +94,7 @@ def test_gate_reading_one_node_twice_frees_its_slot_once():
     nl = nb.finish([a], [b], cin, [nb.add(XOR, y, p)], nb.add(OR, q, cin))
     rows = list(itertools.product(range(4), repeat=2))
     av, bv = (np.array([r[k] for r in rows], dtype=np.uint8) for k in (0, 1))
-    s, cout = netlist.add_batch(nl, av[:, None], bv[:, None], np.ones(16))
+    s, cout = reference.sums(nl, av[:, None], bv[:, None], np.ones(16))
     assert [int(v) for v in s[:, 0]] == [reference.qxor(u ^ v, reference.qnot(1)) for u, v in rows]
     assert [int(v) for v in cout] == [reference.qor(reference.bitswap(v), 1) for _, v in rows]
 
@@ -118,7 +119,7 @@ def test_a_gate_reads_the_earlier_gate_holding_its_prefix():
     nl = nb.finish([a1, a2], [b1, b2], cin, [full, other], shadowed)
     assert _reads(nl) == [3, 3, 4, 4]
     cases = np.array(list(itertools.product(range(4), repeat=5)), dtype=np.uint8)
-    s, cout = netlist.add_batch(nl, cases[:, [0, 2]], cases[:, [1, 3]], cases[:, 4])
+    s, cout = reference.sums(nl, cases[:, [0, 2]], cases[:, [1, 3]], cases[:, 4])
     for k, (x1, y1, x2, y2, c) in enumerate(cases.tolist()):
         values = reference.evaluate_nodes(nl, (x1, x2), (y1, y2), c)
         assert s[k].tolist() == [values[full], values[other]] and cout[k] == values[shadowed]
@@ -132,7 +133,7 @@ def test_plan_input_reads(kind, n, most):
     14,480 at n=32), and reads the product over k+1..t-1 in their place.
     Tree has no wide gate holding another's prefix: 17,468 is one read
     per gate input."""
-    assert sum(_reads(build(AdderSpec(kind, n)))) <= most
+    assert sum(_reads(reference.built(AdderSpec(kind, n)))) <= most
 
 
 @pytest.mark.parametrize("kind, n, most", [("tree", 256, 1100), ("sparse", 256, 850),
@@ -143,7 +144,7 @@ def test_plan_rows(kind, n, most):
     a position, made in the pg stage and read in the carry network, hold no
     row while the sums before that read are made: 1666, 1764, 1965 and 514
     rows in id order.  Ripple reads them at once and keeps its 775."""
-    assert build(AdderSpec(kind, n))._plan.slots <= most
+    assert reference.built(AdderSpec(kind, n))._plan.slots <= most
 
 
 def _ports(nb):
@@ -193,7 +194,7 @@ def test_outputs_in_any_id_order_give_the_node_walk_sums(make):
     overlap, read one another or hold no gate at all."""
     nl = make()
     cases = np.array(list(itertools.product(range(4), repeat=5)), dtype=np.uint8)
-    s, cout = netlist.add_batch(nl, cases[:, [0, 2]], cases[:, [1, 3]], cases[:, 4])
+    s, cout = reference.sums(nl, cases[:, [0, 2]], cases[:, [1, 3]], cases[:, 4])
     for k, (x1, y1, x2, y2, c) in enumerate(cases.tolist()):
         values = reference.evaluate_nodes(nl, (x1, x2), (y1, y2), c)
         assert s[k].tolist() == [values[p] for p in nl.s_ports]
@@ -206,10 +207,10 @@ def test_digit_major_inputs_give_the_same_sums():
     a = rng.integers(0, 4, size=(1000, 5), dtype=np.uint8)
     b = rng.integers(0, 4, size=(1000, 5), dtype=np.uint8)
     cin = rng.integers(0, 2, size=1000, dtype=np.uint8)
-    s, cout = netlist.add_batch(nl, a, b, cin)
+    s, cout = reference.sums(nl, a, b, cin)
     a_f, b_f = np.asfortranarray(a), np.asfortranarray(b)
     assert a_f.T.flags.c_contiguous and (a_f == a).all()
-    s_f, cout_f = netlist.add_batch(nl, a_f, b_f, cin)
+    s_f, cout_f = reference.sums(nl, a_f, b_f, cin)
     assert (s_f == s).all() and (cout_f == cout).all()
 
 
@@ -222,9 +223,9 @@ def test_wide_batches_match_scalar_in_either_layout(n, cases):
     a = rng.integers(0, 4, size=(cases, n), dtype=np.uint8)
     b = rng.integers(0, 4, size=(cases, n), dtype=np.uint8)
     cin = rng.integers(0, 4, size=cases, dtype=np.uint8)
-    s, cout = netlist.add_batch(nl, a, b, cin)
+    s, cout = reference.sums(nl, a, b, cin)
     assert s.flags.c_contiguous
-    s_f, cout_f = netlist.add_batch(nl, np.asfortranarray(a), np.asfortranarray(b), cin)
+    s_f, cout_f = reference.sums(nl, np.asfortranarray(a), np.asfortranarray(b), cin)
     assert (s_f == s).all() and (cout_f == cout).all()
     for k in range(cases):
         values = reference.evaluate_nodes(nl, a[k], b[k], cin[k])
@@ -232,49 +233,10 @@ def test_wide_batches_match_scalar_in_either_layout(n, cases):
         assert int(cout[k]) == values[nl.cout_port]
 
 
-def test_bad_batches_are_rejected():
-    nl = build(AdderSpec("tree", 2))
-    ok = np.zeros((4, 2), dtype=np.uint8)
-    with pytest.raises(ValueError, match="non-qudit"):
-        netlist.add_batch(nl, ok + 4, ok, np.zeros(4))
-    with pytest.raises(ValueError, match="shape"):
-        netlist.add_batch(nl, ok[:, :1], ok[:, :1], np.zeros(4))
-    with pytest.raises(ValueError, match="shape"):
-        netlist.add_batch(nl, ok, ok, np.zeros(5))
-
-
 def test_a_batch_of_no_cases_gives_empty_sums():
     nl = build(AdderSpec("tree", 3))
-    s, cout = netlist.add_batch(nl, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+    s, cout = reference.sums(nl, np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
     assert s.shape == (0, 3) and cout.shape == (0,) and s.dtype == cout.dtype == np.uint8
-
-
-@pytest.mark.parametrize("bad", [256, -1, 2.5, np.nan])
-@pytest.mark.parametrize("place", [0, 1, 2])
-def test_digits_are_checked_before_they_are_cast(bad, place):
-    """256 would wrap to 0, -1 to 255 and 2.5 truncate to 2; a NaN raises no
-    cast warning first."""
-    nl = build(AdderSpec("tree", 2))
-    args = [np.ones((4, 2)), np.ones((4, 2), dtype=np.int64), np.ones(4)]
-    s, cout = netlist.add_batch(nl, *args)   # integral values of any dtype are digits
-    assert s.tolist() == [[3, 2]] * 4 and cout.tolist() == [0] * 4
-    args[place] = np.full(args[place].shape, bad)
-    with pytest.raises(ValueError, match="non-qudit"):
-        netlist.add_batch(nl, *args)
-
-
-@pytest.mark.parametrize("bad", [2**70, None, 1 + 0j, 1], ids=["huge", "none", "complex", "object"])
-@pytest.mark.parametrize("place", [0, 1, 2])
-def test_non_numeric_digit_arrays_are_refused(bad, place):
-    """An object array of 2**70 would overflow the cast, one of None would
-    fail it, and a complex array would be cast with a ComplexWarning; an
-    object array of small ints is refused with them."""
-    nl = build(AdderSpec("tree", 2))
-    args = [np.ones((4, 2)), np.ones((4, 2), dtype=np.int64), np.ones(4)]
-    dtype = complex if type(bad) is complex else object
-    args[place] = np.full(args[place].shape, bad, dtype=dtype)
-    with pytest.raises(ValueError, match="non-qudit"):
-        netlist.add_batch(nl, *args)
 
 
 def _batch_of_20000(n):
@@ -285,35 +247,30 @@ def _batch_of_20000(n):
     return a, b, cin
 
 
+def _peak(nl, a, b, cin, order) -> int:
+    """The traced peak of a passing ``add_batch`` against the oracle, the
+    digit matrices in C or F order."""
+    peak, failing = reference.traced_peak(
+        netlist.add_batch, nl, np.asarray(a, order=order), np.asarray(b, order=order), cin,
+        verify._oracle_batch)
+    assert not failing[2].size
+    return peak
+
+
 def test_tree_256_batch_of_20000_stays_under_48_mib():
-    nl = build(AdderSpec("tree", 256))
     a, b, cin = _batch_of_20000(256)
-    peak, _ = reference.traced_peak(netlist.add_batch, nl, a, b, cin)
-    assert peak <= 48 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    for order in "CF":   # a fresh build each, so the plan is compiled inside the trace
+        peak = _peak(build(AdderSpec("tree", 256)), a, b, cin, order)
+        assert peak <= 48 * 2**20, f"{order}: peak {peak / 2**20:.1f} MiB"
 
 
 def test_tree_256_batch_of_20000_takes_under_14_mib_beyond_its_plan():
     """With the plan compiled, the batch holds the plane buffer and one
-    slice's temporaries, then the output rows and the sums: never the buffer
-    beside full-size temporaries."""
+    run's packing temporaries, then the plan rows and the oracle's rows:
+    never the buffer beside the plan rows."""
     nl = build(AdderSpec("tree", 256))
     a, b, cin = _batch_of_20000(256)
-    netlist.add_batch(nl, a[:1], b[:1], cin[:1])   # compiles the plan outside the trace
-    peak, _ = reference.traced_peak(netlist.add_batch, nl, a, b, cin)
-    assert peak <= 14 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-
-
-@pytest.mark.parametrize("n", [9, 17, 64])
-def test_sums_do_not_depend_on_the_slice_size(monkeypatch, n):
-    """A batch that is one slice at the shipped size gives, byte for byte, the
-    sums it gives in 64-case slices with a short last one, in either layout."""
-    nl = build(AdderSpec("tree", n))
-    a, b, cin = (x[:1000 + n] for x in _batch_of_20000(n))
-    assert netlist.slice_cases(n) >= len(cin)
-    want = netlist.add_batch(nl, a, b, cin)
-    monkeypatch.setattr(netlist, "SLICE_DIGITS", 0)
-    assert netlist.slice_cases(n) == 64
+    netlist.add_batch(nl, a[:1], b[:1], cin[:1], verify._oracle_batch)   # compiles the plan
     for order in "CF":
-        s, cout = netlist.add_batch(nl, np.asarray(a, order=order), np.asarray(b, order=order), cin)
-        assert s.flags.c_contiguous and s.dtype == want[0].dtype and cout.dtype == want[1].dtype
-        assert np.array_equal(s, want[0]) and np.array_equal(cout, want[1])
+        peak = _peak(nl, a, b, cin, order)
+        assert peak <= 14 * 2**20, f"{order}: peak {peak / 2**20:.1f} MiB"

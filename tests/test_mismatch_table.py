@@ -99,7 +99,7 @@ def check_against_reference(nl, mode, trials=0, seed=0):
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(kind=st.sampled_from(builders.KINDS), width=st.integers(1, 12), data=st.data())
 def test_reports_match_reference(kind, width, data):
-    nl = builders.build(builders.AdderSpec(kind, width))
+    nl = reference.built(builders.AdderSpec(kind, width))
     gates = sorted({nid for group in CARRY_GROUPS for nid in nl.meta["groups"].get(group, ())})
     faults = data.draw(st.lists(st.sampled_from(gates), min_size=1, max_size=3, unique=True)
                        if gates else st.just([]))
@@ -112,7 +112,7 @@ def test_one_case_mismatches_at_many_signals():
     """A wrong carry out of digit 1 runs through the corner case 33..3 + 00..0,
     so that case mismatches at every signal, S[1], S[10] and cout among
     them, and the records follow the name order S[10] < S[1] < S[2]."""
-    nl = builders.build(builders.AdderSpec("ripple", 12))
+    nl = reference.built(builders.AdderSpec("ripple", 12))
     assert check_against_reference(nl, "random", 20, 5) == []
     a1, b1 = nl.a_ports[0], nl.b_ports[0]
     ab = nl.nodes.index(netlist.Node("and", (a1, b1)))
@@ -125,7 +125,7 @@ def test_one_case_mismatches_at_many_signals():
 
 def test_duplicate_cases_keep_their_records():
     """At width 1 the random cases repeat, and so do their records."""
-    nl = builders.build(builders.AdderSpec("ripple", 1))
+    nl = reference.built(builders.AdderSpec("ripple", 1))
     records = check_against_reference(faulted(nl, nl.meta["groups"]["cells"][:1]), "random", 60, 3)
     keys = [(tuple(r["a"]), tuple(r["b"]), r["cin"], r["signal"]) for r in records]
     assert len(set(keys)) < len(keys)
@@ -145,7 +145,7 @@ def test_signal_order_past_255_signals():
 
 
 def test_equal_checks_give_equal_reports():
-    nl = builders.build(builders.AdderSpec("ripple", 4))
+    nl = reference.built(builders.AdderSpec("ripple", 4))
     bad = faulted(nl, nl.meta["groups"]["cells"][:1])
     assert verify.check_random(bad, 30, 4).to_json() == verify.check_random(bad, 30, 4).to_json()
     assert verify.check_exhaustive(bad).to_json() == verify.check_exhaustive(bad).to_json()
@@ -212,37 +212,3 @@ def test_report_text_peak_memory():
     assert 19_000 < len(report.records) < 21_000
     peak, text = reference.traced_peak(report.to_json)
     assert peak <= 3 * len(text)
-
-
-def _faulted_ripple(n):
-    """A width-n ripple adder whose And gate of A[1] and B[1] is an Or."""
-    nl = builders.build(builders.AdderSpec("ripple", n))
-    return faulted(nl, [nl.nodes.index(netlist.Node("and", (nl.a_ports[0], nl.b_ports[0])))])
-
-
-def _failing(n):
-    """``add_batch``'s failing cases of 3000 random cases at width n, and the
-    exhaustive report at width 4, of faulted ripple adders."""
-    rng = np.random.default_rng(4)
-    a, b = rng.integers(0, 4, size=(2, 3000, n), dtype=np.uint8)
-    cin = rng.integers(0, 2, size=3000, dtype=np.uint8)
-    failing = netlist.add_batch(_faulted_ripple(n), a, b, cin, verify._oracle_batch)
-    return failing, verify.check_exhaustive(_faulted_ripple(4))
-
-
-@pytest.mark.parametrize("n", [17, 64])
-def test_failing_reports_do_not_depend_on_the_slice_size(monkeypatch, n):
-    """Packing in 64-case slices gives, byte for byte, the failing cases and
-    the exhaustive report of one slice a run."""
-    slices, pack = [], netlist._pack   # _pack's slices a call
-    monkeypatch.setattr(netlist, "_pack", lambda planes, data: slices.append(
-        -(-len(data) // netlist.slice_cases(data.shape[1]))) or pack(planes, data))
-    want, want_report = _failing(n)
-    assert want[0].size and not want_report.passed and set(slices) == {1}
-    slices.clear()
-    monkeypatch.setattr(netlist, "SLICE_DIGITS", 0)
-    got, report = _failing(n)
-    assert max(slices) > 1
-    assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(got, want))
-    same = report.to_json() == want_report.to_json()   # apart: pytest diffs long texts slowly
-    assert same

@@ -40,7 +40,7 @@ def _same_table(nl):
 def test_table_matches_the_reference_on_built_adders(kind):
     """Every kind at widths 1-16 and 64; only single_stage's nested
     propagate products and sparse's hold prefixes."""
-    found = [len(_same_table(build(AdderSpec(kind, n)))) for n in WIDTHS]
+    found = [len(_same_table(reference.built(AdderSpec(kind, n)))) for n in WIDTHS]
     if kind == "single_stage":
         assert found[-1] == 1953 and found[:5] == [0, 0, 1, 3, 6]
     elif kind == "sparse":
@@ -52,10 +52,10 @@ def test_table_matches_the_reference_on_built_adders(kind):
 def test_table_matches_the_reference_at_every_sparsity_and_block():
     for n in (16, 64):
         for s in range(2, 9):
-            _same_table(build(AdderSpec("sparse", n, sparsity=s)))
+            _same_table(reference.built(AdderSpec("sparse", n, sparsity=s)))
     for b in range(1, 17):
-        _same_table(build(AdderSpec("hybrid", 16, block=b)))
-    assert len(build(AdderSpec("sparse", 64, sparsity=8))._holders) == 120
+        _same_table(reference.built(AdderSpec("hybrid", 16, block=b)))
+    assert len(reference.built(AdderSpec("sparse", 64, sparsity=8))._holders) == 120
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -100,7 +100,7 @@ def test_evaluate_nodes_through_holders_equals_the_raw_nodes_on_random_netlists(
 def test_evaluate_nodes_through_holders_equals_the_raw_nodes_on_single_stage():
     rng = random.Random(36)
     for n in range(1, 17):
-        nl = build(AdderSpec("single_stage", n))
+        nl = reference.built(AdderSpec("single_stage", n))
         for _ in range(8):
             a, b = [rng.randrange(4) for _ in range(n)], [rng.randrange(4) for _ in range(n)]
             cin = rng.randrange(2)

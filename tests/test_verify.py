@@ -116,8 +116,9 @@ def test_carry_run_vectors_catch_a_product_tree_fault():
 def test_checks_reach_the_layers_by_module_lookup(monkeypatch):
     """The kernel's run loop, the oracle and the mismatch collector are
     looked up on their modules at call time, so a wrapper put in their place
-    sees every check's calls: a random check packs its draws through
-    ``add_cases``, an exhaustive check its digits through ``add_batch``."""
+    sees every check's calls: every check runs ``add_cases`` against the
+    oracle, a random check with its draws and an exhaustive check with its
+    digits, which ``add_batch`` packs."""
     calls = {}
 
     def counting(module, name):
