@@ -35,7 +35,7 @@ INPUT = "input"
 # Every gate kind once: its (least, most) inputs, then for And/Or/Xor the bitwise
 # operator on ints, and for a unary kind how its output's hi and lo plane are each
 # made from one input plane, as (source plane, inverted), for one case and a batch.
-_LO, _HI = 0, 1   # a qudit's bit planes, value = 2 * hi + lo, in the order a row holds them
+_LO, _HI = 0, 1   # a qudit's bit planes, value = 2 * hi + lo, in the order a source gives them
 _KINDS = {
     AND: ((2, sys.maxsize), and_),
     OR: ((2, sys.maxsize), or_),
@@ -58,7 +58,7 @@ _DOC_FIELDS = frozenset({"version", "kind", "width", "params", "nodes", "ports",
 _PORT_FIELDS = frozenset({"A", "B", "cin", "S", "cout"})
 _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
-PLANE_BUDGET = 2**25   # bytes of plane rows per add_cases run, 16 a row per 64 cases
+PLANE_BUDGET = 2**25   # bytes of plane slots per add_cases run, 16 a slot per 64 cases
 RUN_LANES = 2**15      # cases per add_cases run at most, a whole number of 64-lane words
 
 
@@ -313,41 +313,39 @@ def _check_word(word, width: int) -> tuple[int, ...]:
     return digits
 
 
-# Evaluation runs on bit planes held as Python ints.  Over a run of L lanes
-# (cases), a node's row is the int ``hi << L | lo``, lane j being bit j of each
-# plane (value = 2 * hi + lo), so a row of one lane is the digit itself.
+# Evaluation runs on bit planes held as Python ints: a slot holds its qudits,
+# 2 * hi + lo, as two planes ``lo[slot]`` and ``hi[slot]``, bit j of each being lane
+# (case) j.  ``ones`` is the plane of every lane, so at one lane a plane is a bit.
 
 
-def _unary(hi: int, hi_inv: bool, lo: int, lo_inv: bool, lanes: int, ones: int, top: int):
-    """A unary kind's step: each output plane is its rule's source plane moved into
-    place, inverted if the rule says; at one lane a row is a digit, so it is tabulated."""
-    keep, down, flip = hi == _HI, lo == _HI, (top if hi_inv else 0) | (ones if lo_inv else 0)
-
-    def step(row: int) -> int:   # at most two shifts, the costly operation on a big int
-        high = row & top if keep else (row & ones) << lanes
-        out = high | (row >> lanes if down else row & ones)
-        return out ^ flip if flip else out
-    return tuple(map(step, range(4))).__getitem__ if lanes == 1 else step
-
-
-def _run(steps, outs, rows: list, lanes: int) -> None:
-    """The one step loop over rows of ``lanes`` lanes: each step (kind, input
-    slots, const value, _), a Node's shape, computes its row into its slot of
-    ``outs``.  A step with no inputs and no value (an input) leaves its row."""
-    ones = (1 << lanes) - 1
-    unary = {kind: _unary(*h, *l, lanes, ones, ones << lanes) for kind, (h, l) in _RULES.items()}
+def _run(steps, outs, lo: list, hi: list, ones) -> None:
+    """The one step loop over the planes ``lo`` and ``hi``, by &, | and ^
+    alone: each step (kind, input slots, const value, _), a Node's shape,
+    computes its two planes into its slot of ``outs``.  And, Or and Xor apply
+    per plane, a unary kind XORs ``ones`` into the ``_RULES`` source planes
+    it inverts, and a const is ``ones`` or ``ones ^ ones`` per plane.  A step
+    with no inputs and no value (an input) leaves its planes."""
+    planes = (lo, hi)   # by _LO and _HI
     for (kind, ins, value, _), out in zip(steps, outs):
         fan_in = len(ins)
         if fan_in == 2:
-            rows[out] = _OPS[kind](rows[ins[0]], rows[ins[1]])
+            x, y = ins
+            op = _OPS[kind]
+            lo[out], hi[out] = op(lo[x], lo[y]), op(hi[x], hi[y])
         elif fan_in == 1:
-            rows[out] = unary[kind](rows[ins[0]])
+            (h_src, h_inv), (l_src, l_inv) = _RULES[kind]
+            h, l = planes[h_src][ins[0]], planes[l_src][ins[0]]
+            hi[out], lo[out] = h ^ ones if h_inv else h, l ^ ones if l_inv else l
         elif fan_in == 3:   # most wide steps; cheaper than a reduce
-            rows[out] = _OPS[kind](_OPS[kind](rows[ins[0]], rows[ins[1]]), rows[ins[2]])
+            x, y, z = ins
+            op = _OPS[kind]
+            lo[out], hi[out] = op(op(lo[x], lo[y]), lo[z]), op(op(hi[x], hi[y]), hi[z])
         elif fan_in:
-            rows[out] = reduce(_OPS[kind], map(rows.__getitem__, ins))
+            lo[out] = reduce(_OPS[kind], map(lo.__getitem__, ins))
+            hi[out] = reduce(_OPS[kind], map(hi.__getitem__, ins))
         elif value is not None:   # const
-            rows[out] = (-(value >> 1) & ones) << lanes | -(value & 1) & ones
+            zero = ones ^ ones
+            hi[out], lo[out] = ones if value >> 1 else zero, ones if value & 1 else zero
 
 
 def _through_holders(nl: Netlist) -> Sequence:
@@ -364,44 +362,37 @@ def _through_holders(nl: Netlist) -> Sequence:
     return steps
 
 
-def evaluate_nodes(nl: Netlist, a, b, cin: int) -> list:
-    """Every node's value by id, from one lane of ``_run`` over the nodes read
-    through their holders, so nothing is compiled.  The digit words a and b
-    (index 0 = least significant) and cin bind to the A, B and cin ports by
-    port id.  They are the only values checked: every netlist's const values
-    are checked when it is made, and every gate maps qudits to qudits.
-    """
-    values: list = [0] * len(nl.nodes)
-    digits = (*_check_word(a, nl.width), *_check_word(b, nl.width), _check_qudit(cin))
-    for pid, digit in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), digits):
-        values[pid] = digit
-    _run(_through_holders(nl), range(len(values)), values, 1)
-    return values
-
-
 def evaluate_words(nl: Netlist, a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
-    """Evaluate with digit words (index 0 = least significant)."""
-    values = evaluate_nodes(nl, a, b, cin)
-    return tuple(values[i] for i in nl.s_ports), values[nl.cout_port]
+    """Evaluate with digit words (index 0 = least significant): one lane of
+    ``_run`` over the nodes read through their holders, compiling nothing.
+    Only a, b and cin, bound to the A, B and cin ports by port id, are
+    checked: const values are checked when a netlist is made, and every gate
+    maps qudits to qudits."""
+    digits = (*_check_word(a, nl.width), *_check_word(b, nl.width), _check_qudit(cin))
+    lo, hi = [0] * len(nl.nodes), [0] * len(nl.nodes)
+    for pid, digit in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), digits):
+        lo[pid], hi[pid] = digit & 1, digit >> 1
+    _run(_through_holders(nl), range(len(lo)), lo, hi, 1)
+    return tuple(2 * hi[i] + lo[i] for i in nl.s_ports), 2 * hi[nl.cout_port] + lo[nl.cout_port]
 
 
 class _Plan(NamedTuple):
     """A netlist compiled for ``_run`` over a batch.
 
-    Rows (slots) 0..2n hold the ports A[1..n], B[1..n] and cin, bound by
-    port id.  Each step, (kind, input slots, const value, None), computes
-    one live node into its own slot, its entry in ``outs``.  A wide gate with
-    a holder (``Netlist._holders``, by ``_validate``'s prefix rule) reads
-    the holder's slot in place of the holder's inputs.  Nodes outside the
-    cone of S and cout get no step unless a step reads them as its prefix.
-    Steps run in the order of the first output (S[j] or cout, taken by node
-    id) whose cone, through those reads, holds their node, then by node id:
-    each node runs just before the first output that needs it, so a value
-    made early for a late output (a P or G read only by the carry network)
-    does not hold a slot while the outputs before it are made.  A slot is
-    reused once the last step reading it has run.  The input and output
-    slots are never reused, so a run's inputs can still be read once its
-    outputs are made.
+    Slots 0..2n hold the ports A[1..n], B[1..n] and cin, bound by port id,
+    a lo and a hi plane each.  Each step, (kind, input slots, const value,
+    None), computes one live node into its own slot, its entry in ``outs``.
+    A wide gate with a holder (``Netlist._holders``, by ``_validate``'s
+    prefix rule) reads the holder's slot in place of the holder's inputs.
+    Nodes outside the cone of S and cout get no step unless a step reads
+    them as its prefix.  Steps run in the order of the first output (S[j] or
+    cout, taken by node id) whose cone, through those reads, holds their
+    node, then by node id: each node runs just before the first output that
+    needs it, so a value made early for a late output (a P or G read only by
+    the carry network) does not hold a slot while the outputs before it are
+    made.  A slot is reused once the last step reading it has run.  The
+    input and output slots are never reused, so a run's inputs can still be
+    read once its outputs are made.
     """
 
     steps: tuple
@@ -429,7 +420,7 @@ class _Plan(NamedTuple):
         get = slot.__getitem__
         for k, pid in enumerate(ports):
             slot[pid] = k
-            first[pid] = n       # bound to a row, not computed
+            first[pid] = n       # bound to a slot, not computed
         order = sorted(range(n), key=first.__getitem__)[:n - first.count(n)]   # then by id: stable
         size = len(ports)
         for nid in outputs:      # held from its step to the end of a run
@@ -462,58 +453,64 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
     """``add_cases`` of a batch given as digits: ``check_exhaustive``'s packer.
     The caller makes the digits, ``uint8`` qudits: matrices (cases, width) in
     either memory layout, digit-major being the fast one, and cin (cases,).
-    Each run's lo and hi bits of them are packed along the case axis, 8 cases
-    to a byte, into its input rows.  Returns ``add_cases``' failing cases."""
+    Each run's lo and then hi bits of them are packed along the case axis, 8
+    cases to a byte, into its input planes.  Returns ``add_cases``' failing
+    cases."""
     n = nl.width
-    parts = ((0, a_digits), (n, b_digits), (2 * n, cin[:, None]))   # (first row, digits)
+    parts = ((0, a_digits), (n, b_digits), (2 * n, cin[:, None]))   # (first slot, digits)
 
-    def rows(lo: int, hi: int) -> list:
-        buf = np.empty((2 * n + 1, 2, -(-(hi - lo) // 64)), dtype=np.uint64)   # each row lo, hi
+    def planes(start: int, stop: int) -> list:
+        size = stop - start
+        buf = np.empty((2, 2 * n + 1, -(-size // 64)), dtype=np.uint64)   # lo, hi
         buf[..., -1:] = 0   # the only word with lanes that no case fills
-        for row, digits in parts:
-            digits = digits[lo:hi]
-            planes = buf[row:row + digits.shape[1]].view(np.uint8)[..., :-(-(hi - lo) // 8)]
-            planes[:, 0] = np.packbits(digits & 1, axis=0, bitorder="little").T
-            planes[:, 1] = np.packbits(digits & 2, axis=0, bitorder="little").T
-        return [int.from_bytes(row, "little") for row in buf]
-    return add_cases(nl, len(cin), rows, oracle)
+        for slot, digits in parts:
+            digits = digits[start:stop]
+            packed = buf[:, slot:slot + digits.shape[1]].view(np.uint8)[..., :-(-size // 8)]
+            packed[0] = np.packbits(digits & 1, axis=0, bitorder="little").T
+            packed[1] = np.packbits(digits & 2, axis=0, bitorder="little").T
+        return [int.from_bytes(plane, "little") for plane in buf.reshape(2 * (2 * n + 1), -1)]
+    return add_cases(nl, len(cin), planes, oracle)
 
 
 def add_cases(nl: Netlist, cases: int, source, oracle):
     """Batch addition of ``cases`` cases checked against an oracle: ``_run``
     over the plan in runs of at most RUN_LANES cases, whole 64-lane words, 16
-    bytes a plan row per 64 cases within PLANE_BUDGET.  ``source(lo, hi)``
-    gives the 2n + 1 input rows A[1..n], B[1..n] and cin of cases lo..hi-1,
-    lo a multiple of 64, ints ``hi << lanes | lo`` over the run's lanes (hi -
-    lo rounded up to a multiple of 64), bit j of a plane being case lo + j;
-    the lanes past the last case may hold any digits (a cin 0 or 1).
+    bytes a plan slot per 64 cases within PLANE_BUDGET.  ``source(start,
+    stop)`` gives cases start..stop-1, start a multiple of 64, as the lo
+    planes of A[1..n], B[1..n] and cin, then their hi planes: ints over the
+    run's lanes (stop - start rounded up to a multiple of 64), bit j being
+    case start + j.  The lanes past the last case may hold any digits (a cin
+    0 or 1).
 
-    ``oracle(ins, lanes)`` gets each run's input rows and returns the rows
-    S[1..n] and cout should hold; only the lanes where they differ are read
-    back.  Returns the failing cases' a, b, cin, expected and actual digits,
-    in case order; an S or cout digit that no case of its run gets wrong is
-    not read and reads 0 in both.
+    ``oracle(ins)`` gets each run's input planes and returns the planes
+    S[1..n] and cout should hold, lo then hi; only the lanes where they
+    differ are read back.  Returns the failing cases' a, b, cin, expected
+    and actual digits, in case order; an S or cout digit that no case of its
+    run gets wrong is not read and reads 0 in both.
     """
     n = nl.width
     plan = nl._plan
     step = min(RUN_LANES, 64 * (PLANE_BUDGET // (16 * plan.slots)))
     if not step:
-        raise ValueError(f"the plan's {plan.slots} plane rows take {16 * plan.slots} bytes per "
+        raise ValueError(f"the plan's {plan.slots} plane slots take {16 * plan.slots} bytes per "
                          f"64 cases, over the plane budget PLANE_BUDGET = {PLANE_BUDGET} bytes")
     runs = [np.empty((0, 4 * n + 3), dtype=np.uint8)]   # the failing cases' digits, a run each
-    for lo in range(0, max(cases, 1), step):
-        hi = min(lo + step, cases)
-        lanes = (hi - lo + 63) // 64 * 64
-        rows = source(lo, hi)
-        rows += [0] * (plan.slots - len(rows))
-        _run(plan.steps, plan.outs, rows, lanes)
-        got, ins = [rows[i] for i in plan.outputs], rows[:2 * n + 1]
-        del rows   # the plan never reuses an input row: ins are the run's inputs
-        want = oracle(ins, lanes)
-        if want != got:   # equal rows: every lane passes, the ones past the last case too
-            wrong = reduce(or_, map(xor, want, got)).to_bytes(lanes // 4, "little")
+    for start in range(0, max(cases, 1), step):
+        stop = min(start + step, cases)
+        lanes = (stop - start + 63) // 64 * 64
+        ins = source(start, stop)
+        pad = [0] * (plan.slots - 2 * n - 1)
+        lo, hi = ins[:2 * n + 1] + pad, ins[2 * n + 1:] + pad
+        _run(plan.steps, plan.outs, lo, hi, (1 << lanes) - 1)
+        got = [*map(lo.__getitem__, plan.outputs), *map(hi.__getitem__, plan.outputs)]
+        del lo, hi   # the plan never reuses an input slot: ins are the run's inputs
+        want = oracle(ins)
+        if want != got:   # equal planes: every lane passes, the ones past the last case too
+            wrong = reduce(or_, map(xor, want, got)).to_bytes(lanes // 8, "little")
             bits = np.unpackbits(np.frombuffer(wrong, np.uint8), bitorder="little")
-            bad = np.flatnonzero(bits.reshape(2, lanes)[:, :hi - lo].any(axis=0))   # either plane
+            bad = np.flatnonzero(bits[:stop - start])
+            # each digit as its (lo, hi) plane pair
+            ins, want, got = ([*zip(x[:len(x) // 2], x[len(x) // 2:])] for x in (ins, want, got))
             differ = [j for j, (w, g) in enumerate(zip(want, got)) if w != g]   # S[j + 1], cout
             read = [*ins, *(want[j] for j in differ), *(got[j] for j in differ)]
             taken = np.empty((bad.size, len(read)), dtype=np.uint8)
@@ -526,14 +523,15 @@ def add_cases(nl: Netlist, cases: int, source, oracle):
     return a, b, cin[:, 0], want, got
 
 
-def _digits(rows: list, lanes: int, out: np.ndarray, used: np.ndarray, take: np.ndarray) -> None:
-    """The digits of rows into ``out`` (lanes taken, len(rows)), 32 rows at a
-    time: ``to_bytes``, then ``np.unpackbits`` of their bytes ``used`` and a
-    take of the lanes ``take`` of those bits."""
-    for r in range(0, len(rows), 32):
-        part = rows[r:r + 32]
-        data = np.frombuffer(b"".join(row.to_bytes(lanes // 4, "little") for row in part), np.uint8)
-        planes = data.reshape(len(part), 2, lanes // 8)[..., used]
+def _digits(pairs: list, lanes: int, out: np.ndarray, used: np.ndarray, take: np.ndarray) -> None:
+    """The digits 2 * hi + lo of (lo, hi) plane pairs into ``out`` (lanes
+    taken, len(pairs)), 32 pairs at a time: ``to_bytes``, then
+    ``np.unpackbits`` of their bytes ``used`` and a take of the lanes
+    ``take`` of those bits."""
+    for r in range(0, len(pairs), 32):
+        part = [p for pair in pairs[r:r + 32] for p in pair]
+        data = np.frombuffer(b"".join(p.to_bytes(lanes // 8, "little") for p in part), np.uint8)
+        planes = data.reshape(-1, 2, lanes // 8)[..., used]
         bits = np.unpackbits(planes, axis=2, bitorder="little")[..., take]
         out[:, r:r + 32] = (bits[:, _HI] << 1 | bits[:, _LO]).T
 

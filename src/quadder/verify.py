@@ -1,18 +1,19 @@
 """Independent arithmetic oracle and equivalence harness.
 
 The oracle, ``_oracle_batch``, is a bit-sliced binary ripple adder on the
-int rows of bit planes that ``add_cases`` evaluates; it never touches the
-quaternary operators, so a defect in the algebra cannot hide a matching
-defect in a netlist.  Every check runs its cases through ``add_cases``
-against that oracle.  Exhaustive checks cover every assignment at small
-widths, their digits made whole once and packed by ``add_batch``.
+lo and hi bit planes, ints, that ``add_cases`` evaluates; it never touches
+the quaternary operators, so a defect in the algebra cannot hide a
+matching defect in a netlist.  Every check runs its cases through
+``add_cases`` against that oracle.  Exhaustive checks cover every
+assignment at small widths, their digits made whole once and packed by
+``add_batch``.
 Randomized checks run fixed corner vectors, aligned carry-run vectors
 (every aligned block of 2^k digits propagating between a kill or generate
 below and a kill, propagate or generate above) and then seeded trials;
 each run draws its input planes' words straight from the PCG64 stream and
 sets the vectors' lanes by bit mask.  Runs are the only chunks:
 ``add_cases`` gives each at most ``netlist.RUN_LANES`` cases, so memory
-does not grow with the case count; a run's rows are compared as ints, and
+does not grow with the case count; a run's planes are compared as ints, and
 only the failing lanes are read back, inputs too.
 """
 
@@ -125,18 +126,19 @@ class VerifyReport:
                                     ',\n  "divergences": []\n}\n')
 
 
-def _oracle_batch(ins: list, lanes: int) -> list:
-    """Bit-sliced (Biham) oracle on ``add_cases``' input rows, ints ``hi <<
-    lanes | lo``: the rows S[1..n] and cout should hold, by a binary ripple,
-    per bit c = (a & b) | (c & (a ^ b)) and s = a ^ b ^ c, lo bit first."""
-    n, ones = len(ins) // 2, (1 << lanes) - 1
-    c, out = ins[2 * n] & ones, []   # the carry into digit 0's lo bit: cin, 0 or 1, is its lo plane
-    for a, b in zip(ins[:n], ins[n:2 * n]):
-        p, g = a ^ b, a & b
-        carries = (g & ones | c & p) << lanes | c   # into the hi bit, and into the lo bit
-        out.append(p ^ carries)
-        c = (g | carries & p) >> lanes
-    return [*out, c]
+def _oracle_batch(ins: list) -> list:
+    """Bit-sliced (Biham) oracle on ``add_cases``' input planes: the planes
+    S[1..n] and cout should hold, lo then hi, by a binary ripple from cin's lo
+    plane through each digit's lo bit and then its hi bit, per bit p = a ^ b,
+    s = p ^ c and c = a & b | c & p."""
+    n = len(ins) // 4
+    c, lo, hi = ins[2 * n], [], []
+    for a0, b0, a1, b1 in zip(ins[:n], ins[n:2 * n], ins[2 * n + 1:3 * n + 1], ins[3 * n + 1:]):
+        for a, b, s in ((a0, b0, lo), (a1, b1, hi)):
+            p = a ^ b
+            s.append(p ^ c)
+            c = a & b | c & p
+    return [*lo, c, *hi, c ^ c]
 
 
 def _signal_names(n: int) -> list[str]:
@@ -241,7 +243,7 @@ def _fixed_lanes(n: int) -> np.ndarray:
 def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
     """Seeded random assignments after the fixed corner and carry-run vectors.
 
-    Case c of the check is lane c % 64 of word w = c // 64.  Of input row r
+    Case c of the check is lane c % 64 of word w = c // 64.  Of input r
     (A[1..n], B[1..n], then cin), the lo plane's word is PCG64(seed) output
     w(4n + 1) + r, by ``random_raw``, and the hi plane's output w(4n + 1) +
     2n + 1 + r (cin's is 0); ``_fixed_lanes`` then sets the vectors' digits.
@@ -261,18 +263,18 @@ def check_random(nl: Netlist, trials: int, seed: int) -> VerifyReport:
                          f"RANDOM_DIGITS_CAP = {RANDOM_DIGITS_CAP} digits")
     fixed, k = _fixed_lanes(n), 4 * n + 1   # k: the outputs a word takes
 
-    def rows(lo: int, hi: int) -> list:   # add_cases' input rows of the check's cases lo..hi-1
-        word, words = lo // 64, -(-(hi - lo) // 64)   # lo starts a word
+    def planes(start: int, stop: int) -> list:   # add_cases' input planes of cases start..stop-1
+        word, words = start // 64, -(-(stop - start) // 64)   # start is a word's first case
         raw = np.random.PCG64(seed).advance(word * k).random_raw(words * k).reshape(words, k)
         clear, put = fixed[:, word:word + words]
         part = raw[:len(clear)]
         part[:] = part & ~clear | put
         part[:, n:2 * n] ^= part[:, :n] & clear[:, n:2 * n]
         part[:, 3 * n + 1:] ^= part[:, 2 * n + 1:3 * n + 1] & clear[:, 3 * n + 1:]
-        buf = np.empty((2 * n + 1, 2, len(raw)), dtype=np.uint64)   # each row lo, then hi
-        buf[:, 0], buf[:-1, 1], buf[-1, 1] = raw[:, :2 * n + 1].T, raw[:, 2 * n + 1:].T, 0
-        del raw, part   # before the rows' ints are made
-        return [int.from_bytes(row, "little") for row in buf]
+        buf = np.empty((k + 1, words), dtype=np.uint64)   # the lo planes, then the hi planes
+        buf[:k], buf[k] = raw.T, 0   # the last is cin's hi plane
+        del raw, part   # before the planes' ints are made
+        return [int.from_bytes(plane, "little") for plane in buf]
 
-    records = _collect_mismatches(*netlist.add_cases(nl, count, rows, _oracle_batch))
+    records = _collect_mismatches(*netlist.add_cases(nl, count, planes, _oracle_batch))
     return VerifyReport("random", count, records, seed, nl.meta.get("kind"), n)

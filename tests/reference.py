@@ -21,9 +21,11 @@
 
 It also holds ``built``, the adders tests share, ``sums``, the sums of a
 batch for the tests that read them (every check in the package reads only
-the failing cases), ``random_cases``, the cases of a random check rebuilt
-from the PCG64 stream, ``mismatches``, a verify report's records as dicts,
-and ``traced_peak``, the memory probe of the tests that bound a call's
+the failing cases), ``run_nodes``, every node's value from the one-lane
+run ``evaluate_words`` makes (which reads back only S and cout),
+``random_cases``, the cases of a random check rebuilt from the PCG64
+stream, ``mismatches``, a verify report's records as dicts, and
+``traced_peak``, the memory probe of the tests that bound a call's
 allocations.
 """
 
@@ -581,31 +583,51 @@ def sums(nl: Netlist, a, b, cin) -> tuple[np.ndarray, np.ndarray]:
     """The sums of a batch: digit matrices a and b (cases, width) and cin
     (cases,), integral qudits of any dtype, run by ``netlist._run`` over
     ``nl._plan`` in the runs ``add_cases`` makes, each run's digits packed
-    into its input rows and its S and cout rows read back.  Returns the sum
-    digits, C-contiguous (cases, width), and the carry-outs (cases,), uint8."""
+    into its input planes and its S and cout planes read back.  Returns the
+    sum digits, C-contiguous (cases, width), and the carry-outs (cases,),
+    uint8."""
     n, plan = nl.width, nl._plan
     digits = np.column_stack((a, b, cin)).astype(np.uint8)
     step = min(netlist.RUN_LANES, 64 * (netlist.PLANE_BUDGET // (16 * plan.slots)))
     out = np.empty((len(digits), n + 1), dtype=np.uint8)
-    for lo in range(0, len(digits), step):
-        part = digits[lo:lo + step]
+    for start in range(0, len(digits), step):
+        part = digits[start:start + step]
         lanes = -(-len(part) // 64) * 64
-        bits = np.zeros((2 * n + 1, 2, lanes), dtype=np.uint8)   # each row's lo, then hi plane
-        bits[:, 0, :len(part)], bits[:, 1, :len(part)] = part.T & 1, part.T >> 1
-        rows = [int.from_bytes(row, "little") for row in np.packbits(bits, axis=2, bitorder="little")]
-        rows += [0] * (plan.slots - len(rows))
-        netlist._run(plan.steps, plan.outs, rows, lanes)
-        out[lo:lo + step] = lane_digits([rows[i] for i in plan.outputs], lanes, len(part))
+        bits = np.zeros((2, 2 * n + 1, lanes), dtype=np.uint8)   # the lo planes, then the hi
+        bits[0, :, :len(part)], bits[1, :, :len(part)] = part.T & 1, part.T >> 1
+        packed = np.packbits(bits, axis=2, bitorder="little").reshape(2 * (2 * n + 1), -1)
+        planes = [int.from_bytes(plane, "little") for plane in packed]
+        pad = [0] * (plan.slots - 2 * n - 1)
+        lo, hi = planes[:2 * n + 1] + pad, planes[2 * n + 1:] + pad
+        netlist._run(plan.steps, plan.outs, lo, hi, (1 << lanes) - 1)
+        outputs = [*(lo[i] for i in plan.outputs), *(hi[i] for i in plan.outputs)]
+        out[start:start + step] = lane_digits(outputs, len(part))
     return np.ascontiguousarray(out[:, :n]), out[:, n].copy()
 
 
-def lane_digits(rows, lanes: int, cases: int) -> np.ndarray:
-    """The first ``cases`` lanes of int rows ``hi << lanes | lo`` as
-    case-major qudits (cases, rows)."""
-    data = b"".join(row.to_bytes(lanes // 4, "little") for row in rows)
+def lane_digits(planes, cases: int) -> np.ndarray:
+    """The first ``cases`` lanes of int planes, k lo planes and then the k hi
+    planes of the same digits, each within ``cases`` rounded up to 64 lanes,
+    as case-major qudits (cases, k)."""
+    size = -(-cases // 64) * 8
+    data = b"".join(plane.to_bytes(size, "little") for plane in planes)
     bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
-    bits = bits.reshape(len(rows), 2, lanes)[..., :cases]
-    return (bits[:, 1] << 1 | bits[:, 0]).T
+    bits = bits.reshape(2, len(planes) // 2, 8 * size)[..., :cases]
+    return (bits[1] << 1 | bits[0]).T
+
+
+def run_nodes(nl: Netlist, a, b, cin, steps=None) -> list:
+    """Every node's value by id, from one lane of ``netlist._run`` over
+    ``steps`` by node id, by default the nodes read through their holders
+    (``netlist._through_holders``), as ``evaluate_words`` runs them: the
+    digits bind to the A, B and cin ports, and each node's lo and hi plane,
+    one bit each, are read back as its digit."""
+    lo, hi = [0] * len(nl.nodes), [0] * len(nl.nodes)
+    for pid, digit in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), (*a, *b, cin)):
+        lo[pid], hi[pid] = digit & 1, digit >> 1
+    steps = netlist._through_holders(nl) if steps is None else steps
+    netlist._run(steps, range(len(lo)), lo, hi, 1)
+    return [2 * h + l for l, h in zip(lo, hi)]
 
 
 def mismatches(report) -> list:

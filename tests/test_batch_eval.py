@@ -266,8 +266,8 @@ def test_tree_256_batch_of_20000_stays_under_48_mib():
 
 def test_tree_256_batch_of_20000_takes_under_14_mib_beyond_its_plan():
     """With the plan compiled, the batch holds the plane buffer and one
-    run's packing temporaries, then the plan rows and the oracle's rows:
-    never the buffer beside the plan rows."""
+    run's packing temporaries, then the plan's planes and the oracle's:
+    never the buffer beside the plan's planes."""
     nl = build(AdderSpec("tree", 256))
     a, b, cin = _batch_of_20000(256)
     netlist.add_batch(nl, a[:1], b[:1], cin[:1], verify._oracle_batch)   # compiles the plan

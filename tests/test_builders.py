@@ -161,7 +161,7 @@ def test_tree_q31_expands_to_three_terms():
         for bv in range(0, 4**n, 7):  # sampled b lanes keep this quick
             b = reference.int_to_word(bv, n)
             for cin in (0, 1):
-                values = netlist.evaluate_nodes(nl, a, b, cin)
+                values = reference.run_nodes(nl, a, b, cin)
                 p1, g1 = reference.pg(a[0], b[0])
                 p2, g2 = reference.pg(a[1], b[1])
                 want = reference.qor(g2, reference.qand(g1, p2), reference.qand(cin, p1, p2))
@@ -232,7 +232,7 @@ def test_tree_matches_nonmemoized_expansion(n):
         a = [int(x) for x in rng.integers(0, 4, n)]
         b = [int(x) for x in rng.integers(0, 4, n)]
         cin = int(rng.integers(0, 2))
-        values = netlist.evaluate_nodes(nl, a, b, cin)
+        values = reference.run_nodes(nl, a, b, cin)
         p = {i + 1: reference.pg(a[i], b[i]).propagate for i in range(n)}
         g = {i + 1: reference.pg(a[i], b[i]).generate for i in range(n)}
         for i in range(2, n + 2):
@@ -251,7 +251,7 @@ def test_unmasked_carry_low_bit_soundness():
             for bv in range(0, 4**n, 5):
                 b = reference.int_to_word(bv, n)
                 for cin in (0, 1):
-                    values = netlist.evaluate_nodes(nl, a, b, cin)
+                    values = reference.run_nodes(nl, a, b, cin)
                     chain = cin
                     for i in range(1, n + 1):
                         chain = reference.full_add(a[i - 1], b[i - 1], chain).carry

@@ -47,23 +47,25 @@ def cases(n, mode, trials, seed):
 
 def node_walk(nl, runs):
     """Each case's S[1..n] and cout digits, from one ``netlist._run`` over
-    ``nl.nodes`` with case k as lane k: every port row packed from its
-    digits, the output rows read back with numpy."""
+    ``nl.nodes`` with case k as lane k: every port's lo and hi plane packed
+    from its digits, the output planes read back with numpy."""
     lanes = len(runs)
     digits = np.array([(*a, *b, cin) for a, b, cin in runs], dtype=np.uint8).reshape(lanes, -1)
-    rows = [0] * len(nl.nodes)
+    lo, hi = [0] * len(nl.nodes), [0] * len(nl.nodes)
 
     def plane(bits):
         return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
     for pid, column in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), digits.T):
-        rows[pid] = plane(column >> 1) << lanes | plane(column & 1)
-    netlist._run(nl.nodes, range(len(rows)), rows, lanes)
-    size = -(-2 * lanes // 8)
-    out = [rows[i] for i in (*nl.s_ports, nl.cout_port)]
-    bits = np.unpackbits(np.frombuffer(b"".join(row.to_bytes(size, "little") for row in out),
-                                       np.uint8).reshape(len(out), size), axis=1, bitorder="little")
-    return (bits[:, lanes:2 * lanes] << 1 | bits[:, :lanes]).T.tolist()
+        lo[pid], hi[pid] = plane(column & 1), plane(column >> 1)
+    netlist._run(nl.nodes, range(len(lo)), lo, hi, (1 << lanes) - 1)
+    outputs = (*nl.s_ports, nl.cout_port)
+    size = -(-lanes // 8)
+    out = [*(lo[i] for i in outputs), *(hi[i] for i in outputs)]
+    bits = np.unpackbits(np.frombuffer(b"".join(plane.to_bytes(size, "little") for plane in out),
+                                       np.uint8).reshape(2, len(outputs), size), axis=2,
+                         bitorder="little")[..., :lanes]
+    return (bits[1] << 1 | bits[0]).T.tolist()
 
 
 def reference_records(nl, runs):

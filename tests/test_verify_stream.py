@@ -32,20 +32,19 @@ SHAPES = ((1, 1), (1, 7), (5, 1), (7, 5), (3, 6), (9, 7), (40, 12))
 
 def _planes(digits):
     """Case-major qudits (cases, rows) laid out as ``add_cases`` documents
-    its input rows: (rows, lanes), one int ``hi << lanes | lo`` a row, bit j
-    of a plane holding case j, and lanes a multiple of 64."""
-    cases, rows = digits.shape
-    lanes = -(-cases // 64) * 64
-    weights = [1 << j for j in range(cases)]
-    return [sum(w for w, d in zip(weights, col) if d >> 1) << lanes
-            | sum(w for w, d in zip(weights, col) if d & 1) for col in digits.T.tolist()], lanes
+    its input planes: one int a plane, the rows' lo planes and then their hi
+    planes, bit j of a plane holding case j."""
+    weights = [1 << j for j in range(len(digits))]
+    return [sum(w for w, d in zip(weights, col) if d >> bit & 1)
+            for bit in (0, 1) for col in digits.T.tolist()]
 
 
-def _lanes(rows, lanes, cases):
+def _lanes(planes, cases):
     """The inverse of ``_planes``, lane by lane: the first ``cases`` lanes of
-    int rows as case-major qudits (cases, rows)."""
-    return np.array([[2 * (row >> lanes + j & 1) + (row >> j & 1) for row in rows]
-                     for j in range(cases)], dtype=np.uint8).reshape(cases, len(rows))
+    int planes as case-major qudits (cases, rows)."""
+    k = len(planes) // 2
+    return np.array([[2 * (hi >> j & 1) + (lo >> j & 1) for lo, hi in zip(planes[:k], planes[k:])]
+                     for j in range(cases)], dtype=np.uint8).reshape(cases, k)
 
 
 def _structured(n: int) -> int:
@@ -54,32 +53,34 @@ def _structured(n: int) -> int:
 
 
 def _input_runs(nl, trials, seed):
-    """The report of ``check_random`` and each run's input rows and lanes, as
-    the oracle gets them."""
+    """The report of ``check_random`` and each run's input planes, as the
+    oracle gets them."""
     runs, oracle = [], verify._oracle_batch
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_oracle_batch",
-                   lambda x, lanes: runs.append((list(x), lanes)) or oracle(x, lanes))
+        mp.setattr(verify, "_oracle_batch", lambda x: runs.append(list(x)) or oracle(x))
         return verify.check_random(nl, trials, seed), runs
 
 
 @pytest.mark.parametrize("trials, n", SHAPES)
 def test_word_digits_equal_integer_draws(trials, n):
-    """In one chunk, the lo and hi plane of every input row, read as ints,
+    """In one chunk, the lo and hi plane of every input row r, read as ints,
     are their 64-lane words' ``random_raw`` outputs w(4n + 1) + r (lo) and
     w(4n + 1) + 2n + 1 + r (hi, none for cin) outside the vectors' lanes,
-    also past the last case."""
+    also past the last case: input plane p is output w(4n + 1) + p, but for
+    cin's hi plane, the last."""
     nl = reference.built(builders.AdderSpec("ripple", n))
     k = 4 * n + 1
     for seed in SEEDS:
         report, runs = _input_runs(nl, trials, seed)
-        [(rows, lanes)] = runs
+        [planes] = runs
         assert report.passed and report.cases_run == _structured(n) + trials
+        lanes = -(-report.cases_run // 64) * 64
         raw = np.random.PCG64(seed).random_raw(lanes // 64 * k).tolist()
         drawn = ~((1 << _structured(n)) - 1)   # the lanes no vector sets
-        for r, row in enumerate(rows):
+        assert len(planes) == 2 * (2 * n + 1)
+        for r in range(2 * n + 1):
             offsets = (r, 2 * n + 1 + r if r < 2 * n else None)
-            for plane, offset in zip((row & (1 << lanes) - 1, row >> lanes), offsets):
+            for plane, offset in zip((planes[r], planes[2 * n + 1 + r]), offsets):
                 words = [raw[w * k + offset] if offset is not None else 0
                          for w in range(lanes // 64)]
                 want = int.from_bytes(np.array(words, dtype=np.uint64).tobytes(), "little")
@@ -99,7 +100,7 @@ def test_chunked_draws_reproduce_the_one_shot_draws(monkeypatch, chunk):
         count = report.cases_run
         assert report.passed and count == _structured(n) + trials
         assert len(runs) == -(-count // chunk)
-        got = np.concatenate([_lanes(*run, min(chunk, count - lo))
+        got = np.concatenate([_lanes(run, min(chunk, count - lo))
                               for run, lo in zip(runs, range(0, count, chunk))])
         want = [(*a, *b, cin) for a, b, cin in reference.random_cases(n, count, seed)]
         assert np.array_equal(got, np.array(want, dtype=np.uint8)), (trials, n, seed)
@@ -108,10 +109,9 @@ def test_chunked_draws_reproduce_the_one_shot_draws(monkeypatch, chunk):
 def _assert_oracle_matches(a, b, cin):
     """The bit-sliced oracle's S and cout planes, read back lane by lane,
     against the integer oracle."""
-    rows, lanes = _planes(np.column_stack((a, b, cin)))
-    out = verify._oracle_batch(rows, lanes)
-    assert len(out) == a.shape[1] + 1 and all(type(row) is int for row in out)
-    for x, y, c, row in zip(a, b, cin, _lanes(out, lanes, len(cin))):   # S[1..n], then cout
+    out = verify._oracle_batch(_planes(np.column_stack((a, b, cin))))
+    assert len(out) == 2 * (a.shape[1] + 1) and all(type(plane) is int for plane in out)
+    for x, y, c, row in zip(a, b, cin, _lanes(out, len(cin))):   # S[1..n], then cout
         s, cout = reference.oracle_add(x.tolist(), y.tolist(), int(c))
         assert row.tolist() == [*s, cout]
 
@@ -158,7 +158,7 @@ def test_lanes_past_the_last_case_give_no_records(check):
     a, b, cin = _random_batch(1, report.cases_run)
     a_bad, b_bad, cin_bad, want, got = netlist.add_batch(nl, a, b, cin, verify._oracle_batch)
     assert np.array_equal(a_bad, a) and np.array_equal(b_bad, b)   # every case, in order
-    assert np.array_equal(cin_bad, cin)   # read back from the run's input rows
+    assert np.array_equal(cin_bad, cin)   # read back from the run's input planes
     assert want.shape == got.shape == (len(cin), 2) and (want[:, 1] == got[:, 1]).all()
     none = netlist.add_batch(nl, a[:0], b[:0], cin[:0], verify._oracle_batch)   # no lane at all
     assert [x.shape for x in none] == [(0, 1), (0, 1), (0,), (0, 2), (0, 2)]
@@ -204,14 +204,13 @@ def test_exhaustive_reports_do_not_depend_on_the_chunk_size(monkeypatch, kind):
 def test_exhaustive_chunks_hold_the_indexed_cases(monkeypatch, chunk):
     """An exhaustive check makes one ``add_batch`` call, its case k being (a
     word k >> (2n + 1), b word (k >> 1) mod 4^n, cin k & 1), and each run's
-    input rows hold its cases lo..hi-1, at every exhaustive width.  Runs of
+    input planes hold its cases start..stop-1, at every exhaustive width.  Runs of
     64 and 192 split the 2 * 4^n-case periods of (b, cin) at width 3 and 4."""
     monkeypatch.setattr(netlist, "RUN_LANES", chunk)
     calls, runs = [], []
     add_batch, oracle = netlist.add_batch, verify._oracle_batch
     monkeypatch.setattr(netlist, "add_batch", lambda *args: calls.append(args) or add_batch(*args))
-    monkeypatch.setattr(verify, "_oracle_batch",
-                        lambda x, lanes: runs.append((x, lanes)) or oracle(x, lanes))
+    monkeypatch.setattr(verify, "_oracle_batch", lambda x: runs.append(x) or oracle(x))
     for n in range(1, verify.EXHAUSTIVE_WIDTH_BOUND + 1):
         calls.clear(), runs.clear()
         assert verify.check_exhaustive(reference.built(builders.AdderSpec("ripple", n))).passed
@@ -222,8 +221,8 @@ def test_exhaustive_chunks_hold_the_indexed_cases(monkeypatch, chunk):
         assert a.dtype == b.dtype == cin.dtype == np.uint8
         assert np.array_equal(np.column_stack((a, b, cin)), want), n
         assert len(runs) == -(-k.size // chunk)
-        got = np.concatenate([reference.lane_digits(rows, lanes, min(chunk, k.size - lo))
-                              for (rows, lanes), lo in zip(runs, range(0, k.size, chunk))])
+        got = np.concatenate([reference.lane_digits(planes, min(chunk, k.size - lo))
+                              for planes, lo in zip(runs, range(0, k.size, chunk))])
         assert np.array_equal(got, want), n
 
 
@@ -264,7 +263,7 @@ def test_random_check_at_256_digits_peaks_within_its_plane_buffer(kind):
 @pytest.mark.parametrize("kind", ["tree", "sparse", "hybrid", "ripple"])
 def test_random_check_at_256_digits_peaks_under_8_mib(kind):
     """With each step run beside the first output that needs it, no carry
-    network's plan rows outgrow the run's input draw: every kind peaks about
+    network's plan slots outgrow the run's input draw: every kind peaks about
     where ripple does (6.9 MiB), not at 10.4-12.4 MiB."""
     nl = builders.build(builders.AdderSpec(kind, 256))
     verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
@@ -276,7 +275,7 @@ def test_random_check_at_256_digits_peaks_under_8_mib(kind):
 def _or_of_xor_chain(length: int):
     """Width 1: S[1] is an Or over a chain of Xor gates, each reading the
     one before, and cout the chain's last gate.  The Or reads every link, so
-    the plan keeps a plane row for each."""
+    the plan keeps a slot of planes for each."""
     nb = NetlistBuilder(1)
     ports = a, b, cin = nb.add_input("A[1]"), nb.add_input("B[1]"), nb.add_input("cin")
     links = [nb.add(XOR, a, b)]
