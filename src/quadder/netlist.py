@@ -60,6 +60,7 @@ _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
 PLANE_BUDGET = 2**25   # bytes of plane slots per add_cases run, 16 a slot per 64 cases
 RUN_LANES = 2**15      # cases per add_cases run at most, a whole number of 64-lane words
+NODE_RUN_LANES = RUN_LANES // 8   # cases of a check run over the nodes, no plan, at most
 
 
 @contextmanager
@@ -364,20 +365,28 @@ def _through_holders(nl: Netlist) -> Sequence:
 
 def evaluate_words(nl: Netlist, a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
     """Evaluate with digit words (index 0 = least significant): one lane of
-    ``_run`` over the nodes read through their holders, compiling nothing.
+    ``_run_nodes``, as a small ``add_cases`` check runs, compiling nothing.
     Only a, b and cin, bound to the A, B and cin ports by port id, are
     checked: const values are checked when a netlist is made, and every gate
     maps qudits to qudits."""
     digits = (*_check_word(a, nl.width), *_check_word(b, nl.width), _check_qudit(cin))
-    lo, hi = [0] * len(nl.nodes), [0] * len(nl.nodes)
-    for pid, digit in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), digits):
-        lo[pid], hi[pid] = digit & 1, digit >> 1
-    _run(_through_holders(nl), range(len(lo)), lo, hi, 1)
+    lo, hi = _run_nodes(nl, [d & 1 for d in digits], [d >> 1 for d in digits], 1)
     return tuple(2 * hi[i] + lo[i] for i in nl.s_ports), 2 * hi[nl.cout_port] + lo[nl.cout_port]
 
 
+def _run_nodes(nl: Netlist, lo_ins, hi_ins, ones) -> tuple[list, list]:
+    """``_run`` over the nodes themselves, read through their holders: a plane
+    pair per node id, the lo and hi planes of A, B and cin bound by port id."""
+    lo, hi = [0] * len(nl.nodes), [0] * len(nl.nodes)
+    for pid, l, h in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), lo_ins, hi_ins):
+        lo[pid], hi[pid] = l, h
+    _run(_through_holders(nl), range(len(lo)), lo, hi, ones)
+    return lo, hi
+
+
 class _Plan(NamedTuple):
-    """A netlist compiled for ``_run`` over a batch.
+    """A netlist compiled for ``_run`` over a batch, by the first
+    ``add_cases`` check too large to run over the nodes themselves.
 
     Slots 0..2n hold the ports A[1..n], B[1..n] and cin, bound by port id,
     a lo and a hi plane each.  Each step, (kind, input slots, const value,
@@ -473,14 +482,18 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
 
 
 def add_cases(nl: Netlist, cases: int, source, oracle):
-    """Batch addition of ``cases`` cases checked against an oracle: ``_run``
-    over the plan in runs of at most RUN_LANES cases, whole 64-lane words, 16
-    bytes a plan slot per 64 cases within PLANE_BUDGET.  ``source(start,
-    stop)`` gives cases start..stop-1, start a multiple of 64, as the lo
-    planes of A[1..n], B[1..n] and cin, then their hi planes: ints over the
-    run's lanes (stop - start rounded up to a multiple of 64), bit j being
-    case start + j.  The lanes past the last case may hold any digits (a cin
-    0 or 1).
+    """Batch addition of ``cases`` cases checked against an oracle, by
+    ``_run`` in runs of whole 64-lane words.  At most NODE_RUN_LANES cases
+    whose nodes' plane pairs fit in PLANE_BUDGET // 8 bytes are one run of
+    ``_run_nodes``, compiling nothing: to 4096 lanes slot reuse saves less
+    than the compile costs, and past it the node run falls ever further
+    behind (``tests/data/plan_crossover.py``).  Other checks run over the
+    plan, in runs of at most RUN_LANES cases, 16 bytes a slot per 64 cases
+    within PLANE_BUDGET.  ``source(start, stop)`` gives cases start..stop-1,
+    start a multiple of 64, as the lo planes of A[1..n], B[1..n] and cin,
+    then their hi planes: ints over the run's lanes (stop - start rounded
+    up to a multiple of 64), bit j being case start + j.  The lanes past
+    the last case may hold any digits (a cin 0 or 1).
 
     ``oracle(ins)`` gets each run's input planes and returns the planes
     S[1..n] and cout should hold, lo then hi; only the lanes where they
@@ -489,8 +502,10 @@ def add_cases(nl: Netlist, cases: int, source, oracle):
     run gets wrong is not read and reads 0 in both.
     """
     n = nl.width
-    plan = nl._plan
-    step = min(RUN_LANES, 64 * (PLANE_BUDGET // (16 * plan.slots)))
+    plan, step, outputs = None, RUN_LANES, (*nl.s_ports, nl.cout_port)   # one run, no plan
+    if cases > NODE_RUN_LANES or 16 * -(-cases // 64) * len(nl.nodes) > PLANE_BUDGET // 8:
+        plan = nl._plan
+        step, outputs = min(RUN_LANES, 64 * (PLANE_BUDGET // (16 * plan.slots))), plan.outputs
     if not step:
         raise ValueError(f"the plan's {plan.slots} plane slots take {16 * plan.slots} bytes per "
                          f"64 cases, over the plane budget PLANE_BUDGET = {PLANE_BUDGET} bytes")
@@ -499,11 +514,14 @@ def add_cases(nl: Netlist, cases: int, source, oracle):
         stop = min(start + step, cases)
         lanes = (stop - start + 63) // 64 * 64
         ins = source(start, stop)
-        pad = [0] * (plan.slots - 2 * n - 1)
-        lo, hi = ins[:2 * n + 1] + pad, ins[2 * n + 1:] + pad
-        _run(plan.steps, plan.outs, lo, hi, (1 << lanes) - 1)
-        got = [*map(lo.__getitem__, plan.outputs), *map(hi.__getitem__, plan.outputs)]
-        del lo, hi   # the plan never reuses an input slot: ins are the run's inputs
+        if plan is None:
+            lo, hi = _run_nodes(nl, ins[:2 * n + 1], ins[2 * n + 1:], (1 << lanes) - 1)
+        else:
+            pad = [0] * (plan.slots - 2 * n - 1)
+            lo, hi = ins[:2 * n + 1] + pad, ins[2 * n + 1:] + pad
+            _run(plan.steps, plan.outs, lo, hi, (1 << lanes) - 1)
+        got = [*map(lo.__getitem__, outputs), *map(hi.__getitem__, outputs)]
+        del lo, hi   # no input plane is overwritten: ins are the run's inputs
         want = oracle(ins)
         if want != got:   # equal planes: every lane passes, the ones past the last case too
             wrong = reduce(or_, map(xor, want, got)).to_bytes(lanes // 8, "little")

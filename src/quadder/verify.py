@@ -14,7 +14,9 @@ each run draws its input planes' words straight from the PCG64 stream and
 sets the vectors' lanes by bit mask.  Runs are the only chunks:
 ``add_cases`` gives each at most ``netlist.RUN_LANES`` cases, so memory
 does not grow with the case count; a run's planes are compared as ints, and
-only the failing lanes are read back, inputs too.
+only the failing lanes are read back, inputs too.  A check of at most
+``netlist.NODE_RUN_LANES`` (4096) cases is one run over the nodes and
+compiles no plan, which would cost more there than its slot reuse saves.
 """
 
 from __future__ import annotations

@@ -234,7 +234,7 @@ def _peak(nl, trials) -> int:
 
 def test_random_check_memory_does_not_grow_with_trials():
     nl = builders.build(builders.AdderSpec("tree", 64))
-    verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
+    nl._plan   # compiles the plan outside the trace
     small, large = _peak(nl, 10**5), _peak(nl, 4 * 10**5)
     assert large <= 1.1 * small, f"{small / 2**20:.1f} -> {large / 2**20:.1f} MiB"
 
@@ -242,7 +242,7 @@ def test_random_check_memory_does_not_grow_with_trials():
 @pytest.mark.parametrize("kind", ["tree", "hybrid"])
 def test_random_check_at_256_digits_stays_under_24_mib(kind):
     nl = builders.build(builders.AdderSpec(kind, 256))
-    verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
+    nl._plan   # compiles the plan outside the trace
     peak = _peak(nl, 20000)
     assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
@@ -252,7 +252,7 @@ def test_random_check_at_256_digits_peaks_within_its_plane_buffer(kind):
     """The 23084 cases of width 256 are one run: the check's peak is its plane
     buffer and at most 6 MiB more, as no full-size digit array is made."""
     nl = builders.build(builders.AdderSpec(kind, 256))
-    verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
+    nl._plan   # compiles the plan outside the trace
     peak, report = reference.traced_peak(verify.check_random, nl, 20000, 5)
     buffer = 16 * nl._plan.slots * -(-report.cases_run // 64)
     assert report.passed
@@ -266,7 +266,7 @@ def test_random_check_at_256_digits_peaks_under_8_mib(kind):
     network's plan slots outgrow the run's input draw: every kind peaks about
     where ripple does (6.9 MiB), not at 10.4-12.4 MiB."""
     nl = builders.build(builders.AdderSpec(kind, 256))
-    verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
+    nl._plan   # compiles the plan outside the trace
     peak, report = reference.traced_peak(verify.check_random, nl, 20000, 5)
     assert report.passed
     assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
@@ -295,7 +295,7 @@ def test_plane_buffer_stays_within_the_chunk_budget(monkeypatch):
     """A 6 MiB budget holds fewer than ``RUN_LANES`` cases of this plan: the
     budget sets the runs, and the peak stays within it."""
     nl = _or_of_xor_chain(1000)
-    verify.check_random(nl, 10, 1)   # compiles the plan outside the trace
+    nl._plan   # compiles the plan outside the trace
     want = verify.check_random(nl, 40000, 3)
     monkeypatch.setattr(netlist, "PLANE_BUDGET", 6 * 2**20)
     step = 64 * (netlist.PLANE_BUDGET // (16 * nl._plan.slots))
