@@ -60,7 +60,7 @@ _RECORD_FIELDS = frozenset({"id", "kind", "inputs", "value", "name"})
 
 PLANE_BUDGET = 2**25   # bytes of plane slots per add_cases run, 16 a slot per 64 cases
 RUN_LANES = 2**15      # cases per add_cases run at most, a whole number of 64-lane words
-NODE_RUN_LANES = RUN_LANES // 8   # cases of a check run over the nodes, no plan, at most
+NODE_RUN_LANES = RUN_LANES // 8   # cases of a check run on the nodes' own plan, at most
 
 
 @contextmanager
@@ -110,9 +110,12 @@ class Netlist:
     signals: dict = field(default_factory=dict)   # name -> node id
     meta: dict = field(default_factory=dict)      # kind, params, groups, ...
     _holders: dict = field(init=False, repr=False, compare=False)   # reader id -> holder id
+    _steps: Sequence = field(init=False, repr=False, compare=False)   # _run steps by node id
 
     def __post_init__(self):
-        object.__setattr__(self, "_holders", _validate(self))
+        holders, steps = _validate(self)
+        object.__setattr__(self, "_holders", holders)
+        object.__setattr__(self, "_steps", steps)
 
     def output_map(self) -> dict:
         out = {f"S[{i + 1}]": nid for i, nid in enumerate(self.s_ports)}
@@ -124,11 +127,17 @@ class Netlist:
 
     @cached_property
     def _analysis(self) -> _Analysis:
-        return _Analysis(self.nodes, self._holders)
+        return _Analysis(self.nodes, self._steps, self._holders)
+
+    @cached_property
+    def _node_plan(self) -> _Plan:
+        n = len(self.nodes)
+        return _Plan(self._steps, range(n), n, (*self.a_ports, *self.b_ports, self.cin_port),
+                     (*self.s_ports, self.cout_port))
 
     @cached_property
     def _plan(self) -> _Plan:
-        return _Plan.compile(self)
+        return _Plan.compile(self._node_plan)
 
 
 class NetlistBuilder:
@@ -192,7 +201,7 @@ class NetlistBuilder:
         )
 
 
-def _validate(nl: Netlist) -> dict:
+def _validate(nl: Netlist) -> tuple[dict, Sequence]:
     """One pass over the nodes plus the port, signal and group references.
 
     The only structural check, run once for every netlist, when it is made
@@ -204,15 +213,18 @@ def _validate(nl: Netlist) -> dict:
     group names are strs, the only keys a document can give back.
 
     The walk also applies the prefix rule to each wide gate (fan-in 3 or more)
-    that has passed every check and returns its table {reader id: holder id}:
-    a gate's holder is the latest earlier wide gate of its kind with the same
-    first input, if that gate's inputs are a strict prefix of its own.
+    that has passed every check: a gate's holder is the latest earlier wide
+    gate of its kind with the same first input, if that gate's inputs are a
+    strict prefix of its own.  Returns the table {reader id: holder id} and
+    the nodes as ``_run`` steps, each reader's reading ``(holder, *rest)``
+    (the ``nodes`` tuple itself when there is no reader).
     """
     if type(nl.width) is not int or nl.width < 1:
         raise DocumentError("malformed", f"width {nl.width!r} is not a positive integer")
     n = len(nl.nodes)
     n_inputs = 0
-    holders, latest = {}, {kind: {} for kind in MULTI_KINDS}   # latest: first input -> wide gate
+    holders, steps = {}, list(nl.nodes)
+    latest = {kind: {} for kind in MULTI_KINDS}   # kind -> first input -> latest wide gate
     for nid, (kind, ins, value, name) in enumerate(nl.nodes):
         fan_in = _FAN_IN.get(kind) if type(kind) is str else None
         if fan_in is None:
@@ -233,11 +245,12 @@ def _validate(nl: Netlist) -> dict:
         elif name is not None:
             raise DocumentError("malformed", f"{kind} node {nid} has a name")
         if k > 2:   # the prefix rule; a gate with no earlier one is its own, not strict, prefix
-            head = latest[kind].get(ins[0], nid)
-            latest[kind][ins[0]] = nid
-            prefix = nl.nodes[head][1]
-            if len(prefix) < k and ins[:len(prefix)] == prefix:
-                holders[nid] = head
+            head, latest[kind][ins[0]] = latest[kind].get(ins[0], nid), nid
+            if k > 3:   # a reader has more inputs than its wide holder
+                prefix = nl.nodes[head][1]
+                if len(prefix) < k and ins[:len(prefix)] == prefix:
+                    holders[nid] = head
+                    steps[nid] = (kind, (head, *ins[len(prefix):]), value, name)
     if len(nl.a_ports) != nl.width or len(nl.b_ports) != nl.width or len(nl.s_ports) != nl.width:
         raise DocumentError("malformed", "port vector width mismatch")
     port_names = [*(f"A[{i}]" for i in range(1, nl.width + 1)),
@@ -265,7 +278,7 @@ def _validate(nl: Netlist) -> dict:
         if not isinstance(ids, (list, tuple)):
             raise DocumentError("malformed", f"group {group!r} is not a list of ids")
         _check_ids(ids, n, f"group {group!r}")
-    return holders
+    return holders, steps if holders else nl.nodes
 
 
 def _reject_fan_in(nid: int, kind: str, got: int) -> None:
@@ -349,73 +362,58 @@ def _run(steps, outs, lo: list, hi: list, ones) -> None:
             hi[out], lo[out] = ones if value >> 1 else zero, ones if value & 1 else zero
 
 
-def _through_holders(nl: Netlist) -> Sequence:
-    """The nodes as ``_run`` steps by node id, each wide gate with a holder
-    (``Netlist._holders``) reading ``(holder, *rest)``: the holder stands for
-    the prefix of its reader's inputs that it reads itself."""
-    nodes = nl.nodes
-    if not nl._holders:
-        return nodes
-    steps = list(nodes)
-    for nid, head in nl._holders.items():
-        kind, ins, value, name = nodes[nid]
-        steps[nid] = (kind, (head, *ins[len(nodes[head][1]):]), value, name)
-    return steps
-
-
 def evaluate_words(nl: Netlist, a, b, cin: int = 0) -> tuple[tuple[int, ...], int]:
     """Evaluate with digit words (index 0 = least significant): one lane of
-    ``_run_nodes``, as a small ``add_cases`` check runs, compiling nothing.
-    Only a, b and cin, bound to the A, B and cin ports by port id, are
-    checked: const values are checked when a netlist is made, and every gate
-    maps qudits to qudits."""
+    ``_run_plan`` over the nodes' own plan, as a small ``add_cases`` check
+    runs it, compiling nothing.  Only a, b and cin, bound to the A, B and
+    cin ports by port id, are checked: const values are checked when a
+    netlist is made, and every gate maps qudits to qudits."""
     digits = (*_check_word(a, nl.width), *_check_word(b, nl.width), _check_qudit(cin))
-    lo, hi = _run_nodes(nl, [d & 1 for d in digits], [d >> 1 for d in digits], 1)
-    return tuple(2 * hi[i] + lo[i] for i in nl.s_ports), 2 * hi[nl.cout_port] + lo[nl.cout_port]
+    planes = _run_plan(nl._node_plan, [d & 1 for d in digits], [d >> 1 for d in digits], 1)
+    out = [2 * h + l for l, h in zip(planes, planes[nl.width + 1:])]   # S[1..n], cout
+    return tuple(out[:-1]), out[-1]
 
 
-def _run_nodes(nl: Netlist, lo_ins, hi_ins, ones) -> tuple[list, list]:
-    """``_run`` over the nodes themselves, read through their holders: a plane
-    pair per node id, the lo and hi planes of A, B and cin bound by port id."""
-    lo, hi = [0] * len(nl.nodes), [0] * len(nl.nodes)
-    for pid, l, h in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), lo_ins, hi_ins):
-        lo[pid], hi[pid] = l, h
-    _run(_through_holders(nl), range(len(lo)), lo, hi, ones)
-    return lo, hi
+def _run_plan(plan: _Plan, lo_ins, hi_ins, ones) -> list:
+    """One ``_run`` of a plan, the lo and hi planes of A[1..n], B[1..n] and
+    cin bound to its port slots: the S[1..n] and cout planes, lo then hi."""
+    lo, hi = [0] * plan.slots, [0] * plan.slots
+    for slot, l, h in zip(plan.ports, lo_ins, hi_ins):
+        lo[slot], hi[slot] = l, h
+    _run(plan.steps, plan.outs, lo, hi, ones)
+    return [*map(lo.__getitem__, plan.outputs), *map(hi.__getitem__, plan.outputs)]
 
 
 class _Plan(NamedTuple):
-    """A netlist compiled for ``_run`` over a batch, by the first
-    ``add_cases`` check too large to run over the nodes themselves.
+    """Steps for ``_run`` over a batch, each (kind, input slots, const
+    value, _), a Node's shape, with the slot each computes its node into,
+    and the slots ``_run_plan`` binds A[1..n], B[1..n] and cin to and reads
+    S[1..n] and cout from.  A reader of a prefix holder (``_validate``)
+    reads the holder's slot in place of the holder's inputs.
 
-    Slots 0..2n hold the ports A[1..n], B[1..n] and cin, bound by port id,
-    a lo and a hi plane each.  Each step, (kind, input slots, const value,
-    None), computes one live node into its own slot, its entry in ``outs``.
-    A wide gate with a holder (``Netlist._holders``, by ``_validate``'s
-    prefix rule) reads the holder's slot in place of the holder's inputs.
-    Nodes outside the cone of S and cout get no step unless a step reads
-    them as its prefix.  Steps run in the order of the first output (S[j] or
-    cout, taken by node id) whose cone, through those reads, holds their
-    node, then by node id: each node runs just before the first output that
-    needs it, so a value made early for a late output (a P or G read only by
-    the carry network) does not hold a slot while the outputs before it are
-    made.  A slot is reused once the last step reading it has run.  The
-    input and output slots are never reused, so a run's inputs can still be
-    read once its outputs are made.
+    A netlist has two.  Its nodes' own plan (``Netlist._node_plan``) is its
+    ``_steps`` with each node id its own slot.  The compiled plan
+    (``Netlist._plan``), made from it by the first ``add_cases`` check too
+    large for it, binds the ports to slots 0..2n and gives a step only to
+    the cone of S and cout and the holders its steps read.  Its steps run in
+    the order of the first output (S[j] or cout, taken by node id) whose
+    cone, through those reads, holds their node, then by node id: each node
+    runs just before the first output that needs it, so a value made early
+    for a late output (a P or G read only by the carry network) does not
+    hold a slot while the outputs before it are made.  A slot is reused once
+    the last step reading it has run, but for the input and output slots.
     """
 
-    steps: tuple
-    outs: tuple
+    steps: Sequence
+    outs: Sequence
     slots: int
-    outputs: tuple   # the slots of S[1..n], then cout
+    ports: Sequence    # the slots of A[1..n], B[1..n] and cin
+    outputs: Sequence  # the slots of S[1..n], then cout
 
     @classmethod
-    def compile(cls, nl: Netlist) -> _Plan:
-        nodes = _through_holders(nl)
-        n = len(nodes)
-        reads = [node[1] for node in nodes]   # the ids each node's step reads
-        ports = [*nl.a_ports, *nl.b_ports, nl.cin_port]
-        outputs = (*nl.s_ports, nl.cout_port)
+    def compile(cls, nodes: _Plan) -> _Plan:
+        n, ports, outputs = nodes.slots, nodes.ports, nodes.outputs
+        reads = [step[1] for step in nodes.steps]   # the ids each node's step reads
         first = [n] * n          # id of the first output whose cone holds each node; n: none
         for nid in outputs:
             first[nid] = nid
@@ -439,7 +437,7 @@ class _Plan(NamedTuple):
         free = []
         steps, outs = [], []
         for nid in reversed(order):   # slots are handed out backward, each at its node's last read
-            kind, _, value, _ = nodes[nid]
+            kind, _, value, _ = nodes.steps[nid]
             ins = reads[nid]
             for i in ins:
                 if slot[i] < 0:   # taken while this step's slot is held: it aliases no input
@@ -455,7 +453,8 @@ class _Plan(NamedTuple):
                 steps.append((kind, (slot[ins[0]],), value, None))
             else:
                 steps.append((kind, tuple(map(get, ins)), value, None))
-        return cls(tuple(reversed(steps)), tuple(reversed(outs)), size, tuple(map(get, outputs)))
+        return cls(tuple(reversed(steps)), tuple(reversed(outs)), size, range(len(ports)),
+                   tuple(map(get, outputs)))
 
 
 def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.ndarray, oracle):
@@ -483,17 +482,18 @@ def add_batch(nl: Netlist, a_digits: np.ndarray, b_digits: np.ndarray, cin: np.n
 
 def add_cases(nl: Netlist, cases: int, source, oracle):
     """Batch addition of ``cases`` cases checked against an oracle, by
-    ``_run`` in runs of whole 64-lane words.  At most NODE_RUN_LANES cases
-    whose nodes' plane pairs fit in PLANE_BUDGET // 8 bytes are one run of
-    ``_run_nodes``, compiling nothing: to 4096 lanes slot reuse saves less
-    than the compile costs, and past it the node run falls ever further
-    behind (``tests/data/plan_crossover.py``).  Other checks run over the
-    plan, in runs of at most RUN_LANES cases, 16 bytes a slot per 64 cases
-    within PLANE_BUDGET.  ``source(start, stop)`` gives cases start..stop-1,
-    start a multiple of 64, as the lo planes of A[1..n], B[1..n] and cin,
-    then their hi planes: ints over the run's lanes (stop - start rounded
-    up to a multiple of 64), bit j being case start + j.  The lanes past
-    the last case may hold any digits (a cin 0 or 1).
+    ``_run_plan`` in runs of whole 64-lane words, at most RUN_LANES cases
+    and 16 bytes a slot per 64 cases within PLANE_BUDGET each.  At most
+    NODE_RUN_LANES cases whose nodes' plane pairs fit in PLANE_BUDGET // 8
+    bytes are one run of the nodes' own plan, compiling nothing: to 4096
+    lanes slot reuse saves less than the compile costs, and past it the
+    nodes' plan falls ever further behind (``tests/data/plan_crossover.py``).
+    Other checks run over the compiled plan.  ``source(start, stop)`` gives
+    cases start..stop-1, start a multiple of 64, as the lo planes of
+    A[1..n], B[1..n] and cin, then their hi planes: ints over the run's
+    lanes (stop - start rounded up to a multiple of 64), bit j being case
+    start + j.  The lanes past the last case may hold any digits (a cin 0
+    or 1).
 
     ``oracle(ins)`` gets each run's input planes and returns the planes
     S[1..n] and cout should hold, lo then hi; only the lanes where they
@@ -502,10 +502,10 @@ def add_cases(nl: Netlist, cases: int, source, oracle):
     run gets wrong is not read and reads 0 in both.
     """
     n = nl.width
-    plan, step, outputs = None, RUN_LANES, (*nl.s_ports, nl.cout_port)   # one run, no plan
+    plan = nl._node_plan
     if cases > NODE_RUN_LANES or 16 * -(-cases // 64) * len(nl.nodes) > PLANE_BUDGET // 8:
         plan = nl._plan
-        step, outputs = min(RUN_LANES, 64 * (PLANE_BUDGET // (16 * plan.slots))), plan.outputs
+    step = min(RUN_LANES, 64 * (PLANE_BUDGET // (16 * plan.slots)))
     if not step:
         raise ValueError(f"the plan's {plan.slots} plane slots take {16 * plan.slots} bytes per "
                          f"64 cases, over the plane budget PLANE_BUDGET = {PLANE_BUDGET} bytes")
@@ -514,14 +514,7 @@ def add_cases(nl: Netlist, cases: int, source, oracle):
         stop = min(start + step, cases)
         lanes = (stop - start + 63) // 64 * 64
         ins = source(start, stop)
-        if plan is None:
-            lo, hi = _run_nodes(nl, ins[:2 * n + 1], ins[2 * n + 1:], (1 << lanes) - 1)
-        else:
-            pad = [0] * (plan.slots - 2 * n - 1)
-            lo, hi = ins[:2 * n + 1] + pad, ins[2 * n + 1:] + pad
-            _run(plan.steps, plan.outs, lo, hi, (1 << lanes) - 1)
-        got = [*map(lo.__getitem__, outputs), *map(hi.__getitem__, outputs)]
-        del lo, hi   # no input plane is overwritten: ins are the run's inputs
+        got = _run_plan(plan, ins[:2 * n + 1], ins[2 * n + 1:], (1 << lanes) - 1)
         want = oracle(ins)
         if want != got:   # equal planes: every lane passes, the ones past the last case too
             wrong = reduce(or_, map(xor, want, got)).to_bytes(lanes // 8, "little")
@@ -577,16 +570,17 @@ class _Analysis:
     convention (an excluded mask sits at its data input's depth).  Both are
     (included, excluded) pairs, indexed by ``mask_counting == "excluded"``.
     A wide gate with a holder in ``holders`` (``Netlist._holders``) is read
-    through it: its depth is the larger of the holder's and one more than
-    its remaining inputs', and its cone step reads its remaining inputs and
-    ``n + holder`` (n nodes), which stands for the holder's own reads and is
-    never in a cone.  Cones are memoized per signal-id set.  Netlists are
+    through it, as its step in ``steps`` (``Netlist._steps``) reads it: its
+    depth is the larger of the holder's and one more than its remaining
+    inputs', and its cone step reads its remaining inputs and ``n + holder``
+    (n nodes), which stands for the holder's own reads and is never in a
+    cone.  Cones are memoized per signal-id set.  Netlists are
     immutable, so each one computes its analysis on first use and keeps it.
     """
 
     __slots__ = ("reads", "_hidden", "fan_in", "depths", "_cones")
 
-    def __init__(self, nodes: tuple[Node, ...], holders: Mapping[int, int]):
+    def __init__(self, nodes: tuple[Node, ...], steps: Sequence, holders: Mapping[int, int]):
         n = len(nodes)
         inc, exc = [0] * n, [0] * n
         reads = [node[1] for node in nodes]
@@ -620,7 +614,7 @@ class _Analysis:
                     inc[i] = 1 + max(get(inc))
                     exc[i] = 1 + max(get(exc))
                 else:   # a mask is never wide, so the holder's depth is 1 + its inputs'
-                    rest = ins[len(nodes[h][1]):]
+                    rest = steps[i][1][1:]
                     reads[i] = (*rest, n + h)
                     hidden.append(n + h)
                     di, de = inc[h] - 1, exc[h] - 1   # the deepest input, each convention

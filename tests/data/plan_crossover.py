@@ -7,9 +7,9 @@ Run from the repository root against the checkout to measure:
 For each kind built at each width given (16, 64 and 256 unless given;
 single_stage stops at 64, the widest it is verified at), the script prints
 the plan's compile time, then for each lane count from 1,024 to 32,768 the
-kernel time of one run over the plan (``_run`` over its steps, as
-``add_cases`` runs a large check) and of one run over the nodes themselves
-(``_run_nodes``, as it runs a check of at most ``RUN_LANES // 8`` lanes).
+kernel time of one ``_run_plan`` over the compiled plan (as ``add_cases``
+runs a large check) and over the nodes' own plan (as it runs a check of at
+most ``RUN_LANES // 8`` lanes).
 The input planes are random.  Each time is the median of REPEATS calls in
 process time, the collector paused.  A plan pays for itself at a lane count
 where the node run's time exceeds the planned run's by more than the
@@ -44,13 +44,6 @@ def median_ms(fn) -> float:
     return 1e3 * statistics.median(times)
 
 
-def planned(nl, plan, ins, ones) -> None:
-    """One run over the plan, its planes laid out as ``add_cases`` lays them."""
-    n = nl.width
-    pad = [0] * (plan.slots - 2 * n - 1)
-    netlist._run(plan.steps, plan.outs, ins[:2 * n + 1] + pad, ins[2 * n + 1:] + pad, ones)
-
-
 def main(argv: list[str]) -> None:
     widths = [int(arg) for arg in argv] or [16, 64, 256]
     rng = random.Random(1)
@@ -59,16 +52,16 @@ def main(argv: list[str]) -> None:
             if width > WIDEST.get(kind, width):
                 continue
             nl = builders.build(builders.AdderSpec(kind, width))
-            compile_ms = median_ms(lambda: netlist._Plan.compile(nl))
-            plan = netlist._Plan.compile(nl)
+            compile_ms = median_ms(lambda: netlist._Plan.compile(nl._node_plan))
+            plan = nl._plan
             print(f"{kind} n={width}: {len(nl.nodes)} nodes, {plan.slots} slots, "
                   f"compile {compile_ms:.2f} ms")
             for lanes in LANES:
                 ins = [rng.getrandbits(lanes) for _ in range(2 * (2 * width + 1))]
                 ones = (1 << lanes) - 1
-                plan_ms = median_ms(lambda: planned(nl, plan, ins, ones))
-                nodes_ms = median_ms(
-                    lambda: netlist._run_nodes(nl, ins[:2 * width + 1], ins[2 * width + 1:], ones))
+                lo, hi = ins[:2 * width + 1], ins[2 * width + 1:]
+                plan_ms = median_ms(lambda: netlist._run_plan(plan, lo, hi, ones))
+                nodes_ms = median_ms(lambda: netlist._run_plan(nl._node_plan, lo, hi, ones))
                 print(f"  {lanes:6d} lanes: planned {plan_ms:.2f} ms, nodes {nodes_ms:.2f} ms")
 
 

@@ -21,8 +21,10 @@
 
 It also holds ``built``, the adders tests share, ``sums``, the sums of a
 batch for the tests that read them (every check in the package reads only
-the failing cases), ``run_nodes``, every node's value from the one-lane
-run ``evaluate_words`` makes (which reads back only S and cout),
+the failing cases), each run bound and read by ``netlist._run_plan`` as
+``add_cases`` binds and reads it, ``run_nodes``, every node's value from a
+one-lane run of ``Netlist._steps``, the steps of the nodes' own plan that
+``evaluate_words`` runs (and reads back only S and cout),
 ``random_cases``, the cases of a random check rebuilt from the PCG64
 stream, ``mismatches``, a verify report's records as dicts, and
 ``traced_peak``, the memory probe of the tests that bound a call's
@@ -581,11 +583,11 @@ def random_cases(n: int, count: int, seed: int) -> list:
 
 def sums(nl: Netlist, a, b, cin) -> tuple[np.ndarray, np.ndarray]:
     """The sums of a batch: digit matrices a and b (cases, width) and cin
-    (cases,), integral qudits of any dtype, run by ``netlist._run`` over
-    ``nl._plan`` in the runs ``add_cases`` makes, each run's digits packed
-    into its input planes and its S and cout planes read back.  Returns the
-    sum digits, C-contiguous (cases, width), and the carry-outs (cases,),
-    uint8."""
+    (cases,), integral qudits of any dtype, run by ``netlist._run_plan``
+    over ``nl._plan`` in the runs ``add_cases`` makes, each run's digits
+    packed into its input planes and its S and cout planes read back.
+    Returns the sum digits, C-contiguous (cases, width), and the carry-outs
+    (cases,), uint8."""
     n, plan = nl.width, nl._plan
     digits = np.column_stack((a, b, cin)).astype(np.uint8)
     step = min(netlist.RUN_LANES, 64 * (netlist.PLANE_BUDGET // (16 * plan.slots)))
@@ -597,10 +599,7 @@ def sums(nl: Netlist, a, b, cin) -> tuple[np.ndarray, np.ndarray]:
         bits[0, :, :len(part)], bits[1, :, :len(part)] = part.T & 1, part.T >> 1
         packed = np.packbits(bits, axis=2, bitorder="little").reshape(2 * (2 * n + 1), -1)
         planes = [int.from_bytes(plane, "little") for plane in packed]
-        pad = [0] * (plan.slots - 2 * n - 1)
-        lo, hi = planes[:2 * n + 1] + pad, planes[2 * n + 1:] + pad
-        netlist._run(plan.steps, plan.outs, lo, hi, (1 << lanes) - 1)
-        outputs = [*(lo[i] for i in plan.outputs), *(hi[i] for i in plan.outputs)]
+        outputs = netlist._run_plan(plan, planes[:2 * n + 1], planes[2 * n + 1:], (1 << lanes) - 1)
         out[start:start + step] = lane_digits(outputs, len(part))
     return np.ascontiguousarray(out[:, :n]), out[:, n].copy()
 
@@ -618,14 +617,14 @@ def lane_digits(planes, cases: int) -> np.ndarray:
 
 def run_nodes(nl: Netlist, a, b, cin, steps=None) -> list:
     """Every node's value by id, from one lane of ``netlist._run`` over
-    ``steps`` by node id, by default the nodes read through their holders
-    (``netlist._through_holders``), as ``evaluate_words`` runs them: the
+    ``steps`` by node id, by default ``nl._steps``, the nodes read through
+    their holders, which ``evaluate_words`` runs as the nodes' own plan: the
     digits bind to the A, B and cin ports, and each node's lo and hi plane,
     one bit each, are read back as its digit."""
     lo, hi = [0] * len(nl.nodes), [0] * len(nl.nodes)
     for pid, digit in zip((*nl.a_ports, *nl.b_ports, nl.cin_port), (*a, *b, cin)):
         lo[pid], hi[pid] = digit & 1, digit >> 1
-    steps = netlist._through_holders(nl) if steps is None else steps
+    steps = nl._steps if steps is None else steps
     netlist._run(steps, range(len(lo)), lo, hi, 1)
     return [2 * h + l for l, h in zip(lo, hi)]
 

@@ -1,8 +1,9 @@
 """The prefix-holder table every netlist keeps, ``Netlist._holders``.
 
 ``_validate`` applies the prefix rule in the walk that checks each node,
-once the node has passed every check, and the batch plan and the analysis
-both read its table.  The table must equal ``reference.prefix_holders`` on
+once the node has passed every check, and writes each reader's step,
+``Netlist._steps``, which both plans run; the analysis reads the table and
+those steps.  The table must equal ``reference.prefix_holders`` on
 built adders, on random netlists, on their imported documents and on
 ``dataclasses.replace`` copies.  Import must still type- and range-check
 every input id of a reader, its prefix ids too, and reject with the
@@ -30,9 +31,19 @@ WIDTHS = (*range(1, 17), 64)
 
 
 def _same_table(nl):
+    """The table equals the reference, and the steps hold it in one form:
+    each reader's step reads (holder, *rest), and every other step is its
+    node itself."""
     want = reference.prefix_holders(nl.nodes)
     assert nl._holders == want
     assert list(nl._holders) == sorted(want)   # in reader id order
+    assert len(nl._steps) == len(nl.nodes)
+    for i, (kind, ins, value, name) in enumerate(nl.nodes):
+        if i in want:
+            h = want[i]
+            assert nl._steps[i] == (kind, (h, *ins[len(nl.nodes[h].inputs):]), value, name)
+        else:
+            assert nl._steps[i] is nl.nodes[i]
     return want
 
 
